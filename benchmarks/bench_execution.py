@@ -10,8 +10,6 @@ process pool:
 
 - **serial** — the seed behaviour, one interpreter simulating every
   program in turn;
-- **thread** — pool entry without escaping the GIL (the sims are pure
-  Python/NumPy, so this measures dispatch overhead, not a win);
 - **process, chunked** — contiguous per-worker chunks carrying the
   plain-data device fingerprint plus pre-spawned seeds; workers
   rebuild the noise model once and keep it for the pool's lifetime;
@@ -185,7 +183,7 @@ def main(argv: Sequence[str] | None = None) -> int:
              "1.00x", "yes"]]
     timings: Dict[str, float] = {"baseline_s": baseline_s}
     identical_everywhere = True
-    for mode in ("serial", "thread", "process", "auto"):
+    for mode in ("serial", "process", "auto"):
         mode_s, results = timed_mode(mode, args.workers, programs, device,
                                      args.shots, args.seed, repeats)
         same = identical(results, want)

@@ -13,8 +13,9 @@ small repeated programs dominate, exactly the cloud profile):
   sub-contexts, cached tables) plus the shared
   :class:`~repro.core.ExecutionCache`, so repeated (program, partition)
   pairs are cache hits;
-- **service** — :class:`~repro.core.CompileService` batch submission
-  over its persistent worker pool, same shared caches.
+- **service** — the warm path submitted through
+  :class:`~repro.core.CompileService` (serial route), same shared
+  caches.
 
 Two cold-path sections ride along: a process-pool shard of unique
 programs on a wide (65q) device — chunked tasks, fingerprint-rehydrated
@@ -56,7 +57,7 @@ from repro.circuits import QuantumCircuit, random_circuit
 from repro.core import AllocationResult, CloudScheduler, CompileService, \
     ExecutionCache, ProgramAllocation, SubmittedProgram, \
     allocation_engine, get_allocator
-from repro.core.executor import _circuit_key
+from repro.cache import circuit_key
 from repro.hardware import Device, ibm_manhattan, ibm_toronto
 from repro.transpiler import DeviceContext, transpile_for_partition
 from repro.workloads import synthesize_traffic
@@ -134,8 +135,9 @@ def bench_warm_context_only(device: Device, traffic) -> float:
     return time.perf_counter() - start
 
 
-def bench_service(device: Device, traffic, workers: int) -> float:
-    """Parallel batch compile through the persistent worker pool."""
+def bench_service(device: Device, traffic) -> float:
+    """Compile through the service's futures API on the serial route
+    (the closure hook cannot be pickled to a process pool)."""
     context = DeviceContext(device.coupling, device.calibration)
 
     def hook(circuit, dev, alloc):
@@ -143,7 +145,7 @@ def bench_service(device: Device, traffic, workers: int) -> float:
                                        context=context)
 
     allocs = allocations(device, traffic)
-    with CompileService(max_workers=workers, mode="thread") as svc:
+    with CompileService(mode="serial") as svc:
         start = time.perf_counter()
         futures = [svc.submit(a.circuit, device, a, hook) for a in allocs]
         for fut in futures:
@@ -220,7 +222,7 @@ def request_payload_bytes(device: Device, num_programs: int,
     """
     import pickle
 
-    from repro.core.compile_service import _device_fingerprint_spec
+    from repro.core.pool import device_fingerprint_spec
 
     job = unique_cold_job(device, num_programs, seed)
     # Warm the lazy coupling caches the way a long-running service has
@@ -230,7 +232,7 @@ def request_payload_bytes(device: Device, num_programs: int,
     per_task = sum(
         len(pickle.dumps((a.circuit, device, a)))
         for a in job.allocations)
-    spec = _device_fingerprint_spec(device)
+    spec = device_fingerprint_spec(device)
     shards = [job.allocations[i::workers] for i in range(workers)]
     chunked = sum(
         len(pickle.dumps((spec, [(a.circuit, a.partition)
@@ -322,7 +324,7 @@ def scheduler_dedup(device: Device, num_programs: int, seed: int
         outcome = scheduler.schedule(subs)
         compiled = svc.stats["submitted"]
     unique = len({
-        (_circuit_key(a.circuit), a.partition)
+        (circuit_key(a.circuit), a.partition)
         for job in outcome.jobs for a in job.allocation.allocations
     })
     return outcome.compile_requests, compiled, unique
@@ -342,7 +344,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     num_programs = args.programs or (60 if args.smoke else 150)
     device = ibm_toronto()
     traffic = placed_traffic(device, num_programs, args.seed)
-    unique = len({(_circuit_key(c), p) for c, p in traffic})
+    unique = len({(circuit_key(c), p) for c, p in traffic})
 
     # Untimed warm-up pass: the first timed path in a process otherwise
     # wins from interpreter/allocator warm-up regardless of merit.
@@ -351,7 +353,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     cold_s = bench_cold(device, traffic)
     warm_ctx_s = bench_warm_context_only(device, traffic)
     warm_s, cache = bench_warm(device, traffic)
-    service_s = bench_service(device, traffic, args.workers)
+    service_s = bench_service(device, traffic)
 
     n = len(traffic)
     rows = [
@@ -361,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
          f"{warm_ctx_s / n * 1e3:.2f}", f"{cold_s / warm_ctx_s:.2f}x"],
         ["warm (context + result cache)", n, f"{warm_s * 1e3:.1f}",
          f"{warm_s / n * 1e3:.2f}", f"{cold_s / warm_s:.2f}x"],
-        [f"service ({args.workers} workers)", n, f"{service_s * 1e3:.1f}",
+        ["service (serial route)", n, f"{service_s * 1e3:.1f}",
          f"{service_s / n * 1e3:.2f}", f"{cold_s / service_s:.2f}x"],
     ]
     print_table(

@@ -1,10 +1,10 @@
-"""Parallel transpile service over a persistent worker pool.
+"""Parallel transpile service over a persistent process pool.
 
 The cloud service's compile cost is per-program transpilation; with the
 :mod:`~repro.transpiler.context` layer the device-invariant tables are
 shared, so what remains is embarrassingly parallel per-program work.
-:class:`CompileService` batches it across a persistent
-thread/process/serial worker set with three layers of reuse:
+:class:`CompileService` compiles each batch inline or shards it across
+a :class:`~repro.core.pool.ProcessPool`, with three layers of reuse:
 
 - the shared :class:`~repro.core.executor.ExecutionCache` (full results,
   keyed by circuit structure + placement + device + hook);
@@ -12,22 +12,23 @@ thread/process/serial worker set with three layers of reuse:
   worker instead of compiling twice;
 - the fingerprint-keyed :func:`~repro.transpiler.context.device_context`
   registry, warmed per process, so workers never rebuild distance
-  tables (thread workers share the parent's; each process-pool worker
+  tables (inline compiles share the parent's; each process-pool worker
   warms its own on first use and keeps it for the pool's lifetime).
 
 Process mode ships work in *chunks*: one allocation's partitions are
 sharded across the workers, and each chunk carries a plain-data device
-fingerprint (coupling edges + calibration tables — kilobytes) instead of
-a pickled :class:`~repro.transpiler.context.DeviceContext` (graphs,
-Dijkstra tables, memoized sub-contexts).  The worker rehydrates the
-fingerprint through its process-local context registry, so the first
-chunk on a worker builds the tables once and every later chunk hits.
-``mode="auto"`` picks serial/thread/process per batch from the batch
-size and device width (:meth:`CompileService.choose_route`).
+fingerprint (:func:`~repro.core.pool.device_fingerprint_spec`: coupling
+edges + calibration tables — kilobytes) instead of a pickled
+:class:`~repro.transpiler.context.DeviceContext` (graphs, Dijkstra
+tables, memoized sub-contexts).  The worker rehydrates the fingerprint
+through its process-local context registry, so the first chunk on a
+worker builds the tables once and every later chunk hits.
+``mode="auto"`` picks serial or process per batch from the batch size,
+device width and core count (:meth:`CompileService.choose_route`).
 
 It plugs into :func:`repro.core.executor.run_batch` (prefetch: all jobs'
-programs are submitted before the first job executes, overlapping
-compilation with execution) and :class:`repro.core.CloudScheduler`
+programs are submitted before the first job executes, so process-routed
+compiles overlap execution) and :class:`repro.core.CloudScheduler`
 (each dispatched batch is submitted as it is admitted).
 """
 
@@ -35,12 +36,7 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..cache import (
@@ -58,14 +54,11 @@ from ..transpiler.context import device_context
 from ..transpiler.transpile import TranspileResult, transpile
 from .allocators import AllocationResult, ProgramAllocation
 from .executor import ExecutionCache, TranspilerFn, _default_transpiler
+from .pool import ProcessPool, device_fingerprint_spec
 
 __all__ = ["CompileService"]
 
-_MODES = ("auto", "thread", "process", "serial")
-
-#: Batches at or below this size run inline: pool dispatch overhead
-#: exceeds the work.
-_SERIAL_MAX_BATCH = 2
+_MODES = ("auto", "process", "serial")
 
 #: Process-pool thresholds: per-task pickling only amortizes on wide
 #: devices (long compiles) and real batches (ROADMAP: >30q).
@@ -74,28 +67,8 @@ _PROCESS_MIN_WIDTH = 30
 
 
 # ----------------------------------------------------------------------
-# process-worker side: fingerprint shipping + registry rehydration
+# process-worker side: fingerprint rehydration
 # ----------------------------------------------------------------------
-
-def _device_fingerprint_spec(device: Device) -> Dict:
-    """Plain-data snapshot of what compilation observes of a device.
-
-    Exactly the values behind the context registry's fingerprint —
-    cheap to pickle, and sufficient for a worker to rehydrate the shared
-    :class:`DeviceContext` on its side of the process boundary.  The
-    calibration is copied by :func:`~repro.transpiler.context.
-    _snapshot_calibration` (a dataclass of plain dicts), the single
-    field-list authority, so a new :class:`Calibration` field cannot
-    silently go missing from worker rehydration.
-    """
-    from ..transpiler.context import _snapshot_calibration
-
-    return {
-        "num_qubits": device.coupling.num_qubits,
-        "edges": device.coupling.edges,
-        "calibration": _snapshot_calibration(device.calibration),
-    }
-
 
 def _rehydrate_context(spec: Dict):
     """Worker-side context lookup from a fingerprint spec.
@@ -168,7 +141,8 @@ def _compile_partition_chunk(
 
 
 class CompileService:
-    """Batch-transpiles programs across a persistent worker pool.
+    """Batch-transpiles programs inline or across a persistent process
+    pool.
 
     Parameters
     ----------
@@ -176,12 +150,12 @@ class CompileService:
         Pool size (``None`` = executor default).  Ignored for
         ``mode="serial"``.
     mode:
-        ``"thread"`` (default; shares every cache with the workers),
-        ``"process"`` (true parallelism; chunk-sharded for the default
-        transpiler, per-task pickling otherwise), ``"serial"`` (no pool
-        — same API, inline execution), or ``"auto"`` (per-batch choice
-        via :meth:`choose_route`: inline for tiny batches, process pool
-        for big batches on wide devices, threads otherwise).
+        ``"auto"`` (default; per-batch choice via :meth:`choose_route`:
+        the process pool for big batches on wide devices, inline
+        otherwise), ``"process"`` (true parallelism; chunk-sharded for
+        the default transpiler, per-task pickling otherwise), or
+        ``"serial"`` (no pool — same API, inline execution on the
+        caller's thread).
     cache:
         The shared :class:`ExecutionCache`; a private one is created
         when omitted.  Every submission publishes its result here, so
@@ -193,17 +167,13 @@ class CompileService:
     """
 
     def __init__(self, max_workers: Optional[int] = None,
-                 mode: str = "thread",
+                 mode: str = "auto",
                  cache: Optional[ExecutionCache] = None) -> None:
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {_MODES}")
         self.mode = mode
         self.cache = cache or ExecutionCache()
-        self._max_workers = max_workers
-        # Pools are lazy: auto mode may never need one of them, and a
-        # process pool costs real fork/spawn time.
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
+        self._pool = ProcessPool(max_workers)
         self._lock = threading.Lock()
         self._inflight: Dict[Hashable, Future] = {}
         # Request accounting: ``submitted`` tasks actually handed to a
@@ -237,42 +207,24 @@ class CompileService:
                      cores: Optional[int] = None) -> str:
         """Worker route for one batch, from its size and device width.
 
-        Tiny batches run inline (``"serial"``); large batches on wide
-        devices — where per-program compile time amortizes pickling —
-        shard across the process pool; everything else uses threads
-        (GIL-bound, but cache-shared and cheap to enter).
+        Large batches on wide devices — where per-program compile time
+        amortizes pickling — shard across the process pool; everything
+        else runs inline (``"serial"``).
 
         No pool can win without a second core (*cores* defaults to
         ``os.cpu_count()``), so single-core hosts always route serial —
-        explicit ``mode="thread"``/``"process"`` still honours the
-        caller.  Measured cold-miss crossover on a 1-core host (48
-        unique programs): threads 0.90x serial on 27q / 0.93x on 65q
-        (GIL-bound compiles pay dispatch overhead with no overlap to
-        buy), chunked process 0.68x / 0.59x — serial wins outright.
+        explicit ``mode="process"`` still honours the caller.  Measured
+        cold-miss crossover on a 1-core host (48 unique programs):
+        chunked process 0.68x serial on 27q / 0.59x on 65q.  Threads ran
+        at 0.90x / 0.93x there (GIL-bound compiles pay dispatch overhead
+        with no overlap to buy), so there is no thread route.
         """
-        if batch_size <= _SERIAL_MAX_BATCH:
-            return "serial"
         if cores is None:
             cores = os.cpu_count() or 1
-        if cores <= 1:
-            return "serial"
-        if (batch_size >= _PROCESS_MIN_BATCH
+        if (cores > 1 and batch_size >= _PROCESS_MIN_BATCH
                 and device_width >= _PROCESS_MIN_WIDTH):
             return "process"
-        return "thread"
-
-    def _thread_executor(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="compile-service")
-        return self._thread_pool
-
-    def _process_executor(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self._max_workers)
-        return self._process_pool
+        return "serial"
 
     # ------------------------------------------------------------------
     def submit(self, circuit: QuantumCircuit, device: Device,
@@ -285,12 +237,12 @@ class CompileService:
         to :attr:`cache`.  Its value is the raw cached result — shared,
         do not mutate; resolve through :meth:`transpile` for a fresh
         copy.  *route* overrides the worker kind for this request
-        (``"serial"``/``"thread"``/``"process"``); single submissions in
-        auto mode default to threads.
+        (``"serial"``/``"process"``); single submissions in auto mode
+        run inline.
         """
         fn = transpiler_fn or _default_transpiler
         if route is None:
-            route = "thread" if self.mode == "auto" else self.mode
+            route = "serial" if self.mode == "auto" else self.mode
         key = self.cache.transpile_key(circuit, device, allocation, fn)
         with self._lock:
             found, out = self._claim(key, device, fn)
@@ -315,9 +267,7 @@ class CompileService:
                 fail(exc)
             return out
 
-        pool = (self._process_executor() if route == "process"
-                else self._thread_executor())
-        raw = pool.submit(fn, circuit, device, allocation)
+        raw = self._pool.executor().submit(fn, circuit, device, allocation)
 
         def on_done(f: Future) -> None:
             exc = f.exception()
@@ -382,10 +332,11 @@ class CompileService:
         honoured; ``"auto"`` consults :meth:`choose_route` with the
         batch size and device width.  The process route shards the
         batch's *unique* compile requests into contiguous chunks (one
-        per worker), shipping the device fingerprint once per chunk;
-        custom hooks fall back to per-task submission (their closures
-        rarely survive pickling, and the worker could not rebuild their
-        environment from a fingerprint anyway).
+        per worker), shipping the device fingerprint once per chunk.
+        Custom hooks compile inline in auto mode and per task on an
+        explicit process route: their closures rarely survive pickling,
+        and the worker could not rebuild their environment from a
+        fingerprint anyway.
         """
         ordered = sorted(allocation_result.allocations,
                          key=lambda a: a.index)
@@ -394,8 +345,8 @@ class CompileService:
         route = self.mode
         if route == "auto":
             route = self.choose_route(len(ordered), device.num_qubits)
-            if route == "process" and fn is not _default_transpiler:
-                route = "thread"
+            if fn is not _default_transpiler:
+                route = "serial"
         if route == "process" and fn is _default_transpiler:
             return self._submit_process_chunks(ordered, device)
         return [
@@ -425,33 +376,27 @@ class CompileService:
         if not todo:
             return futures
 
-        pool = self._process_executor()
-        spec = _device_fingerprint_spec(device)
+        executor = self._pool.executor()
+        spec = device_fingerprint_spec(device)
         # Workers open their own connection to the shared WAL store (if
         # one is attached and healthy) and dedup against it before
         # compiling, so a warm store short-circuits even process chunks.
         l2 = self.cache.persistent
         store_path = (None if l2 is None or l2.disabled else l2.path)
-        workers = (self._max_workers or os.cpu_count() or 1)
-        n_chunks = max(1, min(len(todo), workers))
-        bounds = [round(i * len(todo) / n_chunks)
-                  for i in range(n_chunks + 1)]
         submitted_upto = 0
         try:
-            for lo, hi in zip(bounds, bounds[1:]):
+            for lo, hi in self._pool.chunk_bounds(len(todo)):
                 shard = todo[lo:hi]
-                if not shard:
-                    continue
                 tasks = [(alloc.circuit, alloc.partition,
                           None if key is None else key.digest,
                           None if key is None else key.invariants)
                          for key, alloc, _ in shard]
-                raw = pool.submit(_compile_partition_chunk, spec, tasks,
-                                  store_path)
+                raw = executor.submit(_compile_partition_chunk, spec,
+                                      tasks, store_path)
                 submitted_upto = hi
                 raw.add_done_callback(
                     lambda f, shard=shard: self._publish_chunk(
-                        f, shard, device, fn, pool))
+                        f, shard, device, fn, executor))
                 with self._lock:
                     self._requests["chunks"] += 1
         except BaseException as exc:  # noqa: BLE001
@@ -466,41 +411,33 @@ class CompileService:
                 for _, _, out in rest:
                     out.set_exception(exc)
                 raise
-            # pool.submit can raise synchronously (a broken or shut-down
-            # process pool).  The not-yet-submitted shards' futures are
-            # already claimed in-flight; leaving them unresolved would
-            # hang every waiter, and failing them would fail the whole
-            # job over a pool-health problem — so compile them inline.
-            self._fallback_inline(rest, device, pool)
+            # executor.submit can raise synchronously (a broken or
+            # shut-down process pool).  The not-yet-submitted shards'
+            # futures are already claimed in-flight; leaving them
+            # unresolved would hang every waiter, and failing them would
+            # fail the whole job over a pool-health problem — so compile
+            # them inline.
+            self._fallback_inline(rest, device, executor)
         return futures
 
     def _fallback_inline(self, shard: Sequence[Tuple[
             Hashable, ProgramAllocation, Future]], device: Device,
-            pool=None) -> None:
+            executor=None) -> None:
         """Compile claimed chunk requests inline after a pool failure.
 
         The requests' futures are already registered in-flight; each one
         resolves (or carries its own compile error) exactly as if a
         worker had served it, so waiters and coalesced joiners cannot
         tell the pool died — only :attr:`stats` records the fallback.
-        *pool* is the executor the failed shard was submitted to; it is
-        dropped compare-and-swap style (only if still current — another
-        thread may already have replaced it with a healthy pool), so the
-        *next* process-route batch builds a fresh one instead of
-        degrading to inline compilation for the service's remaining
-        lifetime.
+        *executor* is the one the failed shard was submitted to; the
+        pool discards it (only if still current), so the *next*
+        process-route batch builds a fresh one instead of degrading to
+        inline compilation for the service's remaining lifetime.
         """
         fn = _default_transpiler
-        dead = None
         with self._lock:
             self._requests["fallbacks"] += len(shard)
-            if pool is not None and self._process_pool is pool:
-                dead, self._process_pool = pool, None
-        if dead is not None:
-            try:
-                dead.shutdown(wait=False)
-            except Exception:  # noqa: BLE001 - already broken
-                pass
+        self._pool.discard(executor)
         for key, alloc, out in shard:
             try:
                 result = fn(alloc.circuit, device, alloc)
@@ -518,7 +455,7 @@ class CompileService:
                        shard: Sequence[Tuple[Hashable, ProgramAllocation,
                                              Future]],
                        device: Device, fn: TranspilerFn,
-                       pool=None) -> None:
+                       executor=None) -> None:
         """Resolve one chunk's per-program futures from its worker."""
         exc = raw.exception()
         if exc is None:
@@ -535,7 +472,7 @@ class CompileService:
                 # A worker died mid-chunk (OOM-killed, crashed
                 # interpreter): pool health, not a compile error — the
                 # programs themselves are fine, so compile them inline.
-                self._fallback_inline(shard, device, pool)
+                self._fallback_inline(shard, device, executor)
                 return
             with self._lock:
                 for key, _, _ in shard:
@@ -558,11 +495,8 @@ class CompileService:
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pools (the cache stays usable)."""
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=wait)
-        if self._process_pool is not None:
-            self._process_pool.shutdown(wait=wait)
+        """Stop the worker pool (the cache stays usable)."""
+        self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "CompileService":
         return self

@@ -1,66 +1,65 @@
-"""Parallel program execution over a persistent worker pool.
+"""Parallel program execution over a persistent process pool.
 
-With the compile path ~13x faster and persistent across processes
-(PRs 3-6), end-to-end job latency is dominated by *simulation*: GIL-bound
-numpy running strictly serially inside
+End-to-end job latency is dominated by *simulation*: GIL-bound numpy
+running strictly serially inside
 :func:`~repro.sim.executor.run_parallel`.  :class:`ExecutionService`
-shards that per-program work across a process pool, mirroring
-:class:`~repro.core.compile_service.CompileService`:
+shards that per-program work across a
+:class:`~repro.core.pool.ProcessPool`, the primitive
+:class:`~repro.core.compile_service.CompileService` compiles on:
 
 - the joint (cross-program) half of a batch —
   :func:`~repro.sim.executor.prepare_parallel` (validation, ASAP padding,
   crosstalk scales) and :func:`~repro.sim.executor.spawn_seeds` — runs in
   the **parent**, so after it each program's simulation is a pure
-  function of its own ``(circuit, partition, seed, scales, shots)``
-  tuple;
-- programs are sharded into contiguous per-worker chunks carrying the
+  function of its own ``(circuit, partition, seed, scales)`` task;
+- tasks are sharded into contiguous per-worker chunks carrying the
   plain-data device fingerprint
-  (:func:`~repro.core.compile_service._device_fingerprint_spec` — the
-  calibration snapshot, kilobytes) plus the pre-spawned
+  (:func:`~repro.core.pool.device_fingerprint_spec` — the calibration
+  snapshot, kilobytes) plus the pre-spawned
   :class:`~numpy.random.SeedSequence` children, so the per-program RNG
   streams are **bit-identical to the serial path** regardless of how the
   batch is chunked (enforced by ``tests/test_execution_service.py``);
 - each worker rebuilds the :class:`~repro.sim.noise_model.NoiseModel`
-  once per calibration fingerprint (process-local cache) and restricts
-  it per partition — the same plain-dict construction as
-  :meth:`~repro.hardware.devices.Device.noise_model`, hence the same
-  floats, hence the same Kraus channels.
+  once per calibration fingerprint (process-local cache) with
+  :meth:`~repro.sim.noise_model.NoiseModel.from_calibration`, the
+  constructor :meth:`~repro.hardware.devices.Device.noise_model` uses
+  (hence the same floats, hence the same Kraus channels), and runs the
+  serial path's own loop, :func:`~repro.sim.executor.simulate_programs`.
 
-``mode="auto"`` routes each batch to serial/thread/process workers from
-its estimated simulation cost (batch size x per-program width/shots
-cost, measured table below) against the measured pool overheads — so a
+``mode="auto"`` runs each batch inline or on the process pool from its
+estimated simulation cost (batch size x per-program width/shots cost,
+measured table below) against the measured pool overhead — so a
 single-core host, a tiny batch, or a batch whose total work would not
 amortize a fork never pays for a pool it cannot exploit.  A broken
-process pool degrades to inline serial execution (``stats["fallbacks"]``)
-and is replaced compare-and-swap style, exactly like the compile
-service.
+process pool degrades to inline serial execution
+(``stats["fallbacks"]``) and is replaced compare-and-swap style,
+exactly like the compile service's.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..hardware.devices import Device
-from ..sim.density_matrix import SimulationResult, run_circuit
-from ..sim.executor import Program, prepare_parallel, spawn_seeds
+from ..sim.density_matrix import SimulationResult
+from ..sim.executor import (
+    Program,
+    ProgramTask,
+    prepare_parallel,
+    simulate_programs,
+    spawn_seeds,
+)
 from ..sim.noise_model import NoiseModel
 from ..sim.readout import SeedLike
 from ..transpiler.context import calibration_fingerprint
-from .compile_service import _device_fingerprint_spec
+from .pool import ProcessPool, device_fingerprint_spec
 
 __all__ = ["ExecutionService"]
 
-_MODES = ("auto", "thread", "process", "serial")
+_MODES = ("auto", "process", "serial")
 
 #: Batches at or below this size always run inline: even at the widest
 #: committed program the pool entry overhead is comparable to the work.
@@ -81,19 +80,17 @@ _COST_TABLE_MAX = max(_PROGRAM_COST_MS)
 #: the density-matrix evolution; measured <1 ms at width 7).
 _SHOTS_COST_MS_PER_4096 = 0.5
 
-#: Measured routing thresholds (same crossover run): a thread pool costs
-#: ~0.1 ms/task to enter, a process pool ~2 ms to create plus ~16 ms
-#: first-dispatch round-trip and per-chunk pickling.  Below
-#: ``_THREAD_MIN_BATCH_MS`` of estimated work the pool entry is a pure
-#: tax — stay serial; below ``_PROCESS_MIN_BATCH_MS`` a fork cannot
-#: amortize — use threads (numpy releases the GIL inside its kernels,
-#: so threads overlap partially at zero pickling cost).
-_THREAD_MIN_BATCH_MS = 25.0
+#: Measured routing threshold (same crossover run): a process pool costs
+#: ~2 ms to create plus ~16 ms first-dispatch round-trip and per-chunk
+#: pickling, so below ``_PROCESS_MIN_BATCH_MS`` of estimated work a fork
+#: cannot amortize — stay serial.  There is no thread route: threads ran
+#: at 0.90-0.93x serial on 1- and 2-core hosts (GIL-bound numpy on small
+#: tensors).
 _PROCESS_MIN_BATCH_MS = 120.0
 
 
 # ----------------------------------------------------------------------
-# process-worker side: fingerprint shipping + noise-model rehydration
+# process-worker side: noise-model rehydration
 # ----------------------------------------------------------------------
 
 #: Process-local noise models, one per calibration fingerprint: every
@@ -101,59 +98,35 @@ _PROCESS_MIN_BATCH_MS = 120.0
 _WORKER_NOISE: Dict[Hashable, NoiseModel] = {}
 
 
-def _noise_from_calibration(calibration) -> NoiseModel:
-    """The exact :meth:`Device.noise_model` construction, from a snapshot.
-
-    Same plain-dict copies of the same calibration values, so the
-    worker-side model is bit-identical to the parent's.
-    """
-    return NoiseModel(
-        oneq_error=dict(calibration.oneq_error),
-        twoq_error=dict(calibration.twoq_error),
-        readout_error=dict(calibration.readout_error),
-        t1=dict(calibration.t1),
-        t2=dict(calibration.t2),
-        detuning=dict(calibration.detuning),
-        gate_duration=dict(calibration.gate_duration),
-    )
-
-
 def _worker_noise(calibration) -> NoiseModel:
     """This worker process's noise model for *calibration* (cached)."""
     key = calibration_fingerprint(calibration)
     model = _WORKER_NOISE.get(key)
     if model is None:
-        model = _noise_from_calibration(calibration)
+        model = NoiseModel.from_calibration(calibration)
         _WORKER_NOISE[key] = model
     return model
 
 
 def _simulate_chunk(
     spec: Dict,
-    tasks: Sequence[Tuple],
+    tasks: Sequence[ProgramTask],
     shots: int,
     noisy: bool,
 ) -> List[SimulationResult]:
     """Simulate one shard of (circuit, partition, seed, scales) tasks.
 
-    Mirrors the serial loop of :func:`~repro.sim.executor.run_parallel`
-    exactly: the seed is the parent-spawned per-program child stream and
-    the scales come from the parent's joint schedule, so nothing here
+    The seed is the parent-spawned per-program child stream and the
+    scales come from the parent's joint schedule, so nothing here
     depends on which chunk (or how many chunks) the batch was cut into.
     """
     noise = _worker_noise(spec["calibration"]) if noisy else None
-    results: List[SimulationResult] = []
-    for circuit, partition, seed, scales in tasks:
-        restricted = noise.restricted(partition) if noise is not None \
-            else None
-        results.append(
-            run_circuit(circuit, noise_model=restricted, shots=shots,
-                        seed=seed, error_scales=scales))
-    return results
+    return simulate_programs(tasks, noise, shots)
 
 
 class ExecutionService:
-    """Executes program batches across a persistent worker pool.
+    """Executes program batches inline or across a persistent process
+    pool.
 
     Parameters
     ----------
@@ -162,11 +135,11 @@ class ExecutionService:
         ``mode="serial"``.
     mode:
         ``"auto"`` (default; per-batch choice via :meth:`choose_route`),
-        ``"thread"``, ``"process"``, or ``"serial"`` (no pool — same
-        API, inline execution, bit-identical to
+        ``"process"``, or ``"serial"`` (no pool — same API, inline
+        execution, bit-identical to
         :func:`~repro.sim.executor.run_parallel`).
 
-    The service is stateless across batches apart from its pools and
+    The service is stateless across batches apart from its pool and
     :attr:`stats`; any number of executors may share one instance.
     """
 
@@ -175,16 +148,14 @@ class ExecutionService:
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {_MODES}")
         self.mode = mode
-        self._max_workers = max_workers
-        # Pools are lazy: auto mode may never need one of them, and a
-        # process pool costs real fork/spawn time.
-        self._thread_pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
+        self._pool = ProcessPool(max_workers)
         self._lock = threading.Lock()
         # ``batches``/``programs`` count everything routed through
         # :meth:`run_parallel`; ``chunks`` process-pool shards shipped;
         # ``fallbacks`` programs executed inline after a broken or
         # shut-down pool; ``*_batches`` per-route accounting.
+        # ``thread_batches`` is always 0 (no thread route); it stays
+        # because the end-to-end benchmark reads the key.
         self._requests: Dict[str, int] = {
             "batches": 0, "programs": 0, "chunks": 0, "fallbacks": 0,
             "serial_batches": 0, "thread_batches": 0, "process_batches": 0,
@@ -228,8 +199,8 @@ class ExecutionService:
         Tiny batches run inline; a single-core host always runs inline
         (no pool can win without a second core — the compile bench's
         1-core ``cold_process`` regression is exactly this mistake);
-        batches whose estimated work would not amortize a fork use
-        threads; the rest shard across the process pool.  Thresholds
+        batches whose estimated work would not amortize a fork run
+        inline too; the rest shard across the process pool.  Thresholds
         come from the committed crossover measurement
         (``benchmarks/bench_execution.py --crossover``), not guesses.
         """
@@ -241,24 +212,9 @@ class ExecutionService:
             return "serial"
         estimated = cls.estimate_batch_ms(batch_size, max_program_qubits,
                                           shots)
-        if estimated < _THREAD_MIN_BATCH_MS:
-            return "serial"
         if estimated < _PROCESS_MIN_BATCH_MS:
-            return "thread"
+            return "serial"
         return "process"
-
-    def _thread_executor(self) -> ThreadPoolExecutor:
-        if self._thread_pool is None:
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="execution-service")
-        return self._thread_pool
-
-    def _process_executor(self) -> ProcessPoolExecutor:
-        if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(
-                max_workers=self._max_workers)
-        return self._process_pool
 
     # ------------------------------------------------------------------
     def run_parallel(
@@ -283,6 +239,8 @@ class ExecutionService:
             programs, device, scheduling=scheduling,
             include_crosstalk=include_crosstalk, noisy=noisy)
         seeds = spawn_seeds(seed, len(effective))
+        tasks = [(prog.circuit, prog.partition, seeds[k], scales[k])
+                 for k, prog in enumerate(effective)]
 
         route = self.mode
         if route == "auto":
@@ -295,103 +253,36 @@ class ExecutionService:
             self._requests[f"{route}_batches"] += 1
 
         if route == "serial":
-            return self._run_inline(effective, scales, seeds, device,
-                                    shots, noisy, range(len(effective)))
-        if route == "thread":
-            return self._run_threads(effective, scales, seeds, device,
-                                     shots, noisy)
-        return self._run_process(effective, scales, seeds, device,
-                                 shots, noisy)
+            return simulate_programs(
+                tasks, device.noise_model() if noisy else None, shots)
+        return self._run_process(tasks, device, shots, noisy)
 
     # ------------------------------------------------------------------
-    def _run_inline(self, effective: Sequence[Program],
-                    scales: Sequence[Dict[int, float]],
-                    seeds: Sequence[Optional[np.random.SeedSequence]],
-                    device: Device, shots: int, noisy: bool,
-                    indices: Sequence[int]) -> List[SimulationResult]:
-        """The serial loop of :func:`sim.executor.run_parallel`, verbatim."""
-        full_noise = device.noise_model() if noisy else None
-        results: List[SimulationResult] = []
-        for k in indices:
-            prog = effective[k]
-            noise = None
-            if noisy:
-                noise = full_noise.restricted(prog.partition)
-            results.append(
-                run_circuit(prog.circuit, noise_model=noise, shots=shots,
-                            seed=seeds[k], error_scales=scales[k]))
-        return results
-
-    def _run_threads(self, effective: Sequence[Program],
-                     scales: Sequence[Dict[int, float]],
-                     seeds: Sequence[Optional[np.random.SeedSequence]],
-                     device: Device, shots: int, noisy: bool
-                     ) -> List[SimulationResult]:
-        """One thread task per program; parent-side noise restriction."""
-        full_noise = device.noise_model() if noisy else None
-        futures: List[Future] = []
-        submitted = 0
-        try:
-            pool = self._thread_executor()
-            for k, prog in enumerate(effective):
-                noise = (full_noise.restricted(prog.partition)
-                         if noisy else None)
-                futures.append(
-                    pool.submit(run_circuit, prog.circuit,
-                                noise_model=noise, shots=shots,
-                                seed=seeds[k], error_scales=scales[k]))
-                submitted = k + 1
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException:  # noqa: BLE001 - pool health, not a program
-            # A shut-down/unusable thread pool must not fail the batch:
-            # run the unsubmitted tail inline (already-submitted futures
-            # still resolve normally below).
-            rest = range(submitted, len(effective))
-            with self._lock:
-                self._requests["fallbacks"] += len(rest)
-            tail = self._run_inline(effective, scales, seeds, device,
-                                    shots, noisy, rest)
-            return [f.result() for f in futures] + tail
-        return [f.result() for f in futures]
-
-    def _run_process(self, effective: Sequence[Program],
-                     scales: Sequence[Dict[int, float]],
-                     seeds: Sequence[Optional[np.random.SeedSequence]],
-                     device: Device, shots: int, noisy: bool
-                     ) -> List[SimulationResult]:
+    def _run_process(self, tasks: Sequence[ProgramTask], device: Device,
+                     shots: int, noisy: bool) -> List[SimulationResult]:
         """Contiguous per-worker chunks over the process pool."""
-        spec = _device_fingerprint_spec(device)
-        workers = self._max_workers or os.cpu_count() or 1
-        n_chunks = max(1, min(len(effective), workers))
-        bounds = [round(i * len(effective) / n_chunks)
-                  for i in range(n_chunks + 1)]
+        spec = device_fingerprint_spec(device)
         chunks: List[Tuple[int, int, Future]] = []
         submitted_upto = 0
-        pool = None
+        executor = None
         try:
-            pool = self._process_executor()
-            for lo, hi in zip(bounds, bounds[1:]):
-                if lo == hi:
-                    continue
-                tasks = [(effective[k].circuit, effective[k].partition,
-                          seeds[k], scales[k]) for k in range(lo, hi)]
+            executor = self._pool.executor()
+            for lo, hi in self._pool.chunk_bounds(len(tasks)):
                 chunks.append(
-                    (lo, hi, pool.submit(_simulate_chunk, spec, tasks,
-                                         shots, noisy)))
+                    (lo, hi, executor.submit(_simulate_chunk, spec,
+                                             tasks[lo:hi], shots, noisy)))
                 submitted_upto = hi
                 with self._lock:
                     self._requests["chunks"] += 1
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException:  # noqa: BLE001 - pool health, not a program
-            # pool.submit (or pool creation) raised synchronously: a
+            # executor.submit (or pool creation) raised synchronously: a
             # broken or shut-down pool.  Drop it so the next batch gets
             # a fresh one; the unsubmitted tail runs inline below.
-            self._drop_pool(pool)
-            pool = None
+            self._pool.discard(executor)
 
-        results: List[Optional[SimulationResult]] = [None] * len(effective)
+        results: List[Optional[SimulationResult]] = [None] * len(tasks)
         for lo, hi, fut in chunks:
             try:
                 chunk_results = fut.result()
@@ -399,57 +290,32 @@ class ExecutionService:
                     raise RuntimeError(
                         f"chunk returned {len(chunk_results)} results for "
                         f"{hi - lo} tasks")
-            except (KeyboardInterrupt, SystemExit):
-                raise
             except BrokenExecutor:
                 # A worker died mid-chunk (OOM-killed, crashed
                 # interpreter): pool health, not a program error — the
                 # programs themselves are fine, so simulate them inline.
-                self._drop_pool(pool)
-                pool = None
-                with self._lock:
-                    self._requests["fallbacks"] += hi - lo
-                chunk_results = self._run_inline(
-                    effective, scales, seeds, device, shots, noisy,
-                    range(lo, hi))
+                self._pool.discard(executor)
+                chunk_results = self._fallback(tasks[lo:hi], device,
+                                               shots, noisy)
             results[lo:hi] = chunk_results
-        if submitted_upto < len(effective):
-            rest = range(submitted_upto, len(effective))
-            with self._lock:
-                self._requests["fallbacks"] += len(rest)
-            results[submitted_upto:] = self._run_inline(
-                effective, scales, seeds, device, shots, noisy, rest)
+        if submitted_upto < len(tasks):
+            results[submitted_upto:] = self._fallback(
+                tasks[submitted_upto:], device, shots, noisy)
         return results  # type: ignore[return-value]
 
-    def _drop_pool(self, pool) -> None:
-        """Discard *pool* compare-and-swap style (only if still current).
-
-        Another thread may already have replaced it with a healthy pool;
-        dropping unconditionally would leak that one's workers.
-        """
-        if pool is None:
-            return
+    def _fallback(self, tasks: Sequence[ProgramTask], device: Device,
+                  shots: int, noisy: bool) -> List[SimulationResult]:
+        """Simulate *tasks* inline after a pool failure (counted)."""
         with self._lock:
-            if self._process_pool is not pool:
-                return
-            self._process_pool = None
-        try:
-            pool.shutdown(wait=False)
-        except Exception:  # noqa: BLE001 - already broken
-            pass
+            self._requests["fallbacks"] += len(tasks)
+        return simulate_programs(
+            tasks, device.noise_model() if noisy else None, shots)
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the worker pools (the service stays usable: the next
-        batch that needs a pool lazily builds a fresh one)."""
-        thread_pool, process_pool = None, None
-        with self._lock:
-            thread_pool, self._thread_pool = self._thread_pool, None
-            process_pool, self._process_pool = self._process_pool, None
-        if thread_pool is not None:
-            thread_pool.shutdown(wait=wait)
-        if process_pool is not None:
-            process_pool.shutdown(wait=wait)
+        """Stop the worker pool (the service stays usable: the next
+        batch that needs it lazily builds a fresh one)."""
+        self._pool.shutdown(wait=wait)
 
     def __enter__(self) -> "ExecutionService":
         return self

@@ -38,7 +38,6 @@ from ..cache import (
     TieredCache,
     TranspileKey,
     canonical_form,
-    circuit_key,
     index_sensitive_transpiler,
     persistent_cache_token,
 )
@@ -61,9 +60,6 @@ __all__ = ["ExecutionOutcome", "execute_allocation", "TranspilerFn",
 #: Hook: (logical circuit, device, allocation) -> TranspileResult.
 TranspilerFn = Callable[[QuantumCircuit, Device, ProgramAllocation],
                         TranspileResult]
-
-#: Compat shim — the key helpers live in :mod:`repro.cache.keys` now.
-_circuit_key = circuit_key
 
 
 @dataclass
@@ -198,17 +194,6 @@ class ExecutionCache:
             return True
         self.gated_writes += 1
         return False
-
-    # -- compat aliases (tests/benchmarks poke the table sizes) --------
-    @property
-    def _transpile(self) -> MemoryCache:
-        """The exact-key in-memory tier (supports ``len``/``in``)."""
-        return self.tiers.l1
-
-    @property
-    def _ideal(self) -> MemoryCache:
-        """The ideal-distribution table (supports ``len``/``in``)."""
-        return self._ideal_table
 
     @property
     def persistent(self) -> Optional[PersistentCache]:

@@ -35,6 +35,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
+from .pool import ProcessPool
+
 __all__ = [
     "DeviceOutage",
     "FaultPlan",
@@ -196,18 +198,19 @@ def inject_broken_process_pool(service, break_after: int = 0,
                                mode: str = "submit") -> BreakingExecutor:
     """Replace *service*'s lazy process pool with a breaking one.
 
-    Works on anything holding its pool in a ``_process_pool`` attribute
-    (:class:`~repro.core.ExecutionService`,
+    Works on anything holding a :class:`~repro.core.pool.ProcessPool`
+    in a ``_pool`` attribute (:class:`~repro.core.ExecutionService`,
     :class:`~repro.core.CompileService`).  Returns the injected
     executor so tests can assert how far it got before breaking.  The
-    service's own compare-and-swap pool replacement still applies: once
-    the injected pool breaks, the next batch lazily builds a real one.
+    pool's own compare-and-swap discard still applies: once the
+    injected executor breaks, the next batch lazily builds a real one.
     """
-    if not hasattr(service, "_process_pool"):
+    pool = getattr(service, "_pool", None)
+    if not isinstance(pool, ProcessPool):
         raise TypeError(
             f"{type(service).__name__} has no process pool to break")
     executor = BreakingExecutor(break_after=break_after, mode=mode)
-    service._process_pool = executor
+    pool._executor = executor  # noqa: SLF001 - installs the stand-in
     return executor
 
 

@@ -45,15 +45,7 @@ class Device:
 
     def noise_model(self) -> NoiseModel:
         """Noise model derived from the calibration snapshot."""
-        return NoiseModel(
-            oneq_error=dict(self.calibration.oneq_error),
-            twoq_error=dict(self.calibration.twoq_error),
-            readout_error=dict(self.calibration.readout_error),
-            t1=dict(self.calibration.t1),
-            t2=dict(self.calibration.t2),
-            detuning=dict(self.calibration.detuning),
-            gate_duration=dict(self.calibration.gate_duration),
-        )
+        return NoiseModel.from_calibration(self.calibration)
 
     def throughput(self, qubits_used: int) -> float:
         """Hardware throughput: used qubits / total qubits."""

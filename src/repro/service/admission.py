@@ -35,6 +35,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..cache import circuit_key
 from ..circuits.circuit import QuantumCircuit
 from ..core.scheduler import json_safe_num
 from ..hardware.fleet import DeviceFleet
@@ -215,16 +216,23 @@ class CostModel:
         self.fleet = fleet
         self.job_overhead_ns = float(job_overhead_ns)
         self._durations = [dev.calibration.gate_duration for dev in fleet]
-        self._memo: Dict[int, float] = {}
+        self._memo: Dict[Tuple, float] = {}
 
     def program_ns(self, circuit: QuantumCircuit) -> float:
-        """Mean over the fleet of the circuit's measured duration."""
-        key = id(circuit)
-        hit = self._memo.get(key)
+        """Mean over the fleet of the circuit's measured duration.
+
+        Memoized on the circuit's structural key, so a circuit mutated
+        after its first estimate is priced afresh and no other circuit
+        can ever read its entry.  Circuits without a key (unhashable
+        symbolic parameters) are priced without memoizing.
+        """
+        key = circuit_key(circuit)
+        hit = None if key is None else self._memo.get(key)
         if hit is None:
             hit = sum(program_duration(circuit, d)
                       for d in self._durations) / len(self._durations)
-            self._memo[key] = hit
+            if key is not None:
+                self._memo[key] = hit
         return hit
 
     def job_ns(self, circuits: Sequence[QuantumCircuit]) -> float:

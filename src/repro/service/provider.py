@@ -111,8 +111,8 @@ class QuantumProvider:
         built-ins), addressable by their ``Device.name``.
     compile_mode:
         Worker routing of the shared :class:`CompileService` —
-        ``"auto"`` (default; per-batch serial/thread/process choice),
-        or an explicit route.
+        ``"auto"`` (default; per-batch serial/process choice), or an
+        explicit ``"serial"``/``"process"`` route.
     compile_workers:
         Compile pool size (``None`` = executor default).
     cache_entries:
@@ -130,9 +130,10 @@ class QuantumProvider:
         Worker routing of the shared
         :class:`~repro.core.ExecutionService` that every backend's
         simulations run through — ``"auto"`` (default; per-batch
-        serial/thread/process choice from the measured crossover
-        table), or an explicit route.  Sharded execution is
-        bit-identical to the serial path regardless of the route.
+        serial/process choice from the measured crossover table), or
+        an explicit ``"serial"``/``"process"`` route.  Sharded
+        execution is bit-identical to the serial path regardless of
+        the route.
     execution_workers:
         Execution pool size (``None`` = executor default).
     job_workers:
@@ -628,12 +629,15 @@ class QuantumProvider:
             self._closed = True
             jobs = list(self._jobs.values())
         if not wait:
-            # Cancel in submission order so the store's transition
-            # history — and therefore what a resume sees — does not
-            # depend on pool-thread timing.
+            # Drain the work queue atomically first: while the store
+            # writes below run, the job worker must not start a later
+            # queued job.  Then cancel in submission order (``cancel``
+            # also succeeds on an already-cancelled future) so the
+            # store's transition history — and therefore what a resume
+            # sees — does not depend on pool-thread timing.
+            self._pool.shutdown(wait=False, cancel_futures=True)
             for job in jobs:
                 job.cancel()
-            self._pool.shutdown(wait=False, cancel_futures=True)
         else:
             self._pool.shutdown(wait=True)
         self.compile_service.shutdown(wait=wait)

@@ -20,7 +20,7 @@ accumulate T1/T2 decoherence — the effect ALAP exists to avoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,10 +28,16 @@ from ..circuits.circuit import QuantumCircuit
 from ..circuits.controlflow import ControlFlowOp, has_control_flow
 from ..hardware.devices import Device
 from .density_matrix import SimulationResult, run_circuit
+from .noise_model import NoiseModel
 from .readout import SeedLike
 
 __all__ = ["Program", "run_parallel", "run_single", "program_duration",
-           "prepare_parallel", "spawn_seeds"]
+           "prepare_parallel", "simulate_programs", "spawn_seeds"]
+
+#: One program's simulation, fully determined: ``(circuit, partition,
+#: seed, error_scales)``.
+ProgramTask = Tuple[QuantumCircuit, Tuple[int, ...],
+                    Optional[np.random.SeedSequence], Dict[int, float]]
 
 
 @dataclass(frozen=True)
@@ -300,6 +306,27 @@ def prepare_parallel(
     return effective, scales
 
 
+def simulate_programs(tasks: Iterable[ProgramTask],
+                      noise: Optional[NoiseModel],
+                      shots: int) -> List[SimulationResult]:
+    """The per-program half of :func:`run_parallel`.
+
+    Simulates each task on its own partition under *noise* — the full
+    device model, restricted to the partition here (``None`` = ideal).
+    The serial path, the
+    :class:`~repro.core.execution_service.ExecutionService` inline
+    fallback and its process workers all run this one loop, which is
+    what keeps their results bit-identical.
+    """
+    results: List[SimulationResult] = []
+    for circuit, partition, seed, scales in tasks:
+        restricted = None if noise is None else noise.restricted(partition)
+        results.append(
+            run_circuit(circuit, noise_model=restricted, shots=shots,
+                        seed=seed, error_scales=scales))
+    return results
+
+
 def run_parallel(
     programs: Sequence[Program],
     device: Device,
@@ -321,19 +348,11 @@ def run_parallel(
     effective, scales = prepare_parallel(
         programs, device, scheduling=scheduling,
         include_crosstalk=include_crosstalk, noisy=noisy)
-
-    full_noise = device.noise_model() if noisy else None
-
     seeds = spawn_seeds(seed, len(effective))
-    results: List[SimulationResult] = []
-    for k, prog in enumerate(effective):
-        noise = None
-        if noisy:
-            noise = full_noise.restricted(prog.partition)
-        results.append(
-            run_circuit(prog.circuit, noise_model=noise, shots=shots,
-                        seed=seeds[k], error_scales=scales[k]))
-    return results
+    tasks = [(prog.circuit, prog.partition, seeds[k], scales[k])
+             for k, prog in enumerate(effective)]
+    return simulate_programs(tasks, device.noise_model() if noisy else None,
+                             shots)
 
 
 def run_single(

@@ -55,6 +55,24 @@ class NoiseModel:
     detuning: Dict[int, float] = field(default_factory=dict)
     gate_duration: Dict[str, float] = field(default_factory=dict)
 
+    @classmethod
+    def from_calibration(cls, calibration) -> "NoiseModel":
+        """The noise model of a calibration snapshot.
+
+        Plain-dict copies of the calibration tables, so a model rebuilt
+        in a worker process from a pickled snapshot is bit-identical to
+        the parent's.
+        """
+        return cls(
+            oneq_error=dict(calibration.oneq_error),
+            twoq_error=dict(calibration.twoq_error),
+            readout_error=dict(calibration.readout_error),
+            t1=dict(calibration.t1),
+            t2=dict(calibration.t2),
+            detuning=dict(calibration.detuning),
+            gate_duration=dict(calibration.gate_duration),
+        )
+
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------

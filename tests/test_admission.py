@@ -108,6 +108,14 @@ class TestCostModel:
         assert first > 0
         assert cost.program_ns(bell) == first
 
+    def test_mutated_circuit_is_repriced(self, fleet):
+        circuit = workload("bell").circuit()
+        cost = CostModel(fleet)
+        first = cost.program_ns(circuit)
+        circuit.cx(0, 1)
+        circuit.cx(0, 1)
+        assert cost.program_ns(circuit) > first
+
     def test_job_adds_overhead(self, fleet, bell):
         cost = CostModel(fleet, job_overhead_ns=1e6)
         assert cost.job_ns([bell]) == pytest.approx(

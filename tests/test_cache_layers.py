@@ -264,7 +264,6 @@ class TestTieredExecutionCache:
 
 class TestShims:
     def test_key_helpers_moved_but_reachable(self):
-        assert executor_mod._circuit_key is cache_pkg.circuit_key  # noqa: SLF001
         assert executor_mod.index_sensitive_transpiler \
             is cache_pkg.index_sensitive_transpiler
         assert core_ist is index_sensitive_transpiler
@@ -305,5 +304,5 @@ class TestSingleCoreRouting:
                             lambda: 4)
         assert CompileService.choose_route(64, 65) == "process"
 
-    def test_multi_core_narrow_device_routes_to_threads(self):
-        assert CompileService.choose_route(64, 27, cores=4) == "thread"
+    def test_multi_core_narrow_device_stays_serial(self):
+        assert CompileService.choose_route(64, 27, cores=4) == "serial"

@@ -273,7 +273,7 @@ class TestCompileService:
                     _measured(random_circuit(4, 8, seed=1))]
         return get_allocator("qucp").allocate(circuits, dev)
 
-    @pytest.mark.parametrize("mode", ["serial", "thread"])
+    @pytest.mark.parametrize("mode", ["serial"])
     def test_service_matches_direct_execution(self, job, mode):
         direct = execute_allocation(job, shots=256, seed=5)
         with CompileService(max_workers=2, mode=mode) as svc:

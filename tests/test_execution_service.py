@@ -2,26 +2,31 @@
 
 Sharded execution must be **bit-identical** to the serial
 :func:`repro.sim.executor.run_parallel` path — same counts, same
-probabilities, same clbit records — regardless of mode (serial / thread /
+probabilities, same clbit records — regardless of mode (serial /
 process / auto) or worker count, because the joint half of the batch
 (ASAP padding, crosstalk scales, seed spawning) runs in the parent and
 each program's RNG stream is a pre-spawned ``SeedSequence`` child.  The
 randomized suite here sweeps programs x shots x seeds x worker counts.
 Also covers the measured ``choose_route`` decision table and the
-broken-pool inline fallbacks.
+broken-pool inline fallbacks of the process pool both services share.
 """
 
-from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future
 
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core import ExecutionService, execute_allocation, qucp_allocate, run_batch
+from repro.core import (
+    CompileService,
+    ExecutionService,
+    execute_allocation,
+    qucp_allocate,
+    run_batch,
+)
 from repro.core.execution_service import (
     _PROCESS_MIN_BATCH_MS,
     _SERIAL_MAX_BATCH,
-    _THREAD_MIN_BATCH_MS,
 )
 from repro.hardware import ibm_toronto
 from repro.sim.executor import Program, run_parallel
@@ -79,8 +84,8 @@ class TestShardedEquivalence:
         shots = int(rng.choice([0, 257, 1024]))
         seed = int(rng.integers(0, 2**31))
         want = run_parallel(programs, device, shots=shots, seed=seed)
-        routes = [("serial", 1), ("thread", 2), ("process", 1),
-                  ("process", 2), ("process", 3), ("auto", 2)]
+        routes = [("serial", 1), ("process", 1), ("process", 2),
+                  ("process", 3), ("auto", 2)]
         for mode, workers in routes:
             with ExecutionService(max_workers=workers, mode=mode) as svc:
                 got = svc.run_parallel(programs, device, shots=shots,
@@ -142,14 +147,16 @@ class TestChooseRoute:
 
     def test_small_cheap_batches_stay_serial(self):
         est = ExecutionService.estimate_batch_ms(3, 1, 0)
-        assert est < _THREAD_MIN_BATCH_MS
+        assert est < _PROCESS_MIN_BATCH_MS
         assert ExecutionService.choose_route(3, 1, 0, cores=8) == "serial"
 
-    def test_moderate_batches_take_threads(self):
+    def test_moderate_batches_stay_serial(self):
+        # Below the fork-amortization threshold the batch runs inline;
+        # there is no thread route in between.
         est = ExecutionService.estimate_batch_ms(4, 3, 4096)
-        assert _THREAD_MIN_BATCH_MS <= est < _PROCESS_MIN_BATCH_MS
+        assert est < _PROCESS_MIN_BATCH_MS
         assert ExecutionService.choose_route(4, 3, 4096,
-                                             cores=8) == "thread"
+                                             cores=8) == "serial"
 
     def test_heavy_batches_take_the_process_pool(self):
         est = ExecutionService.estimate_batch_ms(16, 5, 4096)
@@ -164,8 +171,9 @@ class TestChooseRoute:
         assert est(4, 5, 0) < est(4, 5, 65536)
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            ExecutionService(mode="fleet")
+        for mode in ("fleet", "thread"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                ExecutionService(mode=mode)
 
 
 class _BrokenSubmitPool:
@@ -186,6 +194,13 @@ class _DyingWorkerPool:
         pass
 
 
+#: Both services run on one ProcessPool, so every fallback case runs
+#: against each of them.
+SERVICES = pytest.mark.parametrize(
+    "service", [ExecutionService, CompileService],
+    ids=["execution", "compile"])
+
+
 class TestPoolFallbacks:
     """Pool health must never fail a batch — and never change a bit."""
 
@@ -195,38 +210,59 @@ class TestPoolFallbacks:
         self.programs = random_job(rng, max_programs=4)
         self.want = run_parallel(self.programs, self.device, shots=77,
                                  seed=13)
+        self.job = qucp_allocate(
+            [workload(n).circuit() for n in ("adder", "bell", "lin")],
+            self.device)
 
-    def test_broken_submit_falls_back_inline(self):
-        svc = ExecutionService(max_workers=2, mode="process")
-        svc._process_pool = _BrokenSubmitPool()
-        got = svc.run_parallel(self.programs, self.device, shots=77,
-                               seed=13)
-        assert_identical(got, self.want)
-        assert svc.stats["fallbacks"] == len(self.programs)
+    def _serve(self, svc):
+        """Run this case's batch through *svc*, check it against the
+        serial reference, and return how many programs it held."""
+        if isinstance(svc, ExecutionService):
+            got = svc.run_parallel(self.programs, self.device, shots=77,
+                                   seed=13)
+            assert_identical(got, self.want)
+            return len(self.programs)
+        got = svc.compile_allocation(self.job)
+        with CompileService(mode="serial") as ser:
+            want = ser.compile_allocation(self.job)
+        for g, w in zip(got, want):
+            assert g.circuit == w.circuit
+            assert g.final_layout == w.final_layout
+        return len(self.job.allocations)
+
+    @SERVICES
+    def test_broken_submit_falls_back_inline(self, service):
+        svc = service(max_workers=2, mode="process")
+        svc._pool._executor = _BrokenSubmitPool()  # noqa: SLF001
+        served = self._serve(svc)
+        assert svc.stats["fallbacks"] == served
         # The dead pool was dropped: the next process-route batch builds
         # a fresh one instead of falling back forever.
-        assert svc._process_pool is None
+        assert svc._pool._executor is None  # noqa: SLF001
         svc.shutdown()
 
-    def test_mid_chunk_worker_death_falls_back_inline(self):
-        svc = ExecutionService(max_workers=2, mode="process")
-        svc._process_pool = _DyingWorkerPool()
-        got = svc.run_parallel(self.programs, self.device, shots=77,
-                               seed=13)
-        assert_identical(got, self.want)
-        assert svc.stats["fallbacks"] == len(self.programs)
+    @SERVICES
+    def test_mid_chunk_worker_death_falls_back_inline(self, service):
+        svc = service(max_workers=2, mode="process")
+        svc._pool._executor = _DyingWorkerPool()  # noqa: SLF001
+        served = self._serve(svc)
+        assert svc.stats["fallbacks"] == served
+        assert svc._pool._executor is None  # noqa: SLF001
         svc.shutdown()
 
-    def test_shut_down_thread_pool_falls_back_inline(self):
-        svc = ExecutionService(max_workers=2, mode="thread")
-        dead = ThreadPoolExecutor(max_workers=1)
-        dead.shutdown()
-        svc._thread_pool = dead
-        got = svc.run_parallel(self.programs, self.device, shots=77,
-                               seed=13)
-        assert_identical(got, self.want)
-        assert svc.stats["fallbacks"] == len(self.programs)
-        svc.shutdown()
+    def test_late_discard_keeps_the_replacement_pool(self):
+        # Compare-and-swap: discarding an executor that was already
+        # replaced must not drop the healthy replacement.
+        from repro.core.pool import ProcessPool
+
+        pool = ProcessPool(max_workers=1)
+        stale = pool.executor()
+        pool.discard(stale)
+        fresh = pool.executor()
+        assert fresh is not stale
+        pool.discard(stale)
+        assert pool.executor() is fresh
+        pool.shutdown()
 
     def test_program_errors_still_propagate(self):
         # A failing *simulation* is a real error, not pool health: the
@@ -241,7 +277,7 @@ class TestPoolFallbacks:
                 pass
 
         svc = ExecutionService(max_workers=2, mode="process")
-        svc._process_pool = _FailingChunkPool()
+        svc._pool._executor = _FailingChunkPool()  # noqa: SLF001
         with pytest.raises(RuntimeError, match="simulation exploded"):
             svc.run_parallel(self.programs, self.device, shots=8, seed=1)
         assert svc.stats["fallbacks"] == 0

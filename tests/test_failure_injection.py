@@ -335,7 +335,7 @@ class TestBrokenPoolChaos:
         inject_broken_process_pool(svc, break_after=0, mode="submit")
         svc.run_parallel(programs, toronto, shots=64, seed=1)
         # The broken injected pool was dropped compare-and-swap style.
-        assert svc._process_pool is None
+        assert svc._pool._executor is None  # noqa: SLF001
         want = ExecutionService(mode="serial").run_parallel(
             programs, toronto, shots=64, seed=2)
         got = svc.run_parallel(programs, toronto, shots=64, seed=2)

@@ -268,10 +268,10 @@ class TestCompileServiceRouting:
     def test_choose_route_thresholds(self):
         assert CompileService.choose_route(1, 65, cores=4) == "serial"
         assert CompileService.choose_route(2, 65, cores=4) == "serial"
-        assert CompileService.choose_route(3, 27, cores=4) == "thread"
-        assert CompileService.choose_route(12, 27, cores=4) == "thread"
+        assert CompileService.choose_route(3, 27, cores=4) == "serial"
+        assert CompileService.choose_route(12, 27, cores=4) == "serial"
         assert CompileService.choose_route(8, 30, cores=4) == "process"
-        assert CompileService.choose_route(7, 65, cores=4) == "thread"
+        assert CompileService.choose_route(7, 65, cores=4) == "serial"
         # A single core never auto-routes to any pool (measured: threads
         # ~0.9x and chunked process ~0.6x vs serial on a 1-core host).
         assert CompileService.choose_route(8, 30, cores=1) == "serial"
@@ -283,12 +283,12 @@ class TestCompileServiceRouting:
         job = get_allocator("qucp").allocate(circuits, dev)
         with CompileService(mode="auto") as svc:
             svc.compile_allocation(job)
-            assert svc._thread_pool is None  # noqa: SLF001
-            assert svc._process_pool is None  # noqa: SLF001
+            assert svc._pool._executor is None  # noqa: SLF001
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            CompileService(mode="fork")
+        for mode in ("fork", "thread"):
+            with pytest.raises(ValueError, match="mode"):
+                CompileService(mode=mode)
 
     def test_process_chunked_matches_serial(self):
         """Chunk-sharded process compilation (fingerprint rehydration in

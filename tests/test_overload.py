@@ -290,9 +290,10 @@ class TestAttemptFencing:
 
 class TestDeterministicShutdown:
     def test_queued_jobs_cancelled_and_recorded(self, tmp_path):
-        """Satellite: shutdown(wait=False) cancels not-yet-started
-        jobs in submission order and stores them CANCELLED, so resume
-        never silently re-runs them."""
+        """shutdown(wait=False) cancels not-yet-started jobs in
+        submission order and stores them CANCELLED, so resume never
+        silently re-runs them — and no queued job starts while those
+        store writes run."""
         store_path = os.fspath(tmp_path / "jobs.sqlite")
         provider = QuantumProvider(store_path=store_path, job_workers=1)
         backend = provider.simulator(linear_device(4, seed=0))
@@ -301,19 +302,33 @@ class TestDeterministicShutdown:
         qc.cx(0, 1)
         qc.cx(1, 2)
         qc.measure_all()
+        # Hold the single job worker, and free it while the first
+        # cancellation is being recorded: the worker must then find
+        # nothing left to start.
+        gate = threading.Event()
+        provider._pool.submit(gate.wait, 30.0)  # noqa: SLF001
+        record = provider.store.record_transition
+
+        def record_and_release(job_id, status, **kwargs):
+            record(job_id, status, **kwargs)
+            if status == "cancelled":
+                gate.set()
+                time.sleep(0.05)
+
+        provider.store.record_transition = record_and_release
         jobs = [backend.run(qc, shots=128, seed=i) for i in range(5)]
         provider.shutdown(wait=False)
         statuses = [job.status() for job in jobs]
-        assert statuses.count(JobStatus.CANCELLED) >= len(jobs) - 1
+        # Cancellation is a suffix — here all of it: no job submitted
+        # after the first cancelled one may have run.
+        assert statuses == [JobStatus.CANCELLED] * len(jobs)
         with QuantumProvider(store_path=store_path) as resumed:
             stored = {r.job_id: r.status for r in resumed.store.jobs()}
-            cancelled = [s for s in stored.values() if s == "cancelled"]
-            assert len(cancelled) >= len(jobs) - 1
+            assert [stored[job.job_id] for job in jobs] == \
+                ["cancelled"] * len(jobs)
             # Cancelled jobs are terminal: not pending, never resumed.
             pending_ids = {r.job_id for r in resumed.store.pending()}
-            for job, status in zip(jobs, statuses):
-                if status is JobStatus.CANCELLED:
-                    assert job.job_id not in pending_ids
+            assert not pending_ids & {job.job_id for job in jobs}
 
     def test_graceful_shutdown_still_drains(self):
         provider = QuantumProvider(job_workers=1)

@@ -10,7 +10,6 @@ fallback when the process pool is broken.
 """
 
 import math
-import os
 from concurrent.futures import BrokenExecutor, Future
 
 import pytest
@@ -179,8 +178,7 @@ class TestAutoRouteDegenerates:
             result = job.result()
         svc = prov.compile_service
         # One program -> serial route: compiled inline, no pool spun up.
-        assert svc._thread_pool is None
-        assert svc._process_pool is None
+        assert svc._pool._executor is None
         assert svc.stats["submitted"] == 1
         assert result.programs[0].counts
 
@@ -192,25 +190,20 @@ class TestAutoRouteDegenerates:
             result = backend.run(subs, shots=64, seed=7).result()
         svc = prov.compile_service
         # Every dispatched batch holds one program -> all serial.
-        assert svc._process_pool is None
-        assert svc._thread_pool is None
+        assert svc._pool._executor is None
         assert result.schedule.num_jobs == 2
         assert len(result.programs) == 2
 
-    def test_wider_batch_takes_thread_route(self):
+    def test_wider_batch_runs_inline(self):
         with QuantumProvider(compile_mode="auto") as prov:
             circuits = [workload(n).circuit()
                         for n in ("adder", "bell", "lin", "var")]
             result = prov.simulator("ibm_toronto").run(
                 circuits, shots=0, seed=1).result()
         svc = prov.compile_service
-        # 4 programs on a 27q device: threads on multi-core hosts,
-        # serial on a single core — never the process pool.
-        if (os.cpu_count() or 1) > 1:
-            assert svc._thread_pool is not None
-        else:
-            assert svc._thread_pool is None
-        assert svc._process_pool is None
+        # 4 programs on a 27q device stay below the process thresholds
+        # on any core count: compiled inline, no pool spun up.
+        assert svc._pool._executor is None
         assert len(result.programs) == 4
 
     def _broken_submit_pool(self):
@@ -235,7 +228,7 @@ class TestAutoRouteDegenerates:
 
     def test_broken_pool_falls_back_inline_through_job_path(self):
         with QuantumProvider(compile_mode="process") as prov:
-            prov.compile_service._process_pool = (
+            prov.compile_service._pool._executor = (
                 self._broken_submit_pool())
             circuits = [workload(n).circuit()
                         for n in ("adder", "bell", "lin")]
@@ -253,7 +246,8 @@ class TestAutoRouteDegenerates:
 
     def test_mid_chunk_worker_death_falls_back_inline(self):
         with QuantumProvider(compile_mode="process") as prov:
-            prov.compile_service._process_pool = self._dying_worker_pool()
+            prov.compile_service._pool._executor = (
+                self._dying_worker_pool())
             circuits = [workload(n).circuit() for n in ("adder", "bell")]
             result = prov.simulator("ibm_toronto").run(
                 circuits, shots=32, seed=2).result()
@@ -264,14 +258,14 @@ class TestAutoRouteDegenerates:
     def test_broken_pool_is_replaced_for_the_next_batch(self):
         with QuantumProvider(compile_mode="process") as prov:
             svc = prov.compile_service
-            svc._process_pool = self._broken_submit_pool()
+            svc._pool._executor = self._broken_submit_pool()
             circuits = [workload(n).circuit() for n in ("adder", "bell")]
             prov.simulator("ibm_toronto").run(circuits, shots=0,
                                               seed=1).result()
             assert svc.stats["fallbacks"] == 2
             # The dead pool was dropped: the next process-route batch
             # builds a real pool instead of falling back forever.
-            assert svc._process_pool is None
+            assert svc._pool._executor is None
 
     def test_non_pool_errors_still_propagate(self):
         svc = CompileService(mode="serial")
