@@ -27,6 +27,15 @@ Two gates, both CI-run via ``--smoke``:
   sees the process route win — the artifact records ``cores`` so every
   committed number is interpretable).
 
+The run also prints the two inputs of the route table in
+:mod:`repro.core.execution_service`: the serial per-program simulation
+cost at widths 1-7 (``_PROGRAM_COST_MS``; random programs at the
+batch's depth and shots) and the process pool's per-batch overhead —
+the process route's time minus the serial route's, plus the share of
+the batch's per-program half the workers took off the parent — with
+the per-program work at which the pool breaks even
+(``_PROCESS_MIN_BATCH_MS``).
+
 Timings land in ``BENCH_execution.json``.
 
 Run:  PYTHONPATH=../src python bench_execution.py [--smoke]
@@ -35,6 +44,8 @@ Run:  PYTHONPATH=../src python bench_execution.py [--smoke]
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -48,7 +59,8 @@ from conftest import connected_subset, print_table
 from repro.circuits import QuantumCircuit
 from repro.core import ExecutionService
 from repro.hardware import Device, ibm_manhattan, ibm_toronto
-from repro.sim.executor import Program, run_parallel
+from repro.sim.executor import (Program, prepare_parallel, run_parallel,
+                                simulate_programs, spawn_seeds)
 
 #: CI override knob (mirrors TRANSPILE_SPEEDUP_FLOOR and friends).
 SPEEDUP_FLOOR = float(os.environ.get("EXECUTION_SPEEDUP_FLOOR", "0.85"))
@@ -110,6 +122,36 @@ def cotenant_batch(device: Device, sizes: Sequence[int], seed: int,
             for part in partitions]
 
 
+def width_costs(device: Device, depth: int, shots: int, seed: int,
+                repeats: int) -> Dict[int, float]:
+    """Best-of serial simulation ms of one random program per width 1-7.
+
+    Times the per-program loop alone (noise model built once, no joint
+    schedule), which is what the route table prices per program.
+    """
+    rng = np.random.default_rng(seed)
+    noise = device.noise_model()
+    costs: Dict[int, float] = {}
+    for width in range(1, 8):
+        partition = disjoint_partitions(device, [width], rng)[0]
+        program = random_program(device, partition, rng, depth)
+        task = (program.circuit, partition, spawn_seeds(seed, 1)[0], {})
+        costs[width] = _best_ms(
+            lambda: simulate_programs([task], noise, shots), repeats)
+    return costs
+
+
+def _best_ms(fn, repeats: int) -> float:
+    """Best-of-*repeats* wall clock of *fn* (ms), after one warm call."""
+    fn()
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e3
+
+
 def identical(got, want) -> bool:
     return all(
         g.counts == w.counts
@@ -119,21 +161,48 @@ def identical(got, want) -> bool:
         for g, w in zip(got, want)) and len(got) == len(want)
 
 
-def timed_mode(mode: str, workers: int, programs, device, shots: int,
-               seed: int, repeats: int) -> Tuple[float, list]:
-    """Best-of-*repeats* wall clock for one route; pools pre-warmed."""
-    with ExecutionService(max_workers=workers, mode=mode) as svc:
-        svc.run_parallel(programs, device, shots=shots, seed=seed)
-        best = float("inf")
-        results = None
+def timed_paths(workers: int, programs, device, shots: int, seed: int,
+                repeats: int) -> Tuple[Dict[str, float], Dict[str, list]]:
+    """Best-of-*repeats* wall clock (s) and the results of every path.
+
+    The paths are the seed ``run_parallel`` baseline, the service's
+    serial, auto and process routes, and the batch's serial per-program
+    half alone (the work a pool can share; the joint half always runs
+    in the parent).  Each gets one untimed warm-up (pools, caches), then
+    they are timed round-robin, so host-speed drift lands on all alike.
+    The process route goes last in a round, followed by a pause: its
+    workers' BLAS threads keep spinning for ~0.1 s after a chunk, which
+    on 2 cores would otherwise be billed to the next path.
+    """
+    effective, scales = prepare_parallel(programs, device)
+    seeds = spawn_seeds(seed, len(effective))
+    tasks = [(prog.circuit, prog.partition, seeds[k], scales[k])
+             for k, prog in enumerate(effective)]
+    noise = device.noise_model()
+    with contextlib.ExitStack() as stack:
+        runs = {"baseline": functools.partial(
+            run_parallel, programs, device, shots=shots, seed=seed)}
+        runs["per_program"] = functools.partial(
+            simulate_programs, tasks, noise, shots)
+        services = {}
+        for mode in ("serial", "auto", "process"):
+            services[mode] = stack.enter_context(
+                ExecutionService(max_workers=workers, mode=mode))
+            runs[mode] = functools.partial(
+                services[mode].run_parallel, programs, device, shots=shots,
+                seed=seed)
+        results = {name: run() for name, run in runs.items()}
+        best = dict.fromkeys(runs, float("inf"))
         for _ in range(repeats):
-            start = time.perf_counter()
-            results = svc.run_parallel(programs, device, shots=shots,
-                                       seed=seed)
-            best = min(best, time.perf_counter() - start)
-        if svc.stats["fallbacks"]:
-            print(f"warning: {svc.stats['fallbacks']} inline fallbacks "
-                  f"in {mode} mode", file=sys.stderr)
+            time.sleep(0.3)
+            for name, run in runs.items():
+                start = time.perf_counter()
+                results[name] = run()
+                best[name] = min(best[name], time.perf_counter() - start)
+        for mode, svc in services.items():
+            if svc.stats["fallbacks"]:
+                print(f"warning: {svc.stats['fallbacks']} inline "
+                      f"fallbacks in {mode} mode", file=sys.stderr)
     return best, results
 
 
@@ -150,7 +219,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cores = os.cpu_count() or 1
-    repeats = args.repeats or 3
+    # Best-of-10 on the full batch: ~100 ms runs on a shared host vary
+    # by tens of percent, and the floor compares two of them.
+    repeats = args.repeats or (3 if args.smoke else 10)
     if args.smoke:
         device = ibm_toronto()
         sizes = [5, 5, 4, 4, 3]
@@ -164,35 +235,26 @@ def main(argv: Sequence[str] | None = None) -> int:
     programs = cotenant_batch(device, sizes, args.seed, depth)
     widths = [len(p.partition) for p in programs]
 
-    # Untimed warm-up (noise model, contexts), then best-of like every
-    # service route — the baseline must not pay cold-start the routes
-    # are spared.
-    want = run_parallel(programs, device, shots=args.shots, seed=args.seed)
-    baseline_s = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_parallel(programs, device, shots=args.shots, seed=args.seed)
-        baseline_s = min(baseline_s, time.perf_counter() - start)
+    best, results = timed_paths(args.workers, programs, device, args.shots,
+                                args.seed, repeats)
+    want = results["baseline"]
+    baseline_s = best["baseline"]
 
-    auto_route = ExecutionService.choose_route(
-        len(programs), max(widths), args.shots)
-    est_ms = ExecutionService.estimate_batch_ms(
-        len(programs), max(widths), args.shots)
+    auto_route = ExecutionService.choose_route(widths, args.shots)
+    est_ms = ExecutionService.estimate_batch_ms(widths, args.shots)
 
     rows = [["run_parallel (seed baseline)", f"{baseline_s * 1e3:.1f}",
              "1.00x", "yes"]]
     timings: Dict[str, float] = {"baseline_s": baseline_s}
     identical_everywhere = True
     for mode in ("serial", "process", "auto"):
-        mode_s, results = timed_mode(mode, args.workers, programs, device,
-                                     args.shots, args.seed, repeats)
-        same = identical(results, want)
+        same = identical(results[mode], want)
         identical_everywhere = identical_everywhere and same
         label = mode if mode != "auto" else f"auto (route: {auto_route})"
-        rows.append([f"service {label}", f"{mode_s * 1e3:.1f}",
-                     f"{baseline_s / mode_s:.2f}x",
+        rows.append([f"service {label}", f"{best[mode] * 1e3:.1f}",
+                     f"{baseline_s / best[mode]:.2f}x",
                      "yes" if same else "NO"])
-        timings[f"{mode}_s"] = mode_s
+        timings[f"{mode}_s"] = best[mode]
     print_table(
         f"Co-tenant batch of {len(programs)} programs "
         f"(widths {min(widths)}-{max(widths)}) on {device.name}, "
@@ -201,6 +263,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         ["path", "best-of-%d(ms)" % repeats, "vs baseline",
          "bit-identical"],
         rows)
+
+    costs = width_costs(device, depth, args.shots, args.seed, repeats)
+    print_table(
+        f"Serial per-program cost by width (depth {depth}, "
+        f"{args.shots} shots)",
+        ["width", "ms/program"],
+        [[w, f"{ms:.2f}"] for w, ms in costs.items()])
+    per_program_ms = best["per_program"] * 1e3
+    parallelism = min(cores, args.workers)
+    # process = serial + overhead - per_program * (1 - 1/parallelism)
+    overhead_ms = ((timings["process_s"] - timings["serial_s"]) * 1e3
+                   + per_program_ms * (1 - 1 / parallelism))
+    # The pool wins once work > overhead + work / parallelism.
+    breakeven_ms = (overhead_ms * parallelism / (parallelism - 1)
+                    if parallelism > 1 else None)
+    print(f"per-program half {per_program_ms:.1f} ms of the serial batch; "
+          f"process pool overhead {overhead_ms:.1f} ms per batch, so the "
+          f"pool breaks even at {breakeven_ms or float('inf'):.0f} ms of "
+          f"per-program work ({parallelism} parallel workers)")
 
     auto_speedup = baseline_s / timings["auto_s"]
     process_speedup = baseline_s / timings["process_s"]
@@ -221,6 +302,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "process_speedup": process_speedup,
         "bit_identical": identical_everywhere,
         "floor": SPEEDUP_FLOOR,
+        "width_cost_ms": costs,
+        "per_program_ms": per_program_ms,
+        "pool_overhead_ms": overhead_ms,
+        "breakeven_batch_ms": breakeven_ms,
         **timings,
     }
     with open(ARTIFACT, "w") as fh:

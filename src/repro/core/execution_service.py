@@ -27,7 +27,7 @@ shards that per-program work across a
   serial path's own loop, :func:`~repro.sim.executor.simulate_programs`.
 
 ``mode="auto"`` runs each batch inline or on the process pool from its
-estimated simulation cost (batch size x per-program width/shots cost,
+estimated simulation cost (each program's width/shots cost from the
 measured table below) against the measured pool overhead — so a
 single-core host, a tiny batch, or a batch whose total work would not
 amortize a fork never pays for a pool it cannot exploit.  A broken
@@ -65,14 +65,15 @@ _MODES = ("auto", "process", "serial")
 #: committed program the pool entry overhead is comparable to the work.
 _SERIAL_MAX_BATCH = 2
 
-#: Measured per-program simulation cost (ms) by circuit width — 20-gate
-#: heavy-tail-mix programs at 4096 shots on the committed crossover run
-#: (``benchmarks/bench_execution.py``, see ``BENCH_execution.json``).
-#: Above the table the cost is extrapolated at the measured ~2x/qubit
-#: slope (density-matrix state doubles per qubit twice, but gate count
-#: per layer shrinks the constant).
+#: Measured serial per-program simulation cost (ms) by circuit width:
+#: the width table ``benchmarks/bench_execution.py`` prints (one random
+#: depth-72 program per width at 4096 shots, 2-core x86 host; committed
+#: as ``width_cost_ms`` in ``BENCH_execution.json``, and re-runs on a
+#: shared host vary by ~30%).  Above the table the cost is extrapolated
+#: at ~2x/qubit (density-matrix state doubles per qubit twice, but gate
+#: count per layer shrinks the constant).
 _PROGRAM_COST_MS: Dict[int, float] = {
-    1: 2.0, 2: 3.8, 3: 6.3, 4: 7.3, 5: 12.6, 6: 17.8, 7: 48.0,
+    1: 0.6, 2: 0.8, 3: 0.9, 4: 1.1, 5: 1.5, 6: 3.6, 7: 9.3,
 }
 _COST_TABLE_MAX = max(_PROGRAM_COST_MS)
 
@@ -80,13 +81,16 @@ _COST_TABLE_MAX = max(_PROGRAM_COST_MS)
 #: the density-matrix evolution; measured <1 ms at width 7).
 _SHOTS_COST_MS_PER_4096 = 0.5
 
-#: Measured routing threshold (same crossover run): a process pool costs
-#: ~2 ms to create plus ~16 ms first-dispatch round-trip and per-chunk
-#: pickling, so below ``_PROCESS_MIN_BATCH_MS`` of estimated work a fork
-#: cannot amortize — stay serial.  There is no thread route: threads ran
+#: Measured routing threshold, the same run's break-even line: the
+#: process route cost ~70-100 ms per batch more than the per-program
+#: work it shares out (chunk pickling, round-trips, and the workers'
+#: BLAS threads oversubscribing 2 cores; ``pool_overhead_ms``), so 2
+#: workers only win above ~155 ms of per-program work
+#: (``breakeven_batch_ms``) — below ``_PROCESS_MIN_BATCH_MS`` of
+#: estimated work, stay serial.  There is no thread route: threads ran
 #: at 0.90-0.93x serial on 1- and 2-core hosts (GIL-bound numpy on small
 #: tensors).
-_PROCESS_MIN_BATCH_MS = 120.0
+_PROCESS_MIN_BATCH_MS = 155.0
 
 
 # ----------------------------------------------------------------------
@@ -170,49 +174,47 @@ class ExecutionService:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def estimate_batch_ms(batch_size: int, max_program_qubits: int,
-                          shots: int) -> float:
+    def estimate_batch_ms(widths: Sequence[int], shots: int) -> float:
         """Estimated serial simulation cost of one batch (ms).
 
-        Per-program cost from the measured width table (extrapolated at
-        ~2x/qubit above it) plus the measured marginal shot-sampling
-        cost, times the batch size.  This deliberately prices every
-        program at the batch's *widest* width — over-estimating mixed
-        batches routes them to a pool a little early, which on a
-        multi-core host is the cheap direction to err.
+        Each program (one entry of *widths*, its qubit count) is priced
+        at its own width from the measured width table (extrapolated at
+        ~2x/qubit above it), plus the measured marginal shot-sampling
+        cost.
         """
-        width = max(1, max_program_qubits)
-        if width <= _COST_TABLE_MAX:
-            per_program = _PROGRAM_COST_MS[width]
-        else:
-            per_program = (_PROGRAM_COST_MS[_COST_TABLE_MAX]
-                           * 2.0 ** (width - _COST_TABLE_MAX))
-        per_program += _SHOTS_COST_MS_PER_4096 * max(shots, 0) / 4096.0
-        return batch_size * per_program
+        total = 0.0
+        for width in widths:
+            width = max(1, width)
+            if width <= _COST_TABLE_MAX:
+                total += _PROGRAM_COST_MS[width]
+            else:
+                total += (_PROGRAM_COST_MS[_COST_TABLE_MAX]
+                          * 2.0 ** (width - _COST_TABLE_MAX))
+        per_shots = _SHOTS_COST_MS_PER_4096 * max(shots, 0) / 4096.0
+        return total + len(widths) * per_shots
 
     @classmethod
-    def choose_route(cls, batch_size: int, max_program_qubits: int,
-                     shots: int = 4096,
+    def choose_route(cls, widths: Sequence[int], shots: int = 4096,
                      cores: Optional[int] = None) -> str:
-        """Worker route for one batch, from measured cost/overhead data.
+        """Worker route for one batch of programs of the given *widths*,
+        from measured cost/overhead data.
 
         Tiny batches run inline; a single-core host always runs inline
         (no pool can win without a second core — the compile bench's
         1-core ``cold_process`` regression is exactly this mistake);
         batches whose estimated work would not amortize a fork run
         inline too; the rest shard across the process pool.  Thresholds
-        come from the committed crossover measurement
-        (``benchmarks/bench_execution.py --crossover``), not guesses.
+        come from the committed measurement
+        (``cd benchmarks && python bench_execution.py``: its width-cost
+        table and pool-overhead line), not guesses.
         """
-        if batch_size <= _SERIAL_MAX_BATCH:
+        if len(widths) <= _SERIAL_MAX_BATCH:
             return "serial"
         if cores is None:
             cores = os.cpu_count() or 1
         if cores <= 1:
             return "serial"
-        estimated = cls.estimate_batch_ms(batch_size, max_program_qubits,
-                                          shots)
-        if estimated < _PROCESS_MIN_BATCH_MS:
+        if cls.estimate_batch_ms(widths, shots) < _PROCESS_MIN_BATCH_MS:
             return "serial"
         return "process"
 
@@ -244,9 +246,8 @@ class ExecutionService:
 
         route = self.mode
         if route == "auto":
-            max_width = max(
-                (p.circuit.num_qubits for p in effective), default=0)
-            route = self.choose_route(len(effective), max_width, shots)
+            route = self.choose_route(
+                [p.circuit.num_qubits for p in effective], shots)
         with self._lock:
             self._requests["batches"] += 1
             self._requests["programs"] += len(effective)

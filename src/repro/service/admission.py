@@ -35,7 +35,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cache import circuit_key
+from ..cache import MemoryCache, circuit_key
 from ..circuits.circuit import QuantumCircuit
 from ..core.scheduler import json_safe_num
 from ..hardware.fleet import DeviceFleet
@@ -199,6 +199,11 @@ class TokenBucket:
         return False, deficit / self.rate_per_s * 1e9
 
 
+#: LRU bound on :class:`CostModel`'s per-circuit estimate memo (the
+#: in-memory cache tables' default bound).
+_MEMO_MAX_ENTRIES = 4096
+
+
 class CostModel:
     """Estimated per-program service time from the measured cost table.
 
@@ -216,15 +221,17 @@ class CostModel:
         self.fleet = fleet
         self.job_overhead_ns = float(job_overhead_ns)
         self._durations = [dev.calibration.gate_duration for dev in fleet]
-        self._memo: Dict[Tuple, float] = {}
+        self._memo = MemoryCache(_MEMO_MAX_ENTRIES)
 
     def program_ns(self, circuit: QuantumCircuit) -> float:
         """Mean over the fleet of the circuit's measured duration.
 
-        Memoized on the circuit's structural key, so a circuit mutated
-        after its first estimate is priced afresh and no other circuit
-        can ever read its entry.  Circuits without a key (unhashable
-        symbolic parameters) are priced without memoizing.
+        Memoized on the circuit's structural key in a bounded LRU table,
+        so a circuit mutated after its first estimate is priced afresh,
+        no other circuit can ever read its entry, and a long-lived
+        gateway pricing fresh-angle circuits holds at most
+        ``_MEMO_MAX_ENTRIES`` estimates.  Circuits without a key
+        (unhashable symbolic parameters) are priced without memoizing.
         """
         key = circuit_key(circuit)
         hit = None if key is None else self._memo.get(key)
@@ -232,7 +239,7 @@ class CostModel:
             hit = sum(program_duration(circuit, d)
                       for d in self._durations) / len(self._durations)
             if key is not None:
-                self._memo[key] = hit
+                self._memo.put(key, hit)
         return hit
 
     def job_ns(self, circuits: Sequence[QuantumCircuit]) -> float:

@@ -3,14 +3,15 @@ density-matrix evolution with calibration-driven Kraus channels.
 
 Performance note
 ----------------
-Both simulators run on the **local tensor-contraction backend** in
-:mod:`repro.sim.kernels`: the state is a ``(2,)*n`` tensor (density matrix
-``(2,)*2n``) and each k-qubit unitary or Kraus operator is contracted
-against its target axes only.  Per-operator cost is ``O(2^n * 4^k)`` for
-states and ``O(4^n * 4^k)`` for density matrices — versus ``O(4^n)`` /
-``O(8^n)`` for the old full-space embedding + dense matmul — roughly an
-order of magnitude on the 6-8 qubit partitions the parallel executor
-sweeps (see ``benchmarks/bench_kernels.py``).  The dense path survives as
+Both simulators run on one local-operator primitive,
+:func:`repro.sim.kernels.apply_local`: the state is a ``(2,)*n`` tensor
+(density matrix ``(2,)*2n``), and a ``d x d`` matrix acts on its target
+axes by a transpose, one matmul and the inverse transpose.  A
+density-matrix instruction's gate and noise channel are fused into one
+``4^k x 4^k`` superoperator ``S = C (U (x) conj(U))``, so each
+instruction is a single matmul — ~4x faster than the dense full-space
+reference at 3-4 qubits and ~85-100x at 8 (see
+``benchmarks/bench_kernels.py``).  The dense path survives as
 ``simulate_density_matrix(..., backend="dense")`` purely for verification;
 ``tests/test_kernels_equivalence.py`` pins both backends to each other at
 1e-10 over randomized circuits."""

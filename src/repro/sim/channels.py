@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -35,9 +35,14 @@ _PAULIS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A CPTP map given by Kraus operators, all of equal square shape."""
+    """A CPTP map given by Kraus operators, all of equal square shape.
+
+    Compared and hashed by identity, so a memo table can key on the
+    channel object itself (and so hold it alive) rather than on its
+    ``id()``.
+    """
 
     operators: Tuple[np.ndarray, ...]
     _embed_cache: dict = field(default_factory=dict, compare=False,
@@ -55,7 +60,7 @@ class KrausChannel:
         if not np.allclose(total, np.eye(dim), atol=1e-8):
             raise ValueError("Kraus operators violate completeness")
 
-    @property
+    @cached_property
     def num_qubits(self) -> int:
         """Number of qubits the channel acts on."""
         return int(math.log2(self.operators[0].shape[0]))
@@ -75,31 +80,19 @@ class KrausChannel:
         return KrausChannel(ops)
 
     def superop(self) -> np.ndarray:
-        """The channel folded into a local superoperator tensor (cached).
+        """The channel folded into its ``4^k x 4^k`` superoperator (cached).
 
-        See :func:`repro.sim.kernels.superop_tensor`; channel instances
+        See :func:`repro.sim.kernels.superop_matrix`; channel instances
         are themselves cached by the constructors, so a run's repeated
         error rates fold exactly once.
         """
         cached = self._embed_cache.get("superop")
         if cached is None:
-            from .kernels import superop_tensor
+            from .kernels import superop_matrix
 
-            cached = superop_tensor(self.operators)
+            cached = superop_matrix(self.operators)
             self._embed_cache["superop"] = cached
         return cached
-
-    def apply_local(self, rho: np.ndarray, qubits: Tuple[int, ...],
-                    num_qubits: int) -> np.ndarray:
-        """Apply the channel on local axes of a ``(2,)*2n`` density tensor.
-
-        This is the hot path of the noisy simulator: the folded
-        superoperator is contracted against the target axes only (see
-        :mod:`repro.sim.kernels`), never embedded into the full space.
-        """
-        from .kernels import apply_superop
-
-        return apply_superop(rho, self.superop(), qubits, num_qubits)
 
     def embedded(self, qubits: Tuple[int, ...],
                  num_qubits: int) -> Tuple[np.ndarray, ...]:

@@ -6,15 +6,18 @@ it.  Suitable for the partition sizes that occur in parallel circuit
 execution (<= ~8 qubits); the executor never simulates a whole 65-qubit
 chip at once.
 
-Two backends share one evolution loop:
+Two backends share one per-instruction step (:func:`_evolve_instruction`,
+also the feed-forward trajectory runner's):
 
 - ``backend="tensor"`` (default) keeps rho as a ``(2,)*2n`` tensor and
-  applies every k-qubit unitary and Kraus operator through the local
-  contraction kernels in :mod:`repro.sim.kernels` — O(2^n * 4^k) per
-  operator, never materializing a full-space embedding.
+  folds each instruction's gate and noise channel into one precomputed
+  ``4^k x 4^k`` superoperator ``S = C (U (x) conj(U))``, applied by a
+  single matmul on the target axes (:func:`repro.sim.kernels.apply_local`)
+  — O(4^n * 4^k) per instruction, never materializing a full-space
+  embedding.
 - ``backend="dense"`` is the original full-space reference: each operator
   is embedded into a 2^n x 2^n matrix and applied by dense matmuls
-  (O(4^n) per operator).  Kept for verification; the randomized
+  (O(8^n) per operator).  Kept for verification; the randomized
   equivalence suite checks the two agree to 1e-10.
 """
 
@@ -32,10 +35,10 @@ from ..circuits.gates import Gate
 from .channels import KrausChannel
 from .kernels import (
     RESET_KRAUS,
-    apply_kraus,
-    apply_unitary,
-    density_tensor_to_matrix,
+    apply_local,
     initial_density_tensor,
+    superop_matrix,
+    target_axes,
 )
 from .noise_model import NoiseModel
 from .readout import SeedLike, apply_readout_confusion, sample_counts
@@ -44,15 +47,34 @@ from .unitary import embed_gate
 __all__ = ["SimulationResult", "simulate_density_matrix", "run_circuit"]
 
 
-@lru_cache(maxsize=4096)
-def _local_unitary(name: str, params: Tuple[float, ...],
-                   num_gate_qubits: int) -> np.ndarray:
-    """Cache of *local* k-qubit gate matrices keyed by gate identity.
+#: ``(name, params)`` of a gate, or None when an instruction applies no
+#: unitary (an idle delay without detuning).
+_GateKey = Optional[Tuple[str, Tuple[float, ...]]]
 
-    Shared process-wide, so repeated programs in a batched sweep reuse the
-    same matrices.
+_RESET_SUPEROP = superop_matrix(RESET_KRAUS)
+
+
+@lru_cache(maxsize=4096)
+def _instruction_superop(gate: _GateKey, num_qubits: int,
+                         channel: Optional[KrausChannel]
+                         ) -> Optional[np.ndarray]:
+    """One instruction's fused superoperator ``S = C (U (x) conj(U))``.
+
+    *gate* acts on all *num_qubits* target qubits and *channel* (after
+    it) on the same qubits; either may be None, and None is returned
+    when both are.  Shared process-wide, so repeated programs in a
+    batched sweep fold each (gate, channel) pair once.  The key holds
+    the channel object itself (channels hash by identity), so an entry
+    is never served to a different channel that reuses a freed ``id()``.
     """
-    return Gate(name, num_gate_qubits, params).matrix()
+    superop = None
+    if gate is not None:
+        unitary = Gate(gate[0], num_qubits, gate[1]).matrix()
+        superop = np.kron(unitary, unitary.conj())
+    if channel is not None:
+        superop = (channel.superop() if superop is None
+                   else channel.superop() @ superop)
+    return superop
 
 
 @lru_cache(maxsize=4096)
@@ -108,7 +130,7 @@ class SimulationResult:
 
 
 class _TensorOps:
-    """Contraction-kernel backend: rho is a ``(2,)*2n`` tensor."""
+    """Fused-superoperator backend: rho is a ``(2,)*2n`` tensor."""
 
     def __init__(self, num_qubits: int) -> None:
         self.n = num_qubits
@@ -116,20 +138,22 @@ class _TensorOps:
     def initial(self) -> np.ndarray:
         return initial_density_tensor(self.n)
 
-    def unitary(self, rho: np.ndarray, name: str, params: Tuple[float, ...],
-                qubits: Tuple[int, ...]) -> np.ndarray:
-        mat = _local_unitary(name, params, len(qubits))
-        return apply_unitary(rho, mat, qubits, self.n)
-
-    def channel(self, rho: np.ndarray, channel: KrausChannel,
-                qubits: Tuple[int, ...]) -> np.ndarray:
-        return channel.apply_local(rho, qubits, self.n)
+    def evolve(self, rho: np.ndarray, gate: _GateKey,
+               channel: Optional[KrausChannel],
+               qubits: Tuple[int, ...]) -> np.ndarray:
+        if channel is not None and channel.num_qubits < len(qubits):
+            # 3q+ gates get an approximate 2q channel on the first pair:
+            # the gate alone, then the channel on its own qubits.
+            rho = self.evolve(rho, gate, None, qubits)
+            gate, qubits = None, qubits[:channel.num_qubits]
+        superop = _instruction_superop(gate, len(qubits), channel)
+        if superop is None:
+            return rho
+        return apply_local(rho, superop, target_axes(qubits, self.n, True))
 
     def reset(self, rho: np.ndarray, qubit: int) -> np.ndarray:
-        return apply_kraus(rho, RESET_KRAUS, (qubit,), self.n)
-
-    def finalize(self, rho: np.ndarray) -> np.ndarray:
-        return density_tensor_to_matrix(rho, self.n)
+        return apply_local(rho, _RESET_SUPEROP,
+                           target_axes((qubit,), self.n, True))
 
 
 class _DenseOps:
@@ -144,17 +168,19 @@ class _DenseOps:
         rho[0, 0] = 1.0
         return rho
 
-    def unitary(self, rho: np.ndarray, name: str, params: Tuple[float, ...],
-                qubits: Tuple[int, ...]) -> np.ndarray:
-        full = _embedded_unitary(name, params, qubits, self.n)
-        return full @ rho @ full.conj().T
-
-    def channel(self, rho: np.ndarray, channel: KrausChannel,
-                qubits: Tuple[int, ...]) -> np.ndarray:
-        out = np.zeros_like(rho)
-        for full in channel.embedded(tuple(qubits), self.n):
-            out += full @ rho @ full.conj().T
-        return out
+    def evolve(self, rho: np.ndarray, gate: _GateKey,
+               channel: Optional[KrausChannel],
+               qubits: Tuple[int, ...]) -> np.ndarray:
+        if gate is not None:
+            full = _embedded_unitary(gate[0], gate[1], qubits, self.n)
+            rho = full @ rho @ full.conj().T
+        if channel is not None:
+            out = np.zeros_like(rho)
+            for full in channel.embedded(qubits[:channel.num_qubits],
+                                         self.n):
+                out += full @ rho @ full.conj().T
+            rho = out
+        return rho
 
     def reset(self, rho: np.ndarray, qubit: int) -> np.ndarray:
         out = np.zeros_like(rho)
@@ -163,9 +189,6 @@ class _DenseOps:
             out += full @ rho @ full.conj().T
         return out
 
-    def finalize(self, rho: np.ndarray) -> np.ndarray:
-        return rho
-
 
 def _backend_ops(backend: str, num_qubits: int):
     if backend == "tensor":
@@ -173,6 +196,34 @@ def _backend_ops(backend: str, num_qubits: int):
     if backend == "dense":
         return _DenseOps(num_qubits)
     raise ValueError(f"unknown simulation backend {backend!r}")
+
+
+def _evolve_instruction(ops, rho: np.ndarray, inst,
+                        noise_model: Optional[NoiseModel],
+                        error_scale: float) -> np.ndarray:
+    """Evolve *rho* through one non-measurement instruction.
+
+    The instruction's gate, then the noise channel *noise_model* assigns
+    it at *error_scale*.  The one step both
+    :func:`simulate_density_matrix` and the feed-forward trajectory
+    runner take per instruction.
+    """
+    name = inst.name
+    if name == "barrier":
+        return rho
+    if name == "reset":
+        return ops.reset(rho, inst.qubits[0])
+    gate: _GateKey = None if name == "delay" else (name, inst.params)
+    channel = None
+    if noise_model is not None:
+        if name == "delay":
+            # Idling under a residual detuning accumulates a coherent Z
+            # rotation — the error dynamical decoupling echoes away.
+            delta = noise_model.detuning_of(inst.qubits[0])
+            if delta != 0.0:
+                gate = ("rz", (delta * float(inst.params[0]),))
+        channel = noise_model.channel_for(inst, error_scale=error_scale)
+    return ops.evolve(rho, gate, channel, inst.qubits)
 
 
 def simulate_density_matrix(
@@ -185,8 +236,8 @@ def simulate_density_matrix(
 
     *error_scales* maps instruction indices to multiplicative error-rate
     boosts (the crosstalk hook); unlisted instructions use scale 1.
-    *backend* selects the contraction kernels (``"tensor"``, default) or
-    the dense full-space reference (``"dense"``).
+    *backend* selects the fused-superoperator kernels (``"tensor"``,
+    default) or the dense full-space reference (``"dense"``).
     """
     if has_control_flow(circuit):
         from ..circuits.circuit import CircuitError
@@ -200,29 +251,11 @@ def simulate_density_matrix(
     rho = ops.initial()
     error_scales = error_scales or {}
     for idx, inst in enumerate(circuit):
-        if inst.name in ("measure", "barrier"):
-            continue
-        if inst.name == "reset":
-            rho = ops.reset(rho, inst.qubits[0])
-            continue
-        if inst.name != "delay":
-            rho = ops.unitary(rho, inst.name, inst.params, inst.qubits)
-        elif noise_model is not None:
-            # Idling under a residual detuning accumulates a coherent Z
-            # rotation — the error dynamical decoupling echoes away.
-            delta = noise_model.detuning_of(inst.qubits[0])
-            if delta != 0.0:
-                angle = delta * float(inst.params[0])
-                rho = ops.unitary(rho, "rz", (angle,), inst.qubits)
-        if noise_model is not None:
-            channel = noise_model.channel_for(
-                inst, error_scale=error_scales.get(idx, 1.0))
-            if channel is not None:
-                # The channel may act on fewer qubits than the gate (3q+
-                # gates get an approximate 2q channel on the first pair).
-                rho = ops.channel(rho, channel,
-                                  inst.qubits[:channel.num_qubits])
-    return ops.finalize(rho)
+        if inst.name != "measure":
+            rho = _evolve_instruction(ops, rho, inst, noise_model,
+                                      error_scales.get(idx, 1.0))
+    dim = 2 ** circuit.num_qubits
+    return rho.reshape(dim, dim)
 
 
 def _measured_probabilities(

@@ -36,17 +36,19 @@ from ..circuits.circuit import QuantumCircuit
 from ..circuits.controlflow import (ControlFlowOp, ForLoopOp, IfElseOp,
                                     WhileLoopOp, has_control_flow,
                                     written_clbits_of)
-from .density_matrix import SimulationResult, _TensorOps
-from .kernels import apply_kraus, apply_to_statevector, initial_state_tensor
+from .density_matrix import (SimulationResult, _evolve_instruction,
+                             _TensorOps)
+from .kernels import (apply_local, apply_to_statevector,
+                      initial_state_tensor, superop_matrix, target_axes)
 from .noise_model import NoiseModel
 from .readout import SeedLike
 
 __all__ = ["run_dynamic", "dynamic_probabilities", "needs_feedforward"]
 
-_PROJECTORS = (
-    np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex),
-    np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex),
-)
+#: Superoperators of the |0><0| and |1><1| measurement projectors.
+_PROJECTORS = tuple(
+    superop_matrix((np.diag(bits).astype(complex),))
+    for bits in ((1.0, 0.0), (0.0, 1.0)))
 _X_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 #: Branches lighter than this probability are pruned from the tree walk.
@@ -108,34 +110,12 @@ class _TrajectoryRunner:
         # once per program, not once per shot.
         self._bound_bodies: Dict[Tuple[int, int], QuantumCircuit] = {}
 
-    # -- static-instruction evolution (mirrors simulate_density_matrix)
-    def _apply_static(self, rho: np.ndarray, inst, scale: float
-                      ) -> np.ndarray:
-        if inst.name == "barrier":
-            return rho
-        if inst.name == "reset":
-            # Reset is a deterministic channel, not a sampling event.
-            return self.ops.reset(rho, inst.qubits[0])
-        if inst.name != "delay":
-            rho = self.ops.unitary(rho, inst.name, inst.params,
-                                   inst.qubits)
-        elif self.noise_model is not None:
-            delta = self.noise_model.detuning_of(inst.qubits[0])
-            if delta != 0.0:
-                angle = delta * float(inst.params[0])
-                rho = self.ops.unitary(rho, "rz", (angle,), inst.qubits)
-        if self.noise_model is not None:
-            channel = self.noise_model.channel_for(inst, error_scale=scale)
-            if channel is not None:
-                rho = self.ops.channel(rho, channel,
-                                       inst.qubits[:channel.num_qubits])
-        return rho
-
     def _measure(self, rho: np.ndarray, qubit: int, clbit: int,
                  bits: Dict[int, int]) -> np.ndarray:
         p_one = _prob_one(rho, qubit, self.n)
         outcome = 1 if self.rng.random() < p_one else 0
-        rho = apply_kraus(rho, (_PROJECTORS[outcome],), (qubit,), self.n)
+        rho = apply_local(rho, _PROJECTORS[outcome],
+                          target_axes((qubit,), self.n, True))
         trace = _trace(rho, self.n)
         if trace > 0.0:
             rho = rho / trace
@@ -188,7 +168,8 @@ class _TrajectoryRunner:
             # Crosstalk error scales are keyed by *top-level* instruction
             # index (the joint schedule never sees inside bodies).
             scale = self.error_scales.get(idx, 1.0) if top_level else 1.0
-            rho = self._apply_static(rho, inst, scale)
+            rho = _evolve_instruction(self.ops, rho, inst, self.noise_model,
+                                      scale)
         return rho
 
     def run(self, shots: int, measured: Tuple[int, ...]) -> Dict[str, int]:
@@ -204,8 +185,9 @@ class _TrajectoryRunner:
                 break
         prefix_rho = self.ops.initial()
         for idx, inst in enumerate(instructions[:split]):
-            prefix_rho = self._apply_static(
-                prefix_rho, inst, self.error_scales.get(idx, 1.0))
+            prefix_rho = _evolve_instruction(
+                self.ops, prefix_rho, inst, self.noise_model,
+                self.error_scales.get(idx, 1.0))
         suffix = instructions[split:]
         # Re-key the error scales onto suffix-relative indices.
         suffix_scales = {i - split: s for i, s in self.error_scales.items()

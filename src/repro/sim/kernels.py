@@ -1,12 +1,17 @@
-"""Local tensor-contraction kernels for state and density-matrix updates.
+"""Local operator kernels for state and density-matrix updates.
 
 The simulators store an n-qubit pure state as a ``(2,)*n`` tensor and a
 density matrix as a ``(2,)*2n`` tensor (the first n axes are ket indices,
-the last n are bra indices, both in big-endian qubit order).  A k-qubit
-operator is applied by contracting its ``2^k x 2^k`` matrix against the
-target axes only, which costs ``O(2^n * 4^k)`` per contraction instead of
-the ``O(4^n)`` of a full-space matrix product — the difference between
-simulating an 8-qubit partition in milliseconds and in seconds.
+the last n are bra indices, both in big-endian qubit order).  Every update
+goes through one primitive, :func:`apply_local`: a ``d x d`` matrix acts
+on a handful of target axes by moving them to the front with a transpose,
+one ``@`` against the ``(d, -1)`` reshape, and the inverse transpose.  A
+k-qubit gate on a state costs ``O(2^n * 2^k)``; on a density matrix the
+gate and its noise channel fold into one ``4^k x 4^k`` superoperator
+(:func:`superop_matrix`) applied to the ket and bra target axes together,
+``O(4^n * 4^k)``.  At the 2-8 qubit partition sizes the executor
+simulates, the cost is numpy call overhead, so one call per update is the
+point; the axis permutations are memoized.
 
 Nothing here ever materializes a full-space embedding; see
 :func:`repro.sim.unitary.embed_gate` for the dense construction, which the
@@ -15,19 +20,20 @@ package keeps only as a reference/verification path.
 
 from __future__ import annotations
 
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "initial_state_tensor",
     "initial_density_tensor",
+    "apply_local",
+    "target_axes",
     "apply_to_statevector",
     "apply_unitary",
     "apply_kraus",
-    "superop_tensor",
-    "apply_superop",
-    "density_tensor_to_matrix",
+    "superop_matrix",
     "RESET_KRAUS",
 ]
 
@@ -52,10 +58,43 @@ def initial_density_tensor(num_qubits: int) -> np.ndarray:
     return rho
 
 
-def density_tensor_to_matrix(rho: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Reshape a ``(2,)*2n`` density tensor back to ``2^n x 2^n``."""
-    dim = 2 ** num_qubits
-    return rho.reshape(dim, dim)
+@lru_cache(maxsize=4096)
+def _axis_orders(ndim: int, axes: Tuple[int, ...]
+                 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The transpose moving *axes* to the front (in order), and its
+    inverse."""
+    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+    inverse = [0] * ndim
+    for position, axis in enumerate(perm):
+        inverse[axis] = position
+    return perm, tuple(inverse)
+
+
+@lru_cache(maxsize=4096)
+def target_axes(qubits: Tuple[int, ...], num_qubits: int,
+                density: bool) -> Tuple[int, ...]:
+    """Tensor axes of *qubits*: the qubits themselves on a state, the ket
+    axes then the bra axes on a density tensor."""
+    if any(not 0 <= q < num_qubits for q in qubits):
+        raise ValueError(f"qubits {tuple(qubits)} outside 0..{num_qubits - 1}")
+    if density:
+        return qubits + tuple(num_qubits + q for q in qubits)
+    return qubits
+
+
+def apply_local(tensor: np.ndarray, matrix: np.ndarray,
+                axes: Tuple[int, ...]) -> np.ndarray:
+    """Apply a ``d x d`` *matrix* to the target *axes* of *tensor*.
+
+    The target axes (whose sizes multiply to ``d``, in matrix-factor
+    order) go to the front, the rest flatten into one column axis, and a
+    single matmul updates every column; the result is a view in the
+    original axis order.
+    """
+    perm, inverse = _axis_orders(tensor.ndim, axes)
+    moved = tensor.transpose(perm)
+    out = matrix @ moved.reshape(matrix.shape[1], -1)
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 def apply_to_statevector(state: np.ndarray, matrix: np.ndarray,
@@ -69,78 +108,38 @@ def apply_to_statevector(state: np.ndarray, matrix: np.ndarray,
     unitary-in-progress); only the first *num_qubits* axes are qubit
     axes.
     """
-    k = len(qubits)
-    if any(not 0 <= q < num_qubits for q in qubits):
-        raise ValueError(f"qubits {tuple(qubits)} outside 0..{num_qubits - 1}")
-    gmat = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * k))
-    # Contract the gate's column axes with the state's target axes; the
-    # gate's row axes land in front, so move them back to the targets.
-    state = np.tensordot(gmat, state, axes=(list(range(k, 2 * k)),
-                                            list(qubits)))
-    return np.moveaxis(state, list(range(k)), list(qubits))
+    axes = target_axes(tuple(qubits), num_qubits, False)
+    return apply_local(state, np.asarray(matrix, dtype=complex), axes)
+
+
+def superop_matrix(operators: Sequence[np.ndarray]) -> np.ndarray:
+    """Fold Kraus operators into one ``4^k x 4^k`` superoperator.
+
+    Returns ``S = sum_i K_i (x) conj(K_i)``, which maps the ``(ket, bra)``
+    target block of a density tensor in one matmul: a 2q depolarizing
+    channel (16 operators) costs one call instead of 32.
+    """
+    d = operators[0].shape[0]
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for op in operators:
+        s += np.kron(op, op.conj())
+    return s
+
+
+def apply_kraus(rho: np.ndarray, operators: Sequence[np.ndarray],
+                qubits: Sequence[int], num_qubits: int) -> np.ndarray:
+    """Apply ``sum_i K_i rho K_i^dag`` on local axes of a density tensor."""
+    axes = target_axes(tuple(qubits), num_qubits, True)
+    return apply_local(rho, superop_matrix(operators), axes)
 
 
 def apply_unitary(rho: np.ndarray, matrix: np.ndarray,
                   qubits: Sequence[int], num_qubits: int) -> np.ndarray:
     """Apply ``U rho U^dag`` on a ``(2,)*2n`` density tensor.
 
-    Two local contractions: the ket axes against ``U`` and the bra axes
-    against ``conj(U)``.  Cost ``O(2^(2n) * 4^k)`` versus the ``O(8^n)``
-    of a full-space matrix sandwich.
+    One application of ``U (x) conj(U)`` to the ket and bra target axes.
+    Cost ``O(4^n * 4^k)`` versus the ``O(8^n)`` of a full-space matrix
+    sandwich.
     """
-    k = len(qubits)
-    if any(not 0 <= q < num_qubits for q in qubits):
-        raise ValueError(f"qubits {tuple(qubits)} outside 0..{num_qubits - 1}")
-    gmat = np.asarray(matrix, dtype=complex).reshape((2,) * (2 * k))
-    ket_axes = list(qubits)
-    bra_axes = [num_qubits + q for q in qubits]
-    cols = list(range(k, 2 * k))
-    # U rho : contract U columns with ket axes.
-    rho = np.tensordot(gmat, rho, axes=(cols, ket_axes))
-    rho = np.moveaxis(rho, list(range(k)), ket_axes)
-    # rho U^dag : contract bra axes with conj(U) columns; the appended row
-    # axes become the new bra axes.
-    rho = np.tensordot(rho, gmat.conj(), axes=(bra_axes, cols))
-    tail = list(range(2 * num_qubits - k, 2 * num_qubits))
-    return np.moveaxis(rho, tail, bra_axes)
-
-
-def apply_kraus(rho: np.ndarray, operators: Sequence[np.ndarray],
-                qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Apply ``sum_i K_i rho K_i^dag`` on local axes of a density tensor."""
-    out = np.zeros_like(rho)
-    for op in operators:
-        out += apply_unitary(rho, op, qubits, num_qubits)
-    return out
-
-
-def superop_tensor(operators: Sequence[np.ndarray]) -> np.ndarray:
-    """Fold Kraus operators into one local superoperator tensor.
-
-    Returns ``S = sum_i K_i (x) conj(K_i)`` reshaped to ``(2,)*4k`` with
-    axis blocks ``[ket-out, bra-out, ket-in, bra-in]``.  Applying S is a
-    *single* contraction per channel, instead of two per Kraus operator —
-    a 2q depolarizing channel (16 operators) drops from 32 tensordot calls
-    to 1.
-    """
-    d = operators[0].shape[0]
-    k = int(np.log2(d))
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for op in operators:
-        s += np.kron(op, op.conj())
-    return s.reshape((2,) * (4 * k))
-
-
-def apply_superop(rho: np.ndarray, sop: np.ndarray,
-                  qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Apply a folded channel (:func:`superop_tensor`) to a density tensor.
-
-    Contracts the superoperator's input axes against the ket *and* bra
-    target axes in one ``tensordot``.
-    """
-    k = sop.ndim // 4
-    if any(not 0 <= q < num_qubits for q in qubits):
-        raise ValueError(f"qubits {tuple(qubits)} outside 0..{num_qubits - 1}")
-    targets = list(qubits) + [num_qubits + q for q in qubits]
-    rho = np.tensordot(sop, rho, axes=(list(range(2 * k, 4 * k)), targets))
-    return np.moveaxis(rho, list(range(2 * k)), targets)
+    return apply_kraus(rho, (np.asarray(matrix, dtype=complex),), qubits,
+                       num_qubits)

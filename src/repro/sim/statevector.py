@@ -1,10 +1,10 @@
 """Ideal statevector simulation.
 
-Applies gates on a tensor-reshaped state through the local contraction
-kernels in :mod:`repro.sim.kernels` — O(2^n * 4^k) per k-qubit gate, no
-full-space embeddings.  Measurement instructions are ignored here (the
-statevector before measurement is returned); use :mod:`repro.sim.readout`
-or the executor for shot sampling.
+Applies gates on a tensor-reshaped state through the local-operator
+primitive in :mod:`repro.sim.kernels` — one matmul per k-qubit gate,
+O(2^n * 2^k), no full-space embeddings.  Measurement instructions are
+ignored here (the statevector before measurement is returned); use
+:mod:`repro.sim.readout` or the executor for shot sampling.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ functions of the virtual arrival stream."""
 
 import pytest
 
+from repro.circuits import QuantumCircuit
 from repro.hardware import DeviceFleet, linear_device
 from repro.service import (
     PRIORITY_CLASSES,
@@ -115,6 +116,22 @@ class TestCostModel:
         circuit.cx(0, 1)
         circuit.cx(0, 1)
         assert cost.program_ns(circuit) > first
+
+    def test_memo_is_bounded(self, fleet):
+        # A long-lived gateway pricing fresh-angle circuits must not grow
+        # the memo by one entry per circuit forever.
+        circuits = []
+        for i in range(4097):
+            circuit = QuantumCircuit(2)
+            circuit.rz(1e-3 * (i + 1), 0)
+            for _ in range(i % 5):
+                circuit.cx(0, 1)
+            circuits.append(circuit)
+        cost = CostModel(fleet)
+        first = [cost.program_ns(c) for c in circuits]
+        assert len(cost._memo) <= 4096
+        # Evicted and resident entries alike price exactly as before.
+        assert [cost.program_ns(c) for c in circuits] == first
 
     def test_job_adds_overhead(self, fleet, bell):
         cost = CostModel(fleet, job_overhead_ns=1e6)

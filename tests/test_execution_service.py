@@ -139,36 +139,46 @@ class TestChooseRoute:
     def test_tiny_batches_stay_serial_at_any_width(self):
         for width in (1, 7, 12):
             assert ExecutionService.choose_route(
-                _SERIAL_MAX_BATCH, width, 4096, cores=8) == "serial"
+                [width] * _SERIAL_MAX_BATCH, 4096, cores=8) == "serial"
 
     def test_single_core_never_routes_to_a_pool(self):
-        assert ExecutionService.choose_route(64, 7, 4096,
+        assert ExecutionService.choose_route([7] * 64, 4096,
                                              cores=1) == "serial"
 
     def test_small_cheap_batches_stay_serial(self):
-        est = ExecutionService.estimate_batch_ms(3, 1, 0)
+        est = ExecutionService.estimate_batch_ms([1] * 3, 0)
         assert est < _PROCESS_MIN_BATCH_MS
-        assert ExecutionService.choose_route(3, 1, 0, cores=8) == "serial"
+        assert ExecutionService.choose_route([1] * 3, 0, cores=8) == "serial"
 
     def test_moderate_batches_stay_serial(self):
         # Below the fork-amortization threshold the batch runs inline;
         # there is no thread route in between.
-        est = ExecutionService.estimate_batch_ms(4, 3, 4096)
+        est = ExecutionService.estimate_batch_ms([3] * 4, 4096)
         assert est < _PROCESS_MIN_BATCH_MS
-        assert ExecutionService.choose_route(4, 3, 4096,
+        assert ExecutionService.choose_route([3] * 4, 4096,
                                              cores=8) == "serial"
 
     def test_heavy_batches_take_the_process_pool(self):
-        est = ExecutionService.estimate_batch_ms(16, 5, 4096)
+        est = ExecutionService.estimate_batch_ms([7] * 16, 4096)
         assert est >= _PROCESS_MIN_BATCH_MS
-        assert ExecutionService.choose_route(16, 5, 4096,
+        assert ExecutionService.choose_route([7] * 16, 4096,
                                              cores=8) == "process"
+
+    def test_mixed_batch_priced_per_program(self):
+        # A wide program no longer prices its narrow co-tenants at its
+        # own width (the full bench_execution batch: 12 programs, widths
+        # 3-7, that the pool cannot speed up on 2 cores).
+        widths = [7, 6, 6, 6, 5, 5, 5, 4, 4, 4, 3, 3]
+        est = ExecutionService.estimate_batch_ms
+        assert est(widths, 4096) < est([7] * len(widths), 4096)
+        assert ExecutionService.choose_route(widths, 4096,
+                                             cores=2) == "serial"
 
     def test_estimate_grows_with_width_batch_and_shots(self):
         est = ExecutionService.estimate_batch_ms
-        assert est(4, 5, 1024) < est(4, 6, 1024) < est(4, 9, 1024)
-        assert est(4, 5, 1024) < est(8, 5, 1024)
-        assert est(4, 5, 0) < est(4, 5, 65536)
+        assert est([5] * 4, 1024) < est([6] * 4, 1024) < est([9] * 4, 1024)
+        assert est([5] * 4, 1024) < est([5] * 8, 1024)
+        assert est([5] * 4, 0) < est([5] * 4, 65536)
 
     def test_unknown_mode_rejected(self):
         for mode in ("fleet", "thread"):

@@ -1,9 +1,10 @@
 """Randomized equivalence: tensor-contraction kernels vs dense reference.
 
-The contraction backend must reproduce the old full-space embedding path
-bit-for-bit (to 1e-10) over random circuits with non-sorted multi-qubit
-gate tuples, resets, delays, noise, crosstalk error scales, and
-non-contiguous measured clbits.
+The fused-superoperator backend must reproduce the old full-space
+embedding path (to 1e-10) over random circuits with non-sorted
+multi-qubit gate tuples, resets, delays, noise, crosstalk error scales,
+and non-contiguous measured clbits; its process-wide superoperator memo
+must stay bounded and never serve one noise model's channel to another.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.sim import (
     simulate_density_matrix,
     simulate_statevector,
 )
+from repro.sim.density_matrix import _instruction_superop
 
 ATOL = 1e-10
 
@@ -83,7 +85,7 @@ class TestDensityMatrixEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_noisy_rho_matches_dense(self, seed):
         rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(2, 6))
+        n = int(rng.integers(1, 7))
         qc = _random_circuit(rng, n, depth=12, resets=True, delays=True)
         nm = _full_noise(n)
         scales = {i: float(rng.uniform(1.0, 4.0))
@@ -109,6 +111,32 @@ class TestDensityMatrixEquivalence:
         b = run_circuit(qc, noise_model=nm, backend="dense")
         _assert_probs_equal(a.probabilities, b.probabilities)
         assert a.measured_clbits == b.measured_clbits == tuple(clbits)
+
+    def test_equal_models_identical_differing_model_distinct(self):
+        rng = np.random.default_rng(500)
+        qc = _random_circuit(rng, 4, depth=16, resets=True, delays=True)
+        qc.cx(0, 1)
+        rhos = []
+        # Fresh models each time (freed in between, inviting id() reuse):
+        # two equal-valued ones, then one whose (0, 1) CX error differs.
+        for cx_error in (0.01, 0.01, 0.03):
+            nm = _full_noise(4)
+            nm.twoq_error[(0, 1)] = cx_error
+            rho = simulate_density_matrix(qc, nm)
+            dense = simulate_density_matrix(qc, nm, backend="dense")
+            assert np.allclose(rho, dense, atol=ATOL)
+            rhos.append(rho)
+            del nm
+        assert np.array_equal(rhos[0], rhos[1])
+        assert not np.allclose(rhos[0], rhos[2], atol=1e-6)
+
+    def test_fused_superop_memo_stays_bounded(self):
+        nm = _full_noise(1)
+        for i in range(4096 + 64):
+            qc = QuantumCircuit(1)
+            qc.rz(1e-4 * (i + 1), 0)
+            simulate_density_matrix(qc, nm)
+        assert _instruction_superop.cache_info().currsize <= 4096
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
