@@ -18,9 +18,10 @@ and the transpiler hook — but each tier needs a different *form* of it:
   coupling/calibration fingerprints, a declared hook token), valid
   across processes and process restarts — the on-disk L2 key.
 
-:func:`transpile_key` computes all three in one pass and returns them as
-a :class:`TranspileKey` whose hash/equality is the exact tuple, so the
-existing L1/coalescing semantics are unchanged.
+:func:`transpile_key` computes the first two in one pass and returns
+them as a :class:`TranspileKey` whose hash/equality is the exact tuple,
+so the existing L1/coalescing semantics are unchanged; the digests are
+hashed on first read, since only a persistent store reads them.
 
 The equivalence model mirrors sat_revsynth's ``database/equivalence.py``:
 cheap invariants hash -> equivalence class -> canonical representative.
@@ -43,6 +44,7 @@ import numbers
 import threading
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit
@@ -414,6 +416,10 @@ class TranspileKey:
     the exact L1 behave exactly as the plain tuple key did — two
     same-class requests with different labelings are distinct keys and
     never share a future (each gets artifacts in its own labeling).
+
+    The two persistent digests are SHA-256 over the whole canonical key,
+    and only a persistent store reads them, so they are computed on
+    first read from inputs captured when the key was made.
     """
 
     #: Label-exact structural tuple (the PR-4 key, id-based identity).
@@ -422,10 +428,23 @@ class TranspileKey:
     canonical: Optional[Tuple]
     #: Original logical qubit -> canonical label (``None`` = identity).
     relabel: Optional[Tuple[int, ...]]
-    #: Stable cross-process store key; ``None`` = not persistable.
-    digest: Optional[str]
-    #: Class-invariants digest, the store's equivalence-class index.
-    invariants: Optional[str]
+    #: ``(digest parts, invariants parts)``, the immutable inputs of
+    #: :attr:`digest` and :attr:`invariants`; ``None`` = not persistable.
+    digest_parts: Optional[Tuple[Tuple, Tuple]] = None
+
+    @cached_property
+    def digest(self) -> Optional[str]:
+        """Stable cross-process store key; ``None`` = not persistable."""
+        if self.digest_parts is None:
+            return None
+        return key_digest(self.digest_parts[0])
+
+    @cached_property
+    def invariants(self) -> Optional[str]:
+        """Class-invariants digest, the store's equivalence-class index."""
+        if self.digest_parts is None:
+            return None
+        return key_digest(self.digest_parts[1])
 
     def __hash__(self) -> int:
         return hash(self.exact)
@@ -459,14 +478,12 @@ def transpile_key(circuit: QuantumCircuit, device: "Device",
     exact = (form.exact_key, index) + placement + (
         id(device), id(transpiler_fn))
     if index_sensitive:
-        return TranspileKey(exact, None, None, None, None)
+        return TranspileKey(exact, None, None)
     canonical = (form.key,) + placement + (id(device), id(transpiler_fn))
     token = persistent_token(transpiler_fn)
-    digest = invariants = None
+    parts = None
     if token is not None:
-        digest = key_digest(
-            ("transpile", _DIGEST_SCHEMA, form.key) + placement
-            + (device_digest(device), token))
-        invariants = key_digest(("invariants", _DIGEST_SCHEMA)
-                                + form.invariants)
-    return TranspileKey(exact, canonical, form.relabel, digest, invariants)
+        parts = (("transpile", _DIGEST_SCHEMA, form.key) + placement
+                 + (device_digest(device), token),
+                 ("invariants", _DIGEST_SCHEMA) + form.invariants)
+    return TranspileKey(exact, canonical, form.relabel, parts)

@@ -375,13 +375,14 @@ class QuantumCircuit:
 
         measured: set = set()
         for inst in self._instructions:
-            if inst.name in ("delay", "barrier"):
+            name = inst.gate.name
+            if name == "delay" or name == "barrier":
                 continue
-            if inst.name == "measure":
+            if name == "measure":
                 measured.add(inst.qubits[0])
                 continue
             if isinstance(inst.gate, ControlFlowOp):
-                if any(q in measured for q in inst.gate.touched_qubits):
+                if not measured.isdisjoint(inst.gate.touched_qubits):
                     return True
                 # Conservative: any qubit a body might measure counts as
                 # measured from here on.
@@ -396,7 +397,7 @@ class QuantumCircuit:
                             i for body in nested.gate.bodies
                             for i in body.instructions)
                 continue
-            if any(q in measured for q in inst.qubits):
+            if measured and not measured.isdisjoint(inst.qubits):
                 return True
         return False
 

@@ -387,9 +387,11 @@ class CompileService:
         try:
             for lo, hi in self._pool.chunk_bounds(len(todo)):
                 shard = todo[lo:hi]
-                tasks = [(alloc.circuit, alloc.partition,
-                          None if key is None else key.digest,
-                          None if key is None else key.invariants)
+                # Only a store reads the digests: without one, the keys'
+                # lazy digests are never hashed.
+                tasks = [(alloc.circuit, alloc.partition)
+                         + ((None, None) if store_path is None or key is None
+                            else (key.digest, key.invariants))
                          for key, alloc, _ in shard]
                 raw = executor.submit(_compile_partition_chunk, spec,
                                       tasks, store_path)

@@ -51,6 +51,7 @@ class CouplingMap:
         # induced CouplingMap expensive.  The graph is frozen after
         # construction (no mutation API), so computing once on first use
         # is safe.
+        self._edges_cache: Optional[Tuple[Edge, ...]] = None
         self._dist_cache: Optional[Dict[int, Dict[int, int]]] = None
         self._one_hop_cache: Optional[Dict[Edge, Tuple[Edge, ...]]] = None
         self._one_hop_pairs_cache: Optional[
@@ -62,7 +63,10 @@ class CouplingMap:
     @property
     def edges(self) -> Tuple[Edge, ...]:
         """All links as normalized ``(low, high)`` tuples, sorted."""
-        return tuple(sorted(_norm(e) for e in self.graph.edges))
+        if self._edges_cache is None:
+            self._edges_cache = tuple(sorted(_norm(e)
+                                             for e in self.graph.edges))
+        return self._edges_cache
 
     def degree(self, qubit: int) -> int:
         """Number of neighbours of *qubit*."""

@@ -15,10 +15,14 @@ from repro.cache import (
     circuit_key,
     index_sensitive_transpiler,
 )
+from repro.cache import keys as keys_mod
+from repro.circuits.circuit import QuantumCircuit
 from repro.core import CompileService, ExecutionCache, qucp_allocate
 from repro.core import executor as executor_mod
 from repro.core import index_sensitive_transpiler as core_ist
+from repro.core.allocators import ProgramAllocation
 from repro.core.executor import _default_transpiler
+from repro.hardware import ibm_toronto
 from repro.workloads import workload
 
 
@@ -182,6 +186,51 @@ class TestTieredExecutionCache:
         key = self._key(cache, alloc, toronto)
         assert key.digest is not None
         assert key.invariants is not None
+
+    def test_persistent_digests_are_pinned(self):
+        # The on-disk key format.  These values predate lazy digests;
+        # any change here orphans every existing store's entries.
+        device = ibm_toronto()
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(1).cx(1, 0).rz(0.25, 2).cx(1, 2).measure_all()
+        alloc = ProgramAllocation(0, circuit, (3, 5, 8), 0.875,
+                                  ((1, 2), (5, 8)))
+        key = ExecutionCache().transpile_key(circuit, device, alloc,
+                                             _default_transpiler)
+        assert keys_mod._DIGEST_SCHEMA == 1  # noqa: SLF001
+        assert key.relabel == (1, 0, 2)
+        assert key.digest == ("0e72628d4803bdadc1e0ae7d0372ecc8"
+                              "8fb77187f80cffb09725412adf73dfd1")
+        assert key.invariants == ("86451c8cd06ebefa5c4fb991d509d392"
+                                  "1a46badbc0cead267b7a478e98f3c0d7")
+
+    def test_storeless_process_chunks_hash_no_digests(self, toronto,
+                                                      monkeypatch,
+                                                      tmp_path):
+        real = keys_mod.key_digest
+        calls = []
+
+        def counting(parts):
+            calls.append(parts)
+            return real(parts)
+
+        keys_mod.device_digest(toronto)  # warm the per-device memo
+        monkeypatch.setattr(keys_mod, "key_digest", counting)
+        job = _allocation(toronto, names=("lin", "adder", "bell"))
+        with CompileService(max_workers=2, mode="process") as svc:
+            got = svc.compile_allocation(job)
+            assert svc.stats["chunks"] >= 1
+        assert calls == []
+        with CompileService(mode="serial") as ser:
+            want = ser.compile_allocation(job)
+        for g, w in zip(got, want):
+            assert g.circuit == w.circuit
+        # With a store attached, the chunks do ship the digests.
+        cache = ExecutionCache(store_path=str(tmp_path / "s.db"))
+        with CompileService(max_workers=2, mode="process",
+                            cache=cache) as svc:
+            svc.compile_allocation(job)
+        assert calls
 
     def test_undeclared_hook_not_persisted(self, toronto, tmp_path):
         def hook(circuit, device, allocation):  # no persistent token

@@ -286,11 +286,15 @@ class TestBrokenPoolChaos:
 
     CHAINS = [(0, 1, 2), (3, 5, 8), (12, 13, 14, 16), (22, 25, 26)]
 
-    def _programs(self):
+    def _programs(self, angle=None):
+        """GHZ chains; an *angle* adds an ``rz`` so the batch is fresh
+        (not served from the service's memo)."""
         programs = []
         for chain in self.CHAINS:
             qc = QuantumCircuit(len(chain), len(chain))
             qc.h(0)
+            if angle is not None:
+                qc.rz(angle, 0)
             for i in range(len(chain) - 1):
                 qc.cx(i, i + 1)
             qc.measure_all()
@@ -336,10 +340,15 @@ class TestBrokenPoolChaos:
         svc.run_parallel(programs, toronto, shots=64, seed=1)
         # The broken injected pool was dropped compare-and-swap style.
         assert svc._pool._executor is None  # noqa: SLF001
+        # Fresh programs, so the batch reaches the pool rather than the
+        # memo.
+        programs = self._programs(angle=0.5)
         want = ExecutionService(mode="serial").run_parallel(
             programs, toronto, shots=64, seed=2)
         got = svc.run_parallel(programs, toronto, shots=64, seed=2)
         self._assert_identical(got, want)
+        assert svc.stats["process_batches"] == 2
+        assert svc._pool._executor is not None  # noqa: SLF001
         svc.shutdown()
 
     def test_broken_compile_pool_job_still_completes(self, line5):
