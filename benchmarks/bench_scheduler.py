@@ -10,9 +10,10 @@ allocators, fleet sizes, placement policies, and arrival rates.
 
 The acceptance gate (also run in CI via ``--smoke``): a multi-programmed
 device fleet must beat serial single-device service by >= 2x on mean
-turnaround for a Poisson arrival workload.  Queue outcomes land in
-``BENCH_scheduler.json`` via ``ScheduleOutcome.to_dict()`` — the same
-JSON format facade job results serialize to.
+turnaround for a Poisson arrival workload.  ``BENCH_scheduler.json``
+keeps one summary per measured queue (jobs, makespan, mean/p50/p95/p99
+turnaround, peak queue depth), not the per-job
+``ScheduleOutcome.to_dict()`` traces.
 
 Run:  PYTHONPATH=../src python bench_scheduler.py [--smoke]
 """
@@ -38,6 +39,11 @@ TURNAROUND_FLOOR = float(os.environ.get("SCHEDULER_SPEEDUP_FLOOR", "2.0"))
 
 ARTIFACT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "BENCH_scheduler.json")
+
+#: The ``ScheduleOutcome.to_dict()`` fields the artifact keeps per row.
+SUMMARY_FIELDS = ("num_jobs", "makespan_ns", "mean_turnaround_ns",
+                  "turnaround_p50_ns", "turnaround_p95_ns",
+                  "turnaround_p99_ns", "max_queue_depth")
 
 
 def fleet_devices(size: int) -> List[Device]:
@@ -70,6 +76,12 @@ def run_service(
     )
     # Schedule-only jobs: the discrete-event outcome is the measurement.
     return backend.run(submissions, execute=False).result().schedule
+
+
+def summary(outcome: ScheduleOutcome) -> Dict[str, object]:
+    """The artifact row of one measured queue."""
+    full = outcome.to_dict()
+    return {field: full[field] for field in SUMMARY_FIELDS}
 
 
 def fmt_ms(ns: float) -> str:
@@ -114,7 +126,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         serial = run_service(provider, subs, fleet_devices(1), "qucp",
                              0.0, max_batch_size=1)
         rate_key = f"rate_{rate:g}"
-        artifact[rate_key] = {"serial": serial.to_dict()}
+        artifact[rate_key] = {"serial": summary(serial)}
         rows: List[List[object]] = [[
             "serial", 1, "-", 0.0, serial.num_jobs,
             fmt_ms(serial.makespan_ns), fmt_ms(serial.mean_turnaround_ns),
@@ -134,7 +146,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                                / out.mean_turnaround_ns)
                     artifact[rate_key][
                         f"{allocator}/fleet{size}/{policy}"
-                    ] = out.to_dict()
+                    ] = summary(out)
                     rows.append([
                         allocator, size,
                         policy if size > 1 else "-",
@@ -349,8 +361,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                        "rate_ns": race_rate,
                        "threshold": race_threshold,
                        "challengers": list(challengers),
-                       "unraced": unraced.to_dict(),
-                       "raced": raced.to_dict(),
+                       "unraced": summary(unraced),
+                       "raced": summary(raced),
                        "p99_cut": p99_cut,
                        "reproducible": reproducible,
                    }},

@@ -388,8 +388,8 @@ def execute_allocation(
     use :func:`run_batch`, which does so automatically).  With a
     *compile_service*, the job's programs are submitted to its worker
     pool up front and compiled in parallel.  With an
-    *execution_service*, the simulations themselves are sharded across
-    its worker pool (bit-identical to the serial path — see
+    *execution_service*, repeated simulations are served from its memos
+    (bit-identical to a fresh simulation — see
     :class:`~repro.core.execution_service.ExecutionService`).
     """
     transpiler_fn = transpiler_fn or _default_transpiler
@@ -406,8 +406,8 @@ def execute_allocation(
     transpiled: List[TranspileResult] = []
     programs: List[Program] = []
     if compile_service is not None:
-        # submit_allocation resolves the worker route per batch (auto
-        # mode may shard wide batches across the process pool) and
+        # submit_allocation resolves the compile route per batch (auto
+        # mode may shard wide batches across its process pool) and
         # returns futures in allocation-index order — the same order as
         # `ordered`.
         futures = compile_service.submit_allocation(allocation_result,
@@ -477,7 +477,7 @@ def run_batch(
     its worker pool before the first job executes: job *i*'s simulation
     overlaps the compilation of jobs *i+1...*, and each job only waits
     on its own transpiles.  With an *execution_service*, each job's
-    simulations are sharded across its worker pool (bit-identical).
+    repeated simulations are served from its memos (bit-identical).
     """
     normalized: List[BatchJob] = [
         job if isinstance(job, BatchJob) else BatchJob(job) for job in jobs
@@ -491,9 +491,9 @@ def run_batch(
             # prefetch (no cache key, no in-flight coalescing), so
             # submitting them here would double-compile when
             # execute_allocation submits its own request.  The rest go
-            # through submit_allocation as one batch, so the service's
-            # per-batch routing (auto mode, process-chunk sharding)
-            # applies to the prefetch too.
+            # through submit_allocation as one batch, so the compile
+            # service's per-batch routing (auto mode, process-chunk
+            # sharding) applies to the prefetch too.
             hashable = [
                 alloc for alloc in job.allocation.allocations
                 if cache.transpile_key(alloc.circuit, device, alloc,

@@ -1,14 +1,13 @@
-"""The process pool shared by the compile and execution services.
+"""The process pool :class:`~repro.core.compile_service.CompileService`
+compiles on.
 
-:class:`~repro.core.compile_service.CompileService` and
-:class:`~repro.core.execution_service.ExecutionService` shard their
-per-program work the same way: contiguous chunks, at most one per
-worker, each carrying a plain-data device fingerprint
+The service shards its per-program work into contiguous chunks, at most
+one per worker, each carrying a plain-data device fingerprint
 (:func:`device_fingerprint_spec`) instead of pickled device objects.
-:class:`ProcessPool` owns the executor lifecycle both need — lazy
-creation, the chunk bounds, the compare-and-swap discard of a broken
-executor, and shutdown — so each service only decides *what* to ship
-and how to fall back inline.
+:class:`ProcessPool` owns the executor lifecycle — lazy creation, the
+chunk bounds, the compare-and-swap discard of a broken executor, and
+shutdown — so the service only decides *what* to ship and how to fall
+back inline.
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ __all__ = ["ProcessPool", "device_fingerprint_spec"]
 
 
 def device_fingerprint_spec(device: Device) -> Dict:
-    """Plain-data snapshot of what compilation and simulation observe.
+    """Plain-data snapshot of what compilation observes.
 
     Exactly the values behind the context registry's fingerprint —
     cheap to pickle, and sufficient for a worker to rehydrate the shared
-    :class:`~repro.transpiler.context.DeviceContext` or the device's
-    :class:`~repro.sim.noise_model.NoiseModel` on its side of the process
-    boundary.  The calibration is copied by
+    :class:`~repro.transpiler.context.DeviceContext` on its side of the
+    process boundary.  The calibration is copied by
     :func:`~repro.transpiler.context._snapshot_calibration` (a dataclass
     of plain dicts), the single field-list authority, so a new
     :class:`Calibration` field cannot silently go missing from worker

@@ -884,24 +884,3 @@ class OnlineScheduler(CloudScheduler):
         )
         self.device = device
         self.sigma = sigma
-
-    # Compatibility shim used by older tests/notebooks.
-    def _best_placement(
-        self,
-        circuit: QuantumCircuit,
-        allocated_qubits: Sequence[int],
-        allocated_parts: Sequence[Sequence[int]],
-    ) -> Optional[Tuple[Tuple[int, ...], float, Tuple]]:
-        """Best partition for *circuit* given the batch so far, or None."""
-        ctx = PlacementContext.from_parts(allocated_parts, self.device)
-        blocked = ctx.qubits | frozenset(allocated_qubits)
-        if blocked != ctx.qubits:
-            # Legacy callers may block qubits beyond the listed parts
-            # (e.g. masking broken qubits); honour the full set.
-            ctx = PlacementContext(parts=ctx.parts, qubits=blocked,
-                                   edges=ctx.edges)
-        placement = allocation_engine(self.device).best_placement(
-            self.allocator, circuit, ctx)
-        if placement is None:
-            return None
-        return (placement.partition, placement.efs, placement.suspects)

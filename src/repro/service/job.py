@@ -1,4 +1,4 @@
-"""Asynchronous job handles over the provider's execution pool.
+"""Asynchronous job handles over the provider's job pool.
 
 A :class:`Job` is the facade's unit of work: a stable id, a lifecycle
 (:class:`JobStatus`), and a blocking :meth:`Job.result` — the same shape

@@ -12,11 +12,8 @@ One :class:`Result` per job, three layers deep:
   callers that need everything.
 
 ``Result.to_dict()`` is JSON-safe end to end: the ``schedule`` entry is
-:meth:`ScheduleOutcome.to_dict` (the same format the scheduler
-benchmark writes to ``BENCH_scheduler.json``), and
-``to_dict(include_outcomes=True)`` adds the raw per-hardware-job
-:meth:`ExecutionOutcome.to_dict` rows — so job results and benchmark
-artifacts share one on-disk format.
+:meth:`ScheduleOutcome.to_dict`, and ``to_dict(include_outcomes=True)``
+adds the raw per-hardware-job :meth:`ExecutionOutcome.to_dict` rows.
 
 ``from_dict`` is the exact inverse the durable
 :class:`~repro.service.JobStore` needs: a result rehydrated from its
@@ -137,14 +134,10 @@ class RunMetadata:
     #: Artifacts promoted from the persistent store into memory during
     #: the window (0 unless the provider attached a ``cache_path``).
     cache_promotions: int = 0
-    #: Execution-service counter deltas over the same window (same
-    #: single-worker caveat as the cache deltas above): batches routed
-    #: through the shared :class:`~repro.core.ExecutionService`, the
-    #: process-pool chunks they sharded into, and programs that fell
-    #: back inline because a pool broke.
+    #: Batches run through the shared
+    #: :class:`~repro.core.ExecutionService` over the same window (same
+    #: single-worker caveat as the cache deltas above).
     execution_batches: int = 0
-    execution_chunks: int = 0
-    execution_fallbacks: int = 0
     #: Hedged allocator races the scheduler ran for this job (0 when
     #: the backend has no ``race_allocators`` configured).
     races: int = 0
@@ -178,8 +171,6 @@ class RunMetadata:
             "cache_evictions": int(self.cache_evictions),
             "cache_promotions": int(self.cache_promotions),
             "execution_batches": int(self.execution_batches),
-            "execution_chunks": int(self.execution_chunks),
-            "execution_fallbacks": int(self.execution_fallbacks),
             "races": int(self.races),
             "attempts": int(self.attempts),
             "rejection_reasons": {str(i): str(r) for i, r
@@ -216,9 +207,6 @@ class RunMetadata:
             cache_evictions=int(payload.get("cache_evictions", 0)),
             cache_promotions=int(payload.get("cache_promotions", 0)),
             execution_batches=int(payload.get("execution_batches", 0)),
-            execution_chunks=int(payload.get("execution_chunks", 0)),
-            execution_fallbacks=int(
-                payload.get("execution_fallbacks", 0)),
             races=int(payload.get("races", 0)),
             attempts=int(payload.get("attempts", 1)),
             rejection_reasons=tuple(sorted(

@@ -26,10 +26,10 @@ background can no longer publish stale artifacts into state the live
 attempt — or any other job — reads.  The fence is thread-local by
 design.  Serial-route compiles run on the attempt thread itself, so a
 fenced attempt's writes are gated there too.  Work an attempt hands to
-the shared process pool is published by the pool's callback threads,
-which is safe — those writes are content-addressed (structural keys),
-so a late one is value-identical to what the winning attempt would
-store.
+the compile service's process pool is published by the pool's
+callback threads, which is safe — those writes are content-addressed
+(structural keys), so a late one is value-identical to what the
+winning attempt would store.
 """
 
 from __future__ import annotations

@@ -273,9 +273,8 @@ def prepare_parallel(
     schedule.  Returns ``(effective_programs, error_scales)`` — after
     this point each program's simulation depends only on its own
     ``(circuit, partition, seed, scales)`` tuple, which is what lets
-    :class:`~repro.core.execution_service.ExecutionService` shard the
-    per-program work across processes without changing a single bit of
-    the output.
+    :class:`~repro.core.execution_service.ExecutionService` memoize the
+    per-program work without changing a single bit of the output.
     """
     seen: set = set()
     for prog in programs:
@@ -313,10 +312,9 @@ def simulate_programs(tasks: Iterable[ProgramTask],
 
     Simulates each task on its own partition under *noise* — the full
     device model, restricted to the partition here (``None`` = ideal).
-    The serial path, the
-    :class:`~repro.core.execution_service.ExecutionService` inline
-    fallback and its process workers all run this one loop, which is
-    what keeps their results bit-identical.
+    :func:`run_parallel` and
+    :class:`~repro.core.execution_service.ExecutionService` both run
+    this one loop, which is what keeps their results bit-identical.
     """
     results: List[SimulationResult] = []
     for circuit, partition, seed, scales in tasks:

@@ -59,9 +59,8 @@ class NoiseModel:
     def from_calibration(cls, calibration) -> "NoiseModel":
         """The noise model of a calibration snapshot.
 
-        Plain-dict copies of the calibration tables, so a model rebuilt
-        in a worker process from a pickled snapshot is bit-identical to
-        the parent's.
+        Plain-dict copies of the calibration tables, so a later
+        in-place calibration edit does not reach the model.
         """
         return cls(
             oneq_error=dict(calibration.oneq_error),

@@ -156,18 +156,6 @@ class TestEngineCaching:
                                   circuit)
         assert second is first
 
-    def test_legacy_best_placement_honours_blocked_qubits(self, toronto):
-        """The OnlineScheduler shim must treat allocated_qubits as
-        blocked even when they come from no listed partition."""
-        from repro.core import OnlineScheduler
-
-        scheduler = OnlineScheduler(toronto)
-        circuit = workload("adder").circuit()
-        solo = scheduler._best_placement(circuit, [], [])
-        masked = scheduler._best_placement(circuit, list(solo[0]), [])
-        assert masked is not None
-        assert not set(masked[0]) & set(solo[0])
-
     def test_engine_registry_does_not_pin_devices(self):
         """Regression: dropping a device releases its engine and caches
         instead of leaking them for process lifetime."""

@@ -1,16 +1,15 @@
-"""ExecutionService bit-identity and routing (the perf-opt acceptance gate).
+"""ExecutionService bit-identity and memos.
 
-Sharded execution must be **bit-identical** to the serial
+The service must be **bit-identical** to the library
 :func:`repro.sim.executor.run_parallel` path — same counts, same
-probabilities, same clbit records — regardless of mode (serial /
-process / auto) or worker count, because the joint half of the batch
-(ASAP padding, crosstalk scales, seed spawning) runs in the parent and
+probabilities, same clbit records — because the joint half of the batch
+(ASAP padding, crosstalk scales, seed spawning) is the library's own and
 each program's RNG stream is a pre-spawned ``SeedSequence`` child.  The
-randomized suite here sweeps programs x shots x seeds x worker counts.
-Also covers the measured ``choose_route`` decision table, the
-broken-pool inline fallbacks of the process pool both services share,
-and the memo contract: a task- or schedule-memo hit is bit-identical to
-a fresh simulation, and anything a distribution depends on misses.
+randomized suite here sweeps programs x shots x seeds x the run options.
+Also covers the broken-pool inline fallbacks of the compile service's
+process pool, and the memo contract: a task- or schedule-memo hit is
+bit-identical to a fresh simulation, and anything a distribution
+depends on misses.
 """
 
 import sys
@@ -30,10 +29,6 @@ from repro.core import (
     run_batch,
 )
 from repro.core import execution_service as execution_service_mod
-from repro.core.execution_service import (
-    _PROCESS_MIN_BATCH_MS,
-    _SERIAL_MAX_BATCH,
-)
 from repro.core.executor import ExecutionCache, _default_transpiler
 from repro.hardware import ibm_manhattan, ibm_toronto
 from repro.sim import executor as sim_executor
@@ -106,7 +101,7 @@ def transpiled_programs(circuits, device, method="qucp"):
 
 
 class TestShardedEquivalence:
-    """Randomized: every route x worker count reproduces serial exactly."""
+    """Randomized: the service reproduces the library path exactly."""
 
     @pytest.mark.parametrize("trial", range(4))
     def test_routes_and_worker_counts_are_bit_identical(self, trial):
@@ -116,13 +111,9 @@ class TestShardedEquivalence:
         shots = int(rng.choice([0, 257, 1024]))
         seed = int(rng.integers(0, 2**31))
         want = run_parallel(programs, device, shots=shots, seed=seed)
-        routes = [("serial", 1), ("process", 1), ("process", 2),
-                  ("process", 3), ("auto", 2)]
-        for mode, workers in routes:
-            with ExecutionService(max_workers=workers, mode=mode) as svc:
-                got = svc.run_parallel(programs, device, shots=shots,
-                                       seed=seed)
-            assert_identical(got, want)
+        got = ExecutionService().run_parallel(programs, device, shots=shots,
+                                              seed=seed)
+        assert_identical(got, want)
 
     def test_seed_sequence_and_options_round_trip(self):
         rng = np.random.default_rng(7)
@@ -136,86 +127,29 @@ class TestShardedEquivalence:
             dict(seed=11, shots=64, scheduling="asap"),
         ):
             want = run_parallel(programs, device, **kwargs)
-            with ExecutionService(max_workers=2, mode="process") as svc:
-                got = svc.run_parallel(programs, device, **kwargs)
+            got = ExecutionService().run_parallel(programs, device, **kwargs)
             assert_identical(got, want)
 
     def test_one_service_many_batches(self):
         rng = np.random.default_rng(21)
         device = ibm_toronto()
-        with ExecutionService(max_workers=2, mode="process") as svc:
-            for trial in range(3):
-                programs = random_job(rng, max_programs=3)
-                want = run_parallel(programs, device, shots=93, seed=trial)
-                got = svc.run_parallel(programs, device, shots=93,
-                                       seed=trial)
-                assert_identical(got, want)
-            assert svc.stats["batches"] == 3
-            assert svc.stats["process_batches"] == 3
-            assert svc.stats["chunks"] >= 3
-            assert svc.stats["fallbacks"] == 0
+        svc = ExecutionService()
+        for trial in range(3):
+            programs = random_job(rng, max_programs=3)
+            want = run_parallel(programs, device, shots=93, seed=trial)
+            got = svc.run_parallel(programs, device, shots=93, seed=trial)
+            assert_identical(got, want)
+        assert svc.stats["batches"] == 3
+        assert svc.stats["serial_batches"] == 3
 
     def test_validation_still_raises_in_parent(self):
         device = ibm_toronto()
         bad = QuantumCircuit(2, 2)
         bad.cx(0, 1)
         bad.measure_all()
-        with ExecutionService(mode="process") as svc:
-            with pytest.raises(ValueError, match="no such link"):
-                svc.run_parallel([Program(bad, (0, 2))], device, shots=16)
-
-
-class TestChooseRoute:
-    """The measured decision table from the committed crossover run."""
-
-    def test_tiny_batches_stay_serial_at_any_width(self):
-        for width in (1, 7, 12):
-            assert ExecutionService.choose_route(
-                [width] * _SERIAL_MAX_BATCH, 4096, cores=8) == "serial"
-
-    def test_single_core_never_routes_to_a_pool(self):
-        assert ExecutionService.choose_route([7] * 64, 4096,
-                                             cores=1) == "serial"
-
-    def test_small_cheap_batches_stay_serial(self):
-        est = ExecutionService.estimate_batch_ms([1] * 3, 0)
-        assert est < _PROCESS_MIN_BATCH_MS
-        assert ExecutionService.choose_route([1] * 3, 0, cores=8) == "serial"
-
-    def test_moderate_batches_stay_serial(self):
-        # Below the fork-amortization threshold the batch runs inline;
-        # there is no thread route in between.
-        est = ExecutionService.estimate_batch_ms([3] * 4, 4096)
-        assert est < _PROCESS_MIN_BATCH_MS
-        assert ExecutionService.choose_route([3] * 4, 4096,
-                                             cores=8) == "serial"
-
-    def test_heavy_batches_take_the_process_pool(self):
-        est = ExecutionService.estimate_batch_ms([7] * 16, 4096)
-        assert est >= _PROCESS_MIN_BATCH_MS
-        assert ExecutionService.choose_route([7] * 16, 4096,
-                                             cores=8) == "process"
-
-    def test_mixed_batch_priced_per_program(self):
-        # A wide program no longer prices its narrow co-tenants at its
-        # own width (the full bench_execution batch: 12 programs, widths
-        # 3-7, that the pool cannot speed up on 2 cores).
-        widths = [7, 6, 6, 6, 5, 5, 5, 4, 4, 4, 3, 3]
-        est = ExecutionService.estimate_batch_ms
-        assert est(widths, 4096) < est([7] * len(widths), 4096)
-        assert ExecutionService.choose_route(widths, 4096,
-                                             cores=2) == "serial"
-
-    def test_estimate_grows_with_width_batch_and_shots(self):
-        est = ExecutionService.estimate_batch_ms
-        assert est([5] * 4, 1024) < est([6] * 4, 1024) < est([9] * 4, 1024)
-        assert est([5] * 4, 1024) < est([5] * 8, 1024)
-        assert est([5] * 4, 0) < est([5] * 4, 65536)
-
-    def test_unknown_mode_rejected(self):
-        for mode in ("fleet", "thread"):
-            with pytest.raises(ValueError, match="unknown mode"):
-                ExecutionService(mode=mode)
+        with pytest.raises(ValueError, match="no such link"):
+            ExecutionService().run_parallel([Program(bad, (0, 2))], device,
+                                            shots=16)
 
 
 class _BrokenSubmitPool:
@@ -236,34 +170,22 @@ class _DyingWorkerPool:
         pass
 
 
-#: Both services run on one ProcessPool, so every fallback case runs
-#: against each of them.
+#: The service that runs on a ProcessPool.
 SERVICES = pytest.mark.parametrize(
-    "service", [ExecutionService, CompileService],
-    ids=["execution", "compile"])
+    "service", [CompileService], ids=["compile"])
 
 
 class TestPoolFallbacks:
     """Pool health must never fail a batch — and never change a bit."""
 
     def setup_method(self):
-        rng = np.random.default_rng(5)
-        self.device = ibm_toronto()
-        self.programs = random_job(rng, max_programs=4)
-        self.want = run_parallel(self.programs, self.device, shots=77,
-                                 seed=13)
         self.job = qucp_allocate(
             [workload(n).circuit() for n in ("adder", "bell", "lin")],
-            self.device)
+            ibm_toronto())
 
     def _serve(self, svc):
         """Run this case's batch through *svc*, check it against the
         serial reference, and return how many programs it held."""
-        if isinstance(svc, ExecutionService):
-            got = svc.run_parallel(self.programs, self.device, shots=77,
-                                   seed=13)
-            assert_identical(got, self.want)
-            return len(self.programs)
         got = svc.compile_allocation(self.job)
         with CompileService(mode="serial") as ser:
             want = ser.compile_allocation(self.job)
@@ -306,25 +228,6 @@ class TestPoolFallbacks:
         assert pool.executor() is fresh
         pool.shutdown()
 
-    def test_program_errors_still_propagate(self):
-        # A failing *simulation* is a real error, not pool health: the
-        # fallback must not swallow it (only BrokenExecutor degrades).
-        class _FailingChunkPool:
-            def submit(self, *args, **kwargs):
-                fut = Future()
-                fut.set_exception(RuntimeError("simulation exploded"))
-                return fut
-
-            def shutdown(self, wait=True):
-                pass
-
-        svc = ExecutionService(max_workers=2, mode="process")
-        svc._pool._executor = _FailingChunkPool()  # noqa: SLF001
-        with pytest.raises(RuntimeError, match="simulation exploded"):
-            svc.run_parallel(self.programs, self.device, shots=8, seed=1)
-        assert svc.stats["fallbacks"] == 0
-        svc.shutdown()
-
 
 class TestExecutorWiring:
     """run_batch / execute_allocation with a service are bit-identical."""
@@ -334,9 +237,9 @@ class TestExecutorWiring:
         circuits = [workload(n).circuit() for n in ("adder", "bell", "lin")]
         allocation = qucp_allocate(circuits, device)
         want = execute_allocation(allocation, shots=64, seed=5)
-        with ExecutionService(max_workers=2, mode="process") as svc:
-            got = execute_allocation(allocation, shots=64, seed=5,
-                                     execution_service=svc)
+        svc = ExecutionService()
+        got = execute_allocation(allocation, shots=64, seed=5,
+                                 execution_service=svc)
         assert svc.stats["batches"] == 1
         for g, w in zip(got, want):
             assert g.result.counts == w.result.counts
@@ -348,8 +251,8 @@ class TestExecutorWiring:
         jobs = [qucp_allocate(circuits, device),
                 qucp_allocate(circuits[::-1], device)]
         want = run_batch(jobs, seed=17)
-        with ExecutionService(max_workers=2, mode="process") as svc:
-            got = run_batch(jobs, seed=17, execution_service=svc)
+        svc = ExecutionService()
+        got = run_batch(jobs, seed=17, execution_service=svc)
         assert svc.stats["batches"] == len(jobs)
         for gj, wj in zip(got, want):
             for g, w in zip(gj, wj):
@@ -372,7 +275,7 @@ class TestMemos:
     def test_hit_equals_fresh_simulation_table2_toronto(self):
         device = ibm_toronto()
         programs = self._table2_batch(device)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         first = svc.run_parallel(programs, device, shots=512, seed=3)
         assert_bit_identical(
             first, run_parallel(programs, device, shots=512, seed=3))
@@ -393,7 +296,7 @@ class TestMemos:
                     for theta in (0.3, -1.2)
                     for group in group_commuting_terms(h2_hamiltonian())]
         programs = transpiled_programs(circuits, device)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         for seed in (8, 9):
             got = svc.run_parallel(programs, device, shots=2048, seed=seed)
             assert_bit_identical(
@@ -403,7 +306,7 @@ class TestMemos:
     def test_hit_with_seed_sequence_and_no_shots(self):
         device = ibm_toronto()
         programs = self._table2_batch(device)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         base = np.random.SeedSequence(42)
         for shots in (0, 300, 300):
             got = svc.run_parallel(programs, device, shots=shots, seed=base)
@@ -414,7 +317,7 @@ class TestMemos:
     def test_in_place_calibration_edit_misses(self):
         device = ibm_toronto()
         programs = self._table2_batch(device)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         svc.run_parallel(programs, device, shots=64, seed=1)
         cx = next(inst for inst in programs[0].circuit
                   if inst.name == "cx")
@@ -439,7 +342,7 @@ class TestMemos:
         rng = np.random.default_rng(31)
         program = random_program(CHAINS[0], rng)
         moved = Program(program.circuit, (3, 5, 8))
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         svc.run_parallel([program], device, shots=64, seed=2)
         got = svc.run_parallel([moved], device, shots=64, seed=2)
         assert_bit_identical(got, run_parallel([moved], device, shots=64,
@@ -451,7 +354,7 @@ class TestMemos:
         programs = self._table2_batch(device)
         _, scales = prepare_parallel(programs, device)
         k = next(i for i, s in enumerate(scales) if s)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         svc.run_parallel(programs, device, shots=64, seed=5)
         # Alone, the same program on the same partition has no scales.
         alone = [programs[k]]
@@ -473,7 +376,7 @@ class TestMemos:
                             "_SCHEDULE_MEMO_ENTRIES", 2)
         device = ibm_toronto()
         rng = np.random.default_rng(17)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         for _ in range(6):
             svc.run_parallel(random_job(rng, max_programs=2), device,
                              shots=16, seed=0)
@@ -485,7 +388,7 @@ class TestMemos:
         device = ibm_toronto()
         programs = self._table2_batch(device)
         want = run_parallel(programs, device, shots=128, seed=6)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         # A miss, then two hits: the first hit's mutations must not
         # reach the second.
         for _ in range(3):
@@ -523,7 +426,7 @@ class TestMemos:
             return real(circuit, *args, **kwargs)
 
         monkeypatch.setattr(sim_executor, "run_circuit", counting)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         for _ in range(3):
             got = svc.run_parallel(programs, device, shots=200, seed=12)
             assert_bit_identical(got, want)
@@ -534,7 +437,7 @@ class TestMemos:
     def test_schedule_hit_equals_fresh_prepare_parallel(self):
         device = ibm_toronto()
         programs = self._table2_batch(device)
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         device_key = svc._intern(  # noqa: SLF001
             execution_service_mod._device_key(device))  # noqa: SLF001
         for scheduling in ("alap", "asap"):
@@ -559,7 +462,7 @@ class TestMemos:
         jobs = [random_job(rng, max_programs=3) for _ in range(3)]
         wants = [run_parallel(job, device, shots=64, seed=4)
                  for job in jobs]
-        svc = ExecutionService(mode="serial")
+        svc = ExecutionService()
         errors = []
 
         def worker(offset):
@@ -591,19 +494,3 @@ class TestMemos:
             stats["programs"]
         assert stats["schedule_hits"] + stats["schedule_misses"] == \
             stats["batches"]
-
-    def test_hits_never_reach_the_process_pool(self):
-        device = ibm_toronto()
-        programs = self._table2_batch(device)
-        svc = ExecutionService(max_workers=2, mode="process")
-        svc.run_parallel(programs, device, shots=64, seed=1)
-        assert svc.stats["process_batches"] == 1
-        svc._pool._executor = _BrokenSubmitPool()  # noqa: SLF001
-        got = svc.run_parallel(programs, device, shots=64, seed=3)
-        assert_bit_identical(got, run_parallel(programs, device, shots=64,
-                                               seed=3))
-        stats = svc.stats
-        assert stats["fallbacks"] == 0
-        assert stats["process_batches"] == 1
-        assert stats["memo_hits"] == len(programs)
-        svc.shutdown()

@@ -284,13 +284,44 @@ class TestResultRoundTrip:
             mean_turnaround_ns=5e5, rejected=(1, 3),
             compile_requests=5, transpile_hits=2, transpile_misses=3,
             cache_evictions=1, cache_promotions=1, execution_batches=2,
-            execution_chunks=4, execution_fallbacks=1, races=2,
-            attempts=3,
+            races=2, attempts=3,
             rejection_reasons=((1, "too wide"), (3, "no coupling")))
         payload = json.loads(json.dumps(meta.to_dict()))
         back = RunMetadata.from_dict(payload)
         assert back == meta
         assert back.to_dict() == payload
+
+    def test_payload_with_retired_execution_counters_loads(self):
+        # A stored payload from a build whose metadata still carried the
+        # execution pool's chunk and fallback counters.
+        stored = json.loads("""{
+          "metadata": {"job_id": "job-000001",
+            "backend_name": "linear5-simulator", "method": "qucp(sigma=4)",
+            "shots": 16, "num_programs": 1, "num_hardware_jobs": 1,
+            "throughput": 0.4, "makespan_ns": null,
+            "mean_turnaround_ns": null, "rejected": [],
+            "compile_requests": 0, "transpile_hits": 0,
+            "transpile_misses": 1, "cache_evictions": 0,
+            "cache_promotions": 0, "execution_batches": 1,
+            "execution_chunks": 0, "execution_fallbacks": 0, "races": 0,
+            "attempts": 1, "rejection_reasons": {}, "dynamic_programs": 0},
+          "programs": [{"index": 0, "circuit_name": "ghz2",
+            "partition": [3, 4], "efs": 0.059998602631518884,
+            "counts": {"00": 8, "10": 1, "11": 7},
+            "probabilities": {"00": 0.4768721976601297,
+              "01": 0.029628713138589228, "10": 0.023333208228843935,
+              "11": 0.4701658809724371},
+            "pst": 0.4768721976601297, "jsd": 0.0270094201454751,
+            "device_name": "linear5", "hardware_job": 0,
+            "turnaround_ns": null}],
+          "schedule": null}""")
+        back = Result.from_dict(stored)
+        assert back.metadata.execution_batches == 1
+        assert back.counts(0) == {"00": 8, "10": 1, "11": 7}
+        want = json.loads(json.dumps(stored))
+        del want["metadata"]["execution_chunks"]
+        del want["metadata"]["execution_fallbacks"]
+        assert back.to_dict() == want
 
     def test_result_round_trip_is_bit_identical(self, line5):
         prov = QuantumProvider(devices=[line5])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OnlineScheduler, SubmittedProgram
+from repro.core import OnlineScheduler, SubmittedProgram, allocation_engine
 from repro.workloads import workload
 
 
@@ -21,11 +21,11 @@ class TestOnlineScheduler:
         subs = _stream(["adder", "fred", "lin"])
         scheduler = OnlineScheduler(toronto, fidelity_threshold=0.0)
         out = scheduler.schedule(subs)
+        engine = allocation_engine(toronto)
         for batch in out.batches:
             for alloc in batch.allocations:
-                solo = scheduler._best_placement(  # noqa: SLF001
-                    alloc.circuit, [], [])
-                assert alloc.efs <= solo[1] * (1 + 1e-9)
+                solo = engine.solo_best(scheduler.allocator, alloc.circuit)
+                assert alloc.efs <= solo.efs * (1 + 1e-9)
 
     def test_zero_threshold_serial_for_identical_copies(self, toronto):
         """Identical copies contend for the same best region, so
