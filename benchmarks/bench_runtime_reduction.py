@@ -11,7 +11,7 @@ the 6-copy Manhattan experiments.  Two benches:
 
 from conftest import print_table
 
-from repro.core import OnlineScheduler, SubmittedProgram, batched_speedup
+from repro.core import CloudScheduler, SubmittedProgram, batched_speedup
 from repro.workloads import workload
 
 
@@ -39,10 +39,10 @@ def test_online_scheduler_speedup(benchmark, toronto):
     ]
 
     def run():
-        serial = OnlineScheduler(toronto, fidelity_threshold=0.0,
+        serial = CloudScheduler(toronto, fidelity_threshold=0.0,
+                                job_overhead_ns=1e6).schedule(subs)
+        batched = CloudScheduler(toronto, fidelity_threshold=1.0,
                                  job_overhead_ns=1e6).schedule(subs)
-        batched = OnlineScheduler(toronto, fidelity_threshold=1.0,
-                                  job_overhead_ns=1e6).schedule(subs)
         return serial, batched
 
     serial, batched = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -172,12 +172,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"best multi-programmed fleet speedup at this rate: "
               f"{top:.2f}x")
 
-    # --- hedged allocator racing: the p99 tail cut ---------------------
-    # At a loaded arrival rate, racing qumc/qucloud challengers against
-    # the qucp primary at every dispatch ("best" mode: most programs
-    # admitted at the best mean EFS wins, ties to the primary) trims the
-    # turnaround tail.  Deterministic: the winner per dispatch and the
-    # whole outcome reproduce exactly under a fixed seed.
+    # --- allocator racing: the p99 tail cut and the rate sweep ---------
+    # Racing qumc/qucloud challengers against the qucp primary at every
+    # dispatch (a challenger's pack is committed only when it admits
+    # more programs, or as many at a strictly lower mean EFS) trims the
+    # turnaround tail at a loaded arrival rate.  Deterministic: the
+    # winner per dispatch and the whole outcome reproduce exactly under
+    # a fixed seed.  The sweep re-runs both services over the knee's
+    # arrival rates and fails if racing ever raises mean turnaround.
+    knee_rates = ([2e6, 5e5, 2e5, 1e5] if args.smoke
+                  else [5e6, 2e6, 1e6, 5e5, 2.5e5, 1.25e5])
     race_programs = 20 if args.smoke else 40
     race_rate = 2e5
     race_subs = synthesize_traffic(
@@ -194,7 +198,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     reproducible = (raced.to_dict() == replay.to_dict())
     p99_cut = 1.0 - raced.turnaround_p99_ns / unraced.turnaround_p99_ns
     print_table(
-        f"Hedged allocator racing (qucp vs {'+'.join(challengers)}), "
+        f"Allocator racing (qucp vs {'+'.join(challengers)}), "
         f"{race_programs} programs at {race_rate / 1e6:g} ms interarrival",
         ["service", "jobs", "turnaround(ms)", "p50(ms)", "p95(ms)",
          "p99(ms)", "maxQ"],
@@ -215,6 +219,45 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"race wins by allocator: {raced.race_wins}; p99 turnaround "
           f"cut: {p99_cut:+.1%}; reproducible replay: {reproducible}")
 
+    race_streams = traffic_rate_sweep(race_programs, knee_rates,
+                                      mix="heavy_tail", seed=args.seed)
+    race_sweep: List[Dict[str, object]] = []
+    race_sweep_rows: List[List[object]] = []
+    race_losses: List[str] = []
+    for rate in knee_rates:
+        stream = race_streams[float(rate)]
+        sides = {
+            "unraced": run_service(provider, stream, fleet_devices(1),
+                                   "qucp", race_threshold),
+            "raced": run_service(provider, stream, fleet_devices(1),
+                                 "qucp", race_threshold,
+                                 race_allocators=challengers),
+        }
+        point: Dict[str, object] = {"interarrival_ns": float(rate)}
+        for side, out in sides.items():
+            point[side] = {
+                "mean_turnaround_ns": out.mean_turnaround_ns,
+                "turnaround_p50_ns": out.turnaround_p50_ns,
+            }
+        race_sweep.append(point)
+        base = sides["unraced"].mean_turnaround_ns
+        mean = sides["raced"].mean_turnaround_ns
+        if mean > base:
+            race_losses.append(f"{rate / 1e6:g} ms")
+        race_sweep_rows.append([
+            f"{rate / 1e6:g}", fmt_ms(base), fmt_ms(mean),
+            f"{mean / base - 1.0:+.1%}",
+            fmt_ms(sides["unraced"].turnaround_p50_ns),
+            fmt_ms(sides["raced"].turnaround_p50_ns),
+            sides["raced"].race_wins,
+        ])
+    print_table(
+        f"Allocator racing across arrival rates ({race_programs} programs, "
+        f"threshold {race_threshold:g})",
+        ["interarrival(ms)", "primary mean(ms)", "raced mean(ms)",
+         "change", "primary p50(ms)", "raced p50(ms)", "race wins"],
+        race_sweep_rows)
+
     # --- saturation knee per dispatch policy ---------------------------
     # Sweep one shared traffic draw from near-idle to past-saturating
     # arrival rates (traffic_rate_sweep: same programs, same order, only
@@ -225,8 +268,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     # section measures where that point sits per dispatch policy.
     knee_factor = 2.0
     knee_programs = 16 if args.smoke else 32
-    knee_rates = ([2e6, 5e5, 2e5, 1e5] if args.smoke
-                  else [5e6, 2e6, 1e6, 5e5, 2.5e5, 1.25e5])
     knee_policies = (["least_loaded"] if args.smoke
                      else ["round_robin", "least_loaded", "best_fidelity"])
     knee_streams = traffic_rate_sweep(knee_programs, knee_rates,
@@ -365,6 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                        "raced": summary(raced),
                        "p99_cut": p99_cut,
                        "reproducible": reproducible,
+                       "sweep": race_sweep,
                    }},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -376,6 +418,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     print("OK: raced schedule replays bit-identically (deterministic "
           "winner under fixed seed)")
+
+    if race_losses:
+        print("FAIL: racing raised mean turnaround over primary-only at "
+              + ", ".join(race_losses), file=sys.stderr)
+        return 1
+    print("OK: raced mean turnaround at or below primary-only at every "
+          "swept rate")
 
     if knee_regressions:
         print("FAIL: saturation knee regressed vs the committed "

@@ -72,13 +72,6 @@ from .partition import (
 from .qucloud import QucloudAllocator, fidelity_degree, qucloud_allocate
 from .qucp import DEFAULT_SIGMA, QucpAllocator, qucp_allocate
 from .qumc import QumcAllocator, oracle_characterization, qumc_allocate
-from .racing import (
-    RaceCandidate,
-    RaceError,
-    RaceOutcome,
-    StrategyRace,
-    race_allocations,
-)
 from .queueing import (
     JobSpec,
     QueueReport,
@@ -88,7 +81,6 @@ from .queueing import (
 from .scheduler import (
     CloudScheduler,
     DispatchedBatch,
-    OnlineScheduler,
     ScheduleOutcome,
     SubmittedProgram,
 )
@@ -122,7 +114,6 @@ __all__ = [
     "HealthPolicy",
     "JobSpec",
     "MultiqcAllocator",
-    "OnlineScheduler",
     "PartitionCandidate",
     "Placement",
     "PlacementContext",
@@ -131,13 +122,9 @@ __all__ = [
     "QucpAllocator",
     "QueueReport",
     "QumcAllocator",
-    "RaceCandidate",
-    "RaceError",
-    "RaceOutcome",
     "ResolvedBurst",
     "ResolvedOutage",
     "ScheduleOutcome",
-    "StrategyRace",
     "SubmittedProgram",
     "ThresholdDecision",
     "UnknownAllocatorError",
@@ -168,7 +155,6 @@ __all__ = [
     "qucloud_allocate",
     "qucp_allocate",
     "qumc_allocate",
-    "race_allocations",
     "register_allocator",
     "resolve_allocator",
     "run_batch",

@@ -13,8 +13,6 @@ batches, COMPLETION events free devices.  Strictly serial single-device
 FIFO service is the ``max_batch_size=1``, one-device degenerate point;
 ``fidelity_threshold=0`` is the paper's Sec. IV-B operating point, which
 still co-schedules programs whose placements degrade by exactly zero.
-The legacy :class:`OnlineScheduler` is kept as the single-device,
-zero-window QuCP configuration.
 
 Admission reuses the memoized :class:`~.allocators.AllocationEngine`:
 "where does this program go solo / inside the current batch?" is cached
@@ -54,12 +52,9 @@ from .health import (
     HealthPolicy,
     ResolvedBurst,
 )
-from .qucp import DEFAULT_SIGMA, QucpAllocator
-from .racing import StrategyRace
 
 __all__ = ["SubmittedProgram", "DispatchedBatch", "ScheduleOutcome",
-           "CloudScheduler", "OnlineScheduler", "json_safe_num",
-           "percentile"]
+           "CloudScheduler", "json_safe_num", "percentile"]
 
 
 def json_safe_num(value: Optional[float]) -> Optional[float]:
@@ -170,15 +165,14 @@ class ScheduleOutcome:
     #: indices dedup into one compile.
     compile_requests: int = 0
     #: Turnaround tail percentiles (NaN when nothing completed).  Means
-    #: hide exactly the tail a production queue is judged by — and the
-    #: tail is what hedged racing targets.
+    #: hide exactly the tail a production queue is judged by.
     turnaround_p50_ns: float = math.nan
     turnaround_p95_ns: float = math.nan
     turnaround_p99_ns: float = math.nan
     #: Deepest the pending queue ever got (arrivals waiting for a
     #: device), the saturation signal a rate sweep looks for.
     max_queue_depth: int = 0
-    #: Dispatches won per racing candidate (empty without racing).
+    #: Dispatches won per raced allocator (empty without challengers).
     race_wins: Dict[str, int] = field(default_factory=dict)
     #: Why each rejected submission was rejected (typed rejection: the
     #: service attaches these to its :class:`~repro.service.JobError`).
@@ -310,21 +304,18 @@ class CloudScheduler:
         against artifacts compiled by *other processes* — a cold
         scheduler on a warm store dispatches without compiling at all.
     race_allocators:
-        Extra allocator strategies (registry names or instances) to
-        *race* against the primary allocator at every dispatch: each
-        candidate packs the batch independently, and the pack admitting
-        the most programs at the lowest mean EFS wins (ties fall to the
-        primary, then declaration order — deterministic, so a fixed
-        seed reproduces the same winners).  More programs per hardware
-        job means fewer jobs and shorter queues: this is the
-        tail-latency hedge, measured by ``benchmarks/bench_scheduler``'s
-        racing phase.  Per-candidate wins land in
-        :attr:`ScheduleOutcome.race_wins`.
-    race_executor:
-        Optional worker pool for concurrent candidate packing.  The
-        default (``None``) evaluates sequentially — deterministic and
-        safe with the allocation engines' un-locked memo tables; pass a
-        pool only with thread-safe allocators.
+        Challenger allocators (incremental registry names or instances)
+        raced against the primary at every dispatch.  The primary packs
+        the batch, then each challenger packs the same batch in
+        declaration order; a challenger's pack replaces the current one
+        only when it admits more programs, or as many at a strictly
+        lower mean EFS.  Ties stay with the earlier allocator, so a
+        fixed seed reproduces the same winners, and a dispatch never
+        admits fewer programs than the primary alone would.  Challengers
+        that duplicate the primary's or an earlier challenger's name are
+        dropped.  Per-allocator wins land in
+        :attr:`ScheduleOutcome.race_wins`; ``bench_scheduler.py``'s
+        racing phase measures the effect across arrival rates.
     fault_plan:
         Optional :class:`~repro.core.faults.FaultPlan` of device
         outages, injected into the event stream: at each outage's start
@@ -377,7 +368,6 @@ class CloudScheduler:
         max_batch_size: Optional[int] = None,
         compile_service: "Optional[CompileService]" = None,
         race_allocators: Optional[Sequence[Union[str, Allocator]]] = None,
-        race_executor=None,
         fault_plan: Optional[FaultPlan] = None,
         failure_plan: Optional[DeviceFailurePlan] = None,
         health_policy: Optional[HealthPolicy] = None,
@@ -401,7 +391,15 @@ class CloudScheduler:
         self.job_overhead_ns = job_overhead_ns
         self.max_batch_size = max_batch_size
         self.compile_service = compile_service
-        self.race = self._build_race(race_allocators, race_executor)
+        challengers: List[Allocator] = []
+        names = {self.allocator.name}
+        for item in race_allocators or ():
+            challenger = resolve_allocator(item, None,
+                                           require_incremental=True)
+            if challenger.name not in names:
+                names.add(challenger.name)
+                challengers.append(challenger)
+        self.challengers: Tuple[Allocator, ...] = tuple(challengers)
         self.fault_plan = fault_plan
         # Resolve now so a bad plan (unknown device name, ambiguous twin
         # names) fails at construction, not mid-schedule.
@@ -415,44 +413,10 @@ class CloudScheduler:
         self.health_policy = health_policy
         self.priority_aging_ns = priority_aging_ns
 
-    def _build_race(self, race_allocators, race_executor
-                    ) -> Optional[StrategyRace]:
-        """A best-pack race with the primary allocator as candidate 0.
-
-        The primary goes first so (a) a dispatch can never admit fewer
-        programs than the un-raced scheduler would, and (b) score ties
-        resolve to the primary — racing only ever changes a dispatch
-        when a challenger strictly wins.
-        """
-        if not race_allocators:
-            return None
-        candidates = [(self.allocator.name, self._make_packer(
-            self.allocator))]
-        seen = {self.allocator.name}
-        for item in race_allocators:
-            challenger = resolve_allocator(item, None,
-                                           require_incremental=True)
-            if challenger.name in seen:
-                continue
-            seen.add(challenger.name)
-            candidates.append((challenger.name,
-                               self._make_packer(challenger)))
-        if len(candidates) == 1:
-            return None
-        return StrategyRace(candidates, mode="best",
-                            score=self._pack_score,
-                            executor=race_executor)
-
-    def _make_packer(self, allocator: Allocator):
-        def pack(device_index, head, admission_order, submissions):
-            return self._pack_batch(allocator, device_index, head,
-                                    admission_order, submissions)
-        return pack
-
     @staticmethod
-    def _pack_score(pack) -> Tuple[int, float]:
+    def _pack_score(batch: AllocationResult,
+                    admitted: Sequence[int]) -> Tuple[int, float]:
         """Lower wins: most programs admitted, then lowest mean EFS."""
-        batch, admitted = pack
         if not admitted:
             return (0, math.inf)
         mean_efs = (sum(a.efs for a in batch.allocations)
@@ -502,8 +466,8 @@ class CloudScheduler:
         """Pack one hardware job with *allocator*: the head admits first
         on the empty chip (always its solo-best placement), the rest of
         the queue follows in priority order under the fidelity
-        threshold.  Pure given the engine memos — racing candidates can
-        pack the same dispatch independently and only the winner's pack
+        threshold.  Pure given the engine memos, so every raced
+        allocator can pack the same dispatch and only the winner's pack
         is committed."""
         device = self.fleet[device_index]
         batch = AllocationResult(
@@ -695,16 +659,23 @@ class CloudScheduler:
                 # arrivals out of in-flight batches.
                 admission_order = [head] + [
                     i for i in pending if i != head]
-                if self.race is None:
-                    batch, admitted = self._pack_batch(
-                        self.allocator, chosen, head, admission_order,
-                        submissions)
-                else:
-                    raced = self.race.run(chosen, head, admission_order,
-                                          submissions)
-                    batch, admitted = raced.value
-                    race_wins[raced.winner] = (
-                        race_wins.get(raced.winner, 0) + 1)
+                batch, admitted = self._pack_batch(
+                    self.allocator, chosen, head, admission_order,
+                    submissions)
+                if self.challengers:
+                    # Race: a challenger's pack is committed only when it
+                    # scores strictly lower, so ties keep the earlier one.
+                    winner = self.allocator.name
+                    best = self._pack_score(batch, admitted)
+                    for challenger in self.challengers:
+                        pack = self._pack_batch(
+                            challenger, chosen, head, admission_order,
+                            submissions)
+                        score = self._pack_score(*pack)
+                        if score < best:
+                            (batch, admitted), best = pack, score
+                            winner = challenger.name
+                    race_wins[winner] = race_wins.get(winner, 0) + 1
                 durations = device.calibration.gate_duration
                 job_len = self.job_overhead_ns + max(
                     program_duration(submissions[i].circuit, durations)
@@ -862,25 +833,3 @@ class CloudScheduler:
                 health.readmissions if health is not None else 0),
             breakers=health.summary() if health is not None else {},
         )
-
-
-class OnlineScheduler(CloudScheduler):
-    """Single-device batching service — the legacy entry point.
-
-    Exactly :class:`CloudScheduler` pinned to one device, QuCP
-    allocation, and a zero batching window; kept because every paper
-    experiment and example drives this configuration.
-    """
-
-    def __init__(self, device: Device, fidelity_threshold: float = 0.3,
-                 job_overhead_ns: float = 1e6,
-                 sigma: float = DEFAULT_SIGMA) -> None:
-        super().__init__(
-            DeviceFleet(device),
-            allocator=QucpAllocator(sigma=sigma),
-            fidelity_threshold=fidelity_threshold,
-            batch_window_ns=0.0,
-            job_overhead_ns=job_overhead_ns,
-        )
-        self.device = device
-        self.sigma = sigma

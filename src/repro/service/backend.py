@@ -108,10 +108,11 @@ class BackendConfiguration:
     job_overhead_ns: float = 1e6
     #: Programs per hardware job (``None`` unlimited; 1 = serial).
     max_batch_size: Optional[int] = None
-    #: Challenger allocators hedge-raced against the primary at every
-    #: scheduler dispatch (``"best"`` mode: each packs the same batch,
-    #: the pack admitting the most programs at the best mean EFS wins,
-    #: ties resolve to the primary).  ``None`` disables racing.
+    #: Challenger allocators raced against the primary at every
+    #: scheduler dispatch: each packs the same batch in declaration
+    #: order, and a pack replaces the current one only when it admits
+    #: more programs, or as many at a strictly lower mean EFS (ties
+    #: stay with the primary).  ``None`` disables racing.
     race_allocators: Optional[Tuple[Union[str, Allocator], ...]] = None
     #: Default shot count for ``run`` calls that don't pass one.
     shots: int = 8192
@@ -580,7 +581,6 @@ class CloudBackend(BaseBackend):
             cache_evictions=deltas["evictions"],
             cache_promotions=deltas["promotions"],
             execution_batches=deltas["execution_batches"],
-            races=sum(outcome.race_wins.values()),
             rejection_reasons=tuple(sorted(
                 (int(i), str(r))
                 for i, r in outcome.rejection_reasons.items())),

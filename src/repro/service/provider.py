@@ -131,8 +131,7 @@ class QuantumProvider:
         statistics and engine memo growth deterministic.  Jobs run on
         threads, so a wider pool overlaps their compile waits while
         their simulations mostly serialize on the GIL (small-tensor
-        numpy); speculative duplicate submissions (hedged racing at the
-        job level) need more than one.
+        numpy).
     job_history:
         Bound on the job registry.  Finished jobs beyond it (oldest
         first) are evicted so their Results can be reclaimed —

@@ -138,9 +138,6 @@ class RunMetadata:
     #: :class:`~repro.core.ExecutionService` over the same window (same
     #: single-worker caveat as the cache deltas above).
     execution_batches: int = 0
-    #: Hedged allocator races the scheduler ran for this job (0 when
-    #: the backend has no ``race_allocators`` configured).
-    races: int = 0
     #: Attempts the provider's retry policy spent before this result
     #: (1 = the first try succeeded; see ``RetryPolicy``).
     attempts: int = 1
@@ -171,7 +168,6 @@ class RunMetadata:
             "cache_evictions": int(self.cache_evictions),
             "cache_promotions": int(self.cache_promotions),
             "execution_batches": int(self.execution_batches),
-            "races": int(self.races),
             "attempts": int(self.attempts),
             "rejection_reasons": {str(i): str(r) for i, r
                                   in self.rejection_reasons},
@@ -207,7 +203,6 @@ class RunMetadata:
             cache_evictions=int(payload.get("cache_evictions", 0)),
             cache_promotions=int(payload.get("cache_promotions", 0)),
             execution_batches=int(payload.get("execution_batches", 0)),
-            races=int(payload.get("races", 0)),
             attempts=int(payload.get("attempts", 1)),
             rejection_reasons=tuple(sorted(
                 (int(i), str(r)) for i, r in reasons.items())),

@@ -215,7 +215,7 @@ def traffic_rate_sweep(
     once; each requested rate rescales the gaps.  Every returned stream
     therefore submits the **same programs in the same order** — only
     the arrival spacing differs — so rate studies (turnaround-vs-load
-    curves, the hedged-racing p99 sweep) isolate queueing pressure from
+    curves, the allocator-racing sweep) isolate queueing pressure from
     mix variance instead of comparing different random workloads.
 
     Returns ``{mean_interarrival_ns: [SubmittedProgram, ...]}`` in the

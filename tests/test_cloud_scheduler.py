@@ -3,8 +3,9 @@
 Covers the acceptance points: threshold=0 single-device service equals
 the analytic serial FIFO model, arrival-time batching boundaries (late
 arrivals never join an in-flight batch), the rejection path, batching
-windows, priorities, fleet placement policies, and equivalence with the
-pre-refactor ``OnlineScheduler`` on recorded golden traces.
+windows, priorities, fleet placement policies, allocator racing, and
+equivalence with the pre-refactor single-device scheduler on recorded
+golden traces.
 """
 
 import json
@@ -16,7 +17,7 @@ from repro.circuits import ghz_circuit
 from repro.core import (
     CloudScheduler,
     JobSpec,
-    OnlineScheduler,
+    QucpAllocator,
     SubmittedProgram,
     allocation_engine,
     get_allocator,
@@ -46,7 +47,7 @@ def line8_pair():
 class TestGoldenTraces:
     def test_event_engine_reproduces_legacy_scheduler(self, toronto):
         """The discrete-event engine must replay the synchronous
-        pre-refactor OnlineScheduler traces bit-for-bit."""
+        pre-refactor single-device QuCP scheduler traces bit-for-bit."""
         with open(GOLDEN_PATH) as fh:
             golden = json.load(fh)["scheduler"]
         for name, entry in golden.items():
@@ -56,7 +57,7 @@ class TestGoldenTraces:
                                  user=f"user{i}")
                 for i, n in enumerate(entry["workloads"])
             ]
-            out = OnlineScheduler(
+            out = CloudScheduler(
                 toronto,
                 fidelity_threshold=entry["threshold"]).schedule(subs)
             assert out.num_jobs == entry["num_jobs"], name
@@ -78,7 +79,7 @@ class TestSerialDegeneracy:
         single-device service is exactly the analytic FIFO model."""
         n = 4
         subs = _stream(["adder"] * n, spacing_ns=1.2e6)
-        scheduler = OnlineScheduler(toronto, fidelity_threshold=0.0)
+        scheduler = CloudScheduler(toronto, fidelity_threshold=0.0)
         out = scheduler.schedule(subs)
         assert out.num_jobs == n
 
@@ -318,3 +319,76 @@ class TestConfigurationErrors:
                 toronto, allocator=name,
                 fidelity_threshold=1.0).schedule(subs)
             assert sorted(out.completion_ns) == [0, 1], name
+
+
+class TestSchedulerRacing:
+    def test_race_wins_recorded_and_reproducible(self, toronto):
+        subs = _stream(["adder", "bell", "lin", "fredkin"], spacing_ns=1e5)
+        scheduler = CloudScheduler(toronto,
+                                   race_allocators=("qumc", "qucloud"))
+        out = scheduler.schedule(subs)
+        assert sum(out.race_wins.values()) == out.num_jobs
+        again = CloudScheduler(
+            toronto,
+            race_allocators=("qumc", "qucloud")).schedule(subs)
+        assert again.race_wins == out.race_wins
+        assert [j.members for j in again.jobs] == [j.members
+                                                   for j in out.jobs]
+        assert again.makespan_ns == out.makespan_ns
+
+    def test_racing_never_admits_fewer_than_the_primary(self, toronto):
+        subs = _stream(["adder", "bell", "lin", "fredkin", "adder"],
+                       spacing_ns=5e4)
+        plain = CloudScheduler(toronto).schedule(subs)
+        raced = CloudScheduler(
+            toronto, race_allocators=("qumc", "qucloud")).schedule(subs)
+        assert len(raced.rejected) <= len(plain.rejected)
+
+    def test_non_incremental_challenger_rejected_at_construction(
+            self, toronto):
+        with pytest.raises(ValueError, match="incremental"):
+            CloudScheduler(toronto, race_allocators=("cna",))
+
+    def test_duplicate_challenger_is_dropped(self, toronto):
+        # Racing the primary against itself is a no-op; the scheduler
+        # must fold it away rather than burn a duplicate evaluation.
+        scheduler = CloudScheduler(toronto, race_allocators=("qucp",))
+        assert scheduler.challengers == ()
+
+    def test_identical_challenger_never_wins(self, toronto):
+        # A challenger that packs exactly like the primary ties on every
+        # dispatch, and ties stay with the primary.
+        class QucpTwin(QucpAllocator):
+            name = "qucp-twin"
+
+        subs = _stream(["adder", "bell", "lin", "fredkin", "adder"],
+                       spacing_ns=5e4)
+        plain = CloudScheduler(toronto).schedule(subs)
+        raced = CloudScheduler(
+            toronto, race_allocators=(QucpTwin(),)).schedule(subs)
+        assert raced.race_wins == {"qucp": raced.num_jobs}
+        want, got = plain.to_dict(), raced.to_dict()
+        del want["race_wins"], got["race_wins"]
+        assert got == want
+
+    def test_dispatch_commits_the_lowest_scoring_pack(self, toronto):
+        # Everything arrives at once, so the first job is one dispatch's
+        # pack; each allocator's un-raced first job is its candidate.
+        subs = _stream(["fredkin", "4mod", "qec", "lin"])
+        names = ("qucp", "qumc", "qucloud")
+        packs = {
+            name: CloudScheduler(toronto, allocator=name).schedule(
+                subs).jobs[0]
+            for name in names}
+
+        def score(job):
+            efs = [a.efs for a in job.allocation.allocations]
+            return (-len(efs), sum(efs) / len(efs))
+
+        winner = min(names, key=lambda name: score(packs[name]))
+        # The case discriminates: the primary's pack loses.
+        assert score(packs[winner]) < score(packs["qucp"])
+        raced = CloudScheduler(
+            toronto, race_allocators=names[1:]).schedule(subs)
+        assert raced.jobs[0].to_dict() == packs[winner].to_dict()
+        assert raced.race_wins.get(winner, 0) >= 1

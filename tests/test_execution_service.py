@@ -14,7 +14,6 @@ depends on misses.
 
 import sys
 import threading
-from concurrent.futures import BrokenExecutor, Future
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from repro.core import (
     ExecutionService,
     execute_allocation,
     get_allocator,
+    inject_broken_process_pool,
     qucp_allocate,
     run_batch,
 )
@@ -152,24 +152,6 @@ class TestShardedEquivalence:
                                             shots=16)
 
 
-class _BrokenSubmitPool:
-    def submit(self, *args, **kwargs):
-        raise BrokenExecutor("process pool is terminated")
-
-    def shutdown(self, wait=True):
-        pass
-
-
-class _DyingWorkerPool:
-    def submit(self, *args, **kwargs):
-        fut = Future()
-        fut.set_exception(BrokenExecutor("worker died"))
-        return fut
-
-    def shutdown(self, wait=True):
-        pass
-
-
 #: The service that runs on a ProcessPool.
 SERVICES = pytest.mark.parametrize(
     "service", [CompileService], ids=["compile"])
@@ -197,7 +179,7 @@ class TestPoolFallbacks:
     @SERVICES
     def test_broken_submit_falls_back_inline(self, service):
         svc = service(max_workers=2, mode="process")
-        svc._pool._executor = _BrokenSubmitPool()  # noqa: SLF001
+        inject_broken_process_pool(svc, mode="submit")
         served = self._serve(svc)
         assert svc.stats["fallbacks"] == served
         # The dead pool was dropped: the next process-route batch builds
@@ -208,7 +190,7 @@ class TestPoolFallbacks:
     @SERVICES
     def test_mid_chunk_worker_death_falls_back_inline(self, service):
         svc = service(max_workers=2, mode="process")
-        svc._pool._executor = _DyingWorkerPool()  # noqa: SLF001
+        inject_broken_process_pool(svc, mode="result")
         served = self._serve(svc)
         assert svc.stats["fallbacks"] == served
         assert svc._pool._executor is None  # noqa: SLF001

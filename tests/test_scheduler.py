@@ -1,8 +1,8 @@
-"""Unit tests for the online multi-user scheduler."""
+"""Unit tests for the online multi-user scheduler on one device."""
 
 import pytest
 
-from repro.core import OnlineScheduler, SubmittedProgram, allocation_engine
+from repro.core import CloudScheduler, SubmittedProgram, allocation_engine
 from repro.workloads import workload
 
 
@@ -19,7 +19,7 @@ class TestOnlineScheduler:
         """At threshold 0 a non-head program joins a batch only when it
         still gets exactly its solo-best placement (zero degradation)."""
         subs = _stream(["adder", "fred", "lin"])
-        scheduler = OnlineScheduler(toronto, fidelity_threshold=0.0)
+        scheduler = CloudScheduler(toronto, fidelity_threshold=0.0)
         out = scheduler.schedule(subs)
         engine = allocation_engine(toronto)
         for batch in out.batches:
@@ -31,39 +31,39 @@ class TestOnlineScheduler:
         """Identical copies contend for the same best region, so
         threshold 0 degenerates to serial service (the Fig. 4 regime)."""
         subs = _stream(["adder", "adder", "adder"])
-        out = OnlineScheduler(toronto,
-                              fidelity_threshold=0.0).schedule(subs)
+        out = CloudScheduler(toronto,
+                             fidelity_threshold=0.0).schedule(subs)
         assert out.num_jobs == 3
 
     def test_batching_reduces_jobs(self, toronto):
         subs = _stream(["adder", "fred", "lin", "4mod", "bell", "qec"])
-        serial = OnlineScheduler(toronto,
-                                 fidelity_threshold=0.0).schedule(subs)
-        batched = OnlineScheduler(toronto,
-                                  fidelity_threshold=1.0).schedule(subs)
+        serial = CloudScheduler(toronto,
+                                fidelity_threshold=0.0).schedule(subs)
+        batched = CloudScheduler(toronto,
+                                 fidelity_threshold=1.0).schedule(subs)
         assert batched.num_jobs < serial.num_jobs
         assert batched.makespan_ns < serial.makespan_ns
 
     def test_batching_improves_turnaround(self, toronto):
         subs = _stream(["adder", "fred", "lin", "4mod", "bell", "qec"])
-        serial = OnlineScheduler(toronto,
-                                 fidelity_threshold=0.0).schedule(subs)
-        batched = OnlineScheduler(toronto,
-                                  fidelity_threshold=1.0).schedule(subs)
+        serial = CloudScheduler(toronto,
+                                fidelity_threshold=0.0).schedule(subs)
+        batched = CloudScheduler(toronto,
+                                 fidelity_threshold=1.0).schedule(subs)
         assert batched.mean_turnaround_ns <= serial.mean_turnaround_ns
 
     def test_batched_throughput_higher(self, toronto):
         subs = _stream(["adder", "fred", "lin", "4mod"])
-        serial = OnlineScheduler(toronto,
-                                 fidelity_threshold=0.0).schedule(subs)
-        batched = OnlineScheduler(toronto,
-                                  fidelity_threshold=1.0).schedule(subs)
+        serial = CloudScheduler(toronto,
+                                fidelity_threshold=0.0).schedule(subs)
+        batched = CloudScheduler(toronto,
+                                 fidelity_threshold=1.0).schedule(subs)
         assert batched.mean_throughput > serial.mean_throughput
 
     def test_every_program_completes_once(self, toronto):
         subs = _stream(["adder", "fred", "lin", "4mod", "bell"])
-        out = OnlineScheduler(toronto,
-                              fidelity_threshold=0.8).schedule(subs)
+        out = CloudScheduler(toronto,
+                             fidelity_threshold=0.8).schedule(subs)
         scheduled = [
             alloc.index for batch in out.batches
             for alloc in batch.allocations
@@ -72,8 +72,8 @@ class TestOnlineScheduler:
 
     def test_batch_partitions_disjoint(self, toronto):
         subs = _stream(["adder", "fred", "lin", "4mod", "bell", "qec"])
-        out = OnlineScheduler(toronto,
-                              fidelity_threshold=1.0).schedule(subs)
+        out = CloudScheduler(toronto,
+                             fidelity_threshold=1.0).schedule(subs)
         for batch in out.batches:
             seen = set()
             for alloc in batch.allocations:
@@ -83,17 +83,17 @@ class TestOnlineScheduler:
     def test_late_arrivals_not_batched_early(self, toronto):
         # Second program arrives long after the first job must start.
         subs = _stream(["adder", "fred"], spacing_ns=1e9)
-        out = OnlineScheduler(toronto,
-                              fidelity_threshold=1.0).schedule(subs)
+        out = CloudScheduler(toronto,
+                             fidelity_threshold=1.0).schedule(subs)
         assert out.num_jobs == 2
 
     def test_negative_threshold_rejected(self, toronto):
         with pytest.raises(ValueError):
-            OnlineScheduler(toronto, fidelity_threshold=-0.5)
+            CloudScheduler(toronto, fidelity_threshold=-0.5)
 
     def test_empty_submission_rejected(self, toronto):
         with pytest.raises(ValueError):
-            OnlineScheduler(toronto).schedule([])
+            CloudScheduler(toronto).schedule([])
 
     def test_oversized_program_rejected_not_fatal(self, line5):
         """An oversized head no longer kills the service: it lands in
@@ -103,7 +103,7 @@ class TestOnlineScheduler:
 
         subs = [SubmittedProgram(ghz_circuit(6).measure_all()),
                 SubmittedProgram(workload("adder").circuit())]
-        out = OnlineScheduler(line5).schedule(subs)
+        out = CloudScheduler(line5).schedule(subs)
         assert out.rejected == [0]
         assert sorted(out.completion_ns) == [1]
         assert out.num_jobs == 1
@@ -112,7 +112,7 @@ class TestOnlineScheduler:
         from repro.circuits import ghz_circuit
 
         subs = [SubmittedProgram(ghz_circuit(6).measure_all())]
-        out = OnlineScheduler(line5).schedule(subs)
+        out = CloudScheduler(line5).schedule(subs)
         assert out.rejected == [0]
         assert out.num_jobs == 0
         assert out.makespan_ns == 0.0
