@@ -1,4 +1,4 @@
-"""Compile-latency benchmark: cold vs warm-context vs parallel service.
+"""Compile-latency benchmark: cold vs warm-context vs the compile service.
 
 The multi-programming service transpiles every incoming program onto its
 allocated partition.  This bench quantifies the three compile paths on
@@ -14,16 +14,15 @@ small repeated programs dominate, exactly the cloud profile):
   :class:`~repro.core.ExecutionCache`, so repeated (program, partition)
   pairs are cache hits;
 - **service** — the warm path submitted through
-  :class:`~repro.core.CompileService` (serial route), same shared
-  caches.
+  :class:`~repro.core.CompileService` (inline), same shared caches.
 
-Two cold-path sections ride along: a process-pool shard of unique
-programs on a wide (65q) device — chunked tasks, fingerprint-rehydrated
-contexts — against the same compile run serially, and a scheduler-dedup
-check driving :class:`~repro.core.CloudScheduler` with repeated
-programs at distinct queue indices through a compile service, gating on
-**zero re-transpiles** (the structural cache key dedups across
-submissions).
+Two cold-path sections ride along: a serial cold-miss compile of unique
+programs on a wide (65q) device — the baseline for cheaper fresh
+compiles, with no gate — and a scheduler-dedup check that schedules
+repeated programs at distinct queue indices with
+:class:`~repro.core.CloudScheduler`, compiles every dispatched
+allocation through one compile service, and gates on **zero
+re-transpiles** (the structural cache key dedups across submissions).
 
 A persistent-store section exercises the layered cache across process
 boundaries: one process compiles the full mix into a SQLite WAL store,
@@ -34,10 +33,10 @@ stored equivalence-class artifact.
 
 The acceptance gate (also run in CI via ``--smoke``): warm-context
 service compilation must beat cold per-call transpilation by >= 5x on
-the repeated-program mix.  Timings land in ``BENCH_transpile.json`` so
-the compile-latency trajectory accumulates across PRs.
+the repeated-program mix.  Timings land in ``BENCH_transpile.json`` (or
+``--out PATH``) so the compile-latency trajectory accumulates.
 
-Run:  PYTHONPATH=../src python bench_transpile.py [--smoke]
+Run:  PYTHONPATH=../src python bench_transpile.py [--smoke] [--out PATH]
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ def bench_cold(device: Device, traffic) -> float:
 
 def bench_warm(device: Device, traffic) -> Tuple[float, ExecutionCache]:
     """Shared DeviceContext + shared ExecutionCache, serial."""
-    svc = CompileService(mode="serial")
+    svc = CompileService()
     context = DeviceContext(device.coupling, device.calibration)
 
     def hook(circuit, dev, alloc):
@@ -136,8 +135,7 @@ def bench_warm_context_only(device: Device, traffic) -> float:
 
 
 def bench_service(device: Device, traffic) -> float:
-    """Compile through the service's futures API on the serial route
-    (the closure hook cannot be pickled to a process pool)."""
+    """Compile through the service's futures API (inline)."""
     context = DeviceContext(device.coupling, device.calibration)
 
     def hook(circuit, dev, alloc):
@@ -145,19 +143,18 @@ def bench_service(device: Device, traffic) -> float:
                                        context=context)
 
     allocs = allocations(device, traffic)
-    with CompileService(mode="serial") as svc:
-        start = time.perf_counter()
-        futures = [svc.submit(a.circuit, device, a, hook) for a in allocs]
-        for fut in futures:
-            fut.result()
-        return time.perf_counter() - start
+    svc = CompileService()
+    start = time.perf_counter()
+    futures = [svc.submit(a.circuit, device, a, hook) for a in allocs]
+    for fut in futures:
+        fut.result()
+    return time.perf_counter() - start
 
 
 def unique_cold_job(device: Device, num_programs: int, seed: int
                     ) -> AllocationResult:
     """*Unique* heavy programs on BFS-grown partitions: a pure cold-miss
-    batch (no result-cache dedup possible), the process-pool's target
-    load — per-program compile time must dominate chunk pickling."""
+    batch (no result-cache dedup possible)."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -175,90 +172,14 @@ def unique_cold_job(device: Device, num_programs: int, seed: int
     return job
 
 
-def bench_cold_process(device: Device, num_programs: int, workers: int,
-                       seed: int) -> Tuple[float, float, float, int]:
-    """Serial vs chunk-sharded process-pool vs measured-auto compile.
-
-    Returns ``(serial_s, process_s, auto_s, chunks)`` for the timed
-    runs only.  All paths start from an empty result cache; the process
-    pool is warmed (fork + per-worker context tables) before timing,
-    matching its persistent-service usage.  On single-core runners the
-    explicit process path measures the sharding overhead (a known
-    loss), and the ``auto`` path must *route around it* — that is the
-    tuned :meth:`CompileService.choose_route` gate.
-    """
+def bench_cold_serial(device: Device, num_programs: int,
+                      seed: int) -> float:
+    """Compile a cold-miss batch inline from an empty result cache."""
     job = unique_cold_job(device, num_programs, seed)
-    with CompileService(mode="serial") as ser:
-        start = time.perf_counter()
-        ser.compile_allocation(job)
-        serial_s = time.perf_counter() - start
-    with CompileService(max_workers=workers, mode="process") as svc:
-        warm = unique_cold_job(device, workers, seed + 1)
-        svc.compile_allocation(warm)  # spin up workers, warm contexts
-        chunks_before = svc.stats["chunks"]
-        start = time.perf_counter()
-        svc.compile_allocation(job)
-        process_s = time.perf_counter() - start
-        chunks = svc.stats["chunks"] - chunks_before
-    with CompileService(max_workers=workers, mode="auto") as auto:
-        if CompileService.choose_route(num_programs,
-                                       device.num_qubits) == "process":
-            auto.compile_allocation(unique_cold_job(device, workers,
-                                                    seed + 1))
-        start = time.perf_counter()
-        auto.compile_allocation(job)
-        auto_s = time.perf_counter() - start
-    return serial_s, process_s, auto_s, chunks
-
-
-def request_payload_bytes(device: Device, num_programs: int,
-                          workers: int, seed: int) -> Tuple[int, int]:
-    """Pickled request bytes shipped to workers: per-task vs chunked.
-
-    CPU-noise-free view of what fingerprint sharding removes — the
-    per-task path pickles the full device (with its warmed distance
-    caches) for every program; a chunk ships one plain-data fingerprint
-    per shard.
-    """
-    import pickle
-
-    from repro.core.pool import device_fingerprint_spec
-
-    job = unique_cold_job(device, num_programs, seed)
-    # Warm the lazy coupling caches the way a long-running service has
-    # them (they ride along in the Device pickle).
-    device.coupling.distance(0, 1)
-    device.coupling.all_one_hop_edge_pairs()
-    per_task = sum(
-        len(pickle.dumps((a.circuit, device, a)))
-        for a in job.allocations)
-    spec = device_fingerprint_spec(device)
-    shards = [job.allocations[i::workers] for i in range(workers)]
-    chunked = sum(
-        len(pickle.dumps((spec, [(a.circuit, a.partition)
-                                 for a in shard])))
-        for shard in shards if shard)
-    return per_task, chunked
-
-
-def bench_cold_process_per_task(device: Device, num_programs: int,
-                                workers: int, seed: int) -> float:
-    """The pre-sharding process path: one pool task per program, each
-    pickling the full device — what chunked fingerprints replace."""
-    from repro.core.executor import _default_transpiler
-
-    job = unique_cold_job(device, num_programs, seed)
-    with CompileService(max_workers=workers, mode="process") as svc:
-        svc.compile_allocation(unique_cold_job(device, workers, seed + 1))
-        start = time.perf_counter()
-        futures = [
-            svc.submit(a.circuit, device, a, _default_transpiler,
-                       route="process")
-            for a in job.allocations
-        ]
-        for fut in futures:
-            fut.result()
-        return time.perf_counter() - start
+    svc = CompileService()
+    start = time.perf_counter()
+    svc.compile_allocation(job)
+    return time.perf_counter() - start
 
 
 def _store_compile_pass(store_path: str, num_programs: int, seed: int
@@ -274,12 +195,11 @@ def _store_compile_pass(store_path: str, num_programs: int, seed: int
     traffic = placed_traffic(device, num_programs, seed)
     job = AllocationResult(method="bench-store", device=device)
     job.allocations.extend(allocations(device, traffic))
-    cache = ExecutionCache(store_path=store_path)
-    with CompileService(mode="serial", cache=cache) as svc:
-        start = time.perf_counter()
-        svc.compile_allocation(job)
-        elapsed = time.perf_counter() - start
-        stats = svc.stats
+    svc = CompileService(cache=ExecutionCache(store_path=store_path))
+    start = time.perf_counter()
+    svc.compile_allocation(job)
+    elapsed = time.perf_counter() - start
+    stats = svc.stats
     return stats["submitted"], stats["promotions"], elapsed
 
 
@@ -306,8 +226,9 @@ def bench_cold_process_warm_store(num_programs: int, seed: int,
 
 def scheduler_dedup(device: Device, num_programs: int, seed: int
                     ) -> Tuple[int, int, int]:
-    """Drive the cloud scheduler through a compile service and count
-    re-transpiles of structurally identical submissions.
+    """Compile every job the cloud scheduler dispatches through one
+    compile service and count re-transpiles of structurally identical
+    submissions.
 
     Serial service (one program per job) over a heavy-tail mix: every
     repeated circuit arrives at a distinct queue index and must hit the
@@ -317,17 +238,14 @@ def scheduler_dedup(device: Device, num_programs: int, seed: int
     subs = synthesize_traffic(num_programs, pattern="poisson",
                               mean_interarrival_ns=2e5, mix="heavy_tail",
                               seed=seed)
-    with CompileService(mode="serial") as svc:
-        scheduler = CloudScheduler(device, max_batch_size=1,
-                                   fidelity_threshold=0.0,
-                                   compile_service=svc)
-        outcome = scheduler.schedule(subs)
-        compiled = svc.stats["submitted"]
-    unique = len({
-        (circuit_key(a.circuit), a.partition)
-        for job in outcome.jobs for a in job.allocation.allocations
-    })
-    return outcome.compile_requests, compiled, unique
+    outcome = CloudScheduler(device, max_batch_size=1,
+                             fidelity_threshold=0.0).schedule(subs)
+    svc = CompileService()
+    for job in outcome.jobs:
+        svc.compile_allocation(job.allocation)
+    allocs = [a for job in outcome.jobs for a in job.allocation.allocations]
+    unique = len({(circuit_key(a.circuit), a.partition) for a in allocs})
+    return len(allocs), svc.stats["submitted"], unique
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -337,8 +255,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--programs", type=int, default=None,
                         help="number of submissions (default 150; 60 "
                              "with --smoke)")
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", default=ARTIFACT,
+                        help="artifact path (default: the committed "
+                             "BENCH_transpile.json)")
     args = parser.parse_args(argv)
 
     num_programs = args.programs or (60 if args.smoke else 150)
@@ -363,7 +283,7 @@ def main(argv: Sequence[str] | None = None) -> int:
          f"{warm_ctx_s / n * 1e3:.2f}", f"{cold_s / warm_ctx_s:.2f}x"],
         ["warm (context + result cache)", n, f"{warm_s * 1e3:.1f}",
          f"{warm_s / n * 1e3:.2f}", f"{cold_s / warm_s:.2f}x"],
-        ["service (serial route)", n, f"{service_s * 1e3:.1f}",
+        ["service (inline)", n, f"{service_s * 1e3:.1f}",
          f"{service_s / n * 1e3:.2f}", f"{cold_s / service_s:.2f}x"],
     ]
     print_table(
@@ -374,43 +294,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(f"result cache on warm pass: {cache.transpile_hits} hits / "
           f"{cache.transpile_misses} misses")
 
-    # --- cold path: process-pool sharding on a wide device -------------
+    # --- cold path: unique programs on a wide device --------------------
     wide = ibm_manhattan()
     n_cold = 12 if args.smoke else 48
-    serial_s, process_s, auto_s, chunks = bench_cold_process(
-        wide, n_cold, args.workers, args.seed)
-    per_task_s = bench_cold_process_per_task(
-        wide, n_cold, args.workers, args.seed)
-    process_speedup = serial_s / process_s
-    auto_speedup = serial_s / auto_s
-    chunking_speedup = per_task_s / process_s
+    cold_serial_s = bench_cold_serial(wide, n_cold, args.seed)
     cores = os.cpu_count() or 1
-    auto_route = CompileService.choose_route(n_cold, wide.num_qubits)
-    print_table(
-        f"Cold-miss compile of {n_cold} unique programs on {wide.name} "
-        f"({wide.num_qubits}q, {cores} cores)",
-        ["path", "total(ms)", "per-program(ms)", "vs serial"],
-        [
-            ["serial (one process)", f"{serial_s * 1e3:.1f}",
-             f"{serial_s / n_cold * 1e3:.2f}", "1.00x"],
-            ["process, per-task (full device pickled per program)",
-             f"{per_task_s * 1e3:.1f}", f"{per_task_s / n_cold * 1e3:.2f}",
-             f"{serial_s / per_task_s:.2f}x"],
-            [f"process, chunked ({args.workers} workers, {chunks} "
-             f"chunks, fingerprint rehydration)",
-             f"{process_s * 1e3:.1f}", f"{process_s / n_cold * 1e3:.2f}",
-             f"{process_speedup:.2f}x"],
-            [f"auto (measured route: {auto_route})",
-             f"{auto_s * 1e3:.1f}", f"{auto_s / n_cold * 1e3:.2f}",
-             f"{auto_speedup:.2f}x"],
-        ])
-    per_task_bytes, chunked_bytes = request_payload_bytes(
-        wide, n_cold, args.workers, args.seed)
-    print(f"chunked sharding vs per-task process submission: "
-          f"{chunking_speedup:.2f}x wall-clock, "
-          f"{per_task_bytes / 1e6:.2f} MB -> {chunked_bytes / 1e6:.2f} MB "
-          f"request payload ({per_task_bytes / chunked_bytes:.1f}x fewer "
-          f"bytes shipped)")
+    print(f"cold-miss compile of {n_cold} unique programs on {wide.name} "
+          f"({wide.num_qubits}q, {cores} cores): "
+          f"{cold_serial_s * 1e3:.1f} ms "
+          f"({cold_serial_s / n_cold * 1e3:.2f} ms/program, inline)")
 
     # --- cold process on a warm persistent store -----------------------
     with tempfile.TemporaryDirectory(prefix="bench-store-") as store_dir:
@@ -440,7 +332,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "programs": n,
         "seed": args.seed,
         "smoke": bool(args.smoke),
-        "workers": args.workers,
         "cold_s": cold_s,
         "warm_context_only_s": warm_ctx_s,
         "warm_s": warm_s,
@@ -449,34 +340,24 @@ def main(argv: Sequence[str] | None = None) -> int:
         "warm_context_only_speedup": cold_s / warm_ctx_s,
         "service_speedup": cold_s / service_s,
         "floor": SPEEDUP_FLOOR,
-        "cold_process": {
+        "cold_miss": {
             "device": wide.name,
             "programs": n_cold,
             "cores": cores,
-            "serial_s": serial_s,
-            "per_task_s": per_task_s,
-            "process_s": process_s,
-            "auto_s": auto_s,
-            "auto_route": auto_route,
-            "chunks": chunks,
-            "speedup": process_speedup,
-            "auto_speedup": auto_speedup,
-            "chunking_speedup": chunking_speedup,
-            "per_task_request_bytes": per_task_bytes,
-            "chunked_request_bytes": chunked_bytes,
+            "serial_s": cold_serial_s,
         },
         "scheduler_dedup": {
-            "compile_requests": requests,
+            "requests": requests,
             "compiled": compiled,
             "unique_structural": unique_structural,
             "retranspiles": retranspiles,
         },
         "cold_process_warm_store": store,
     }
-    with open(ARTIFACT, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {ARTIFACT}")
+    print(f"wrote {args.out}")
 
     if store["cold_compiled"] != 0:
         print(f"FAIL: cold process on warm store compiled "
@@ -495,18 +376,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     print("OK: warm-equivalent submissions at distinct queue indices "
           "hit the cache (0 re-transpiles)")
-
-    # The retuned-routing gate: whatever the measured table picked, the
-    # auto route must never *lose* to serial (15% noise margin) — on a
-    # 1-core host that means routing around the 0.47x process-pool
-    # regression this bench used to record.
-    if auto_s > serial_s * 1.15:
-        print(f"FAIL: auto route ({auto_route}) ran at "
-              f"{auto_speedup:.2f}x serial — choose_route picked a "
-              "losing worker kind", file=sys.stderr)
-        return 1
-    print(f"OK: auto route ({auto_route}) at {auto_speedup:.2f}x serial "
-          "on the cold-miss batch (never loses)")
 
     print(f"\nwarm-context speedup over cold per-call transpile: "
           f"{warm_speedup:.2f}x (floor {SPEEDUP_FLOOR:g}x)")

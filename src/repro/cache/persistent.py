@@ -44,8 +44,8 @@ class PersistentCache:
         store is the shared resource.
     timeout:
         Seconds a writer waits on a locked database before erroring
-        (SQLite busy timeout); generous because fleet workers write
-        concurrently.
+        (SQLite busy timeout); generous because several processes may
+        write concurrently.
     """
 
     def __init__(self, path: str, timeout: float = 30.0) -> None:
@@ -62,9 +62,9 @@ class PersistentCache:
             os.makedirs(parent, exist_ok=True)
             # autocommit (isolation_level=None): every statement commits
             # itself, so concurrent processes never deadlock on a
-            # half-open transaction; check_same_thread=False because the
-            # compile service publishes from worker callback threads
-            # (all access is serialized by self._lock).
+            # half-open transaction; check_same_thread=False because
+            # provider job threads and the caller's thread share this
+            # connection (all access is serialized by self._lock).
             conn = sqlite3.connect(self.path, timeout=timeout,
                                    isolation_level=None,
                                    check_same_thread=False)

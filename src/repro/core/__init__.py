@@ -37,12 +37,10 @@ from .executor import (
     run_batch,
 )
 from .faults import (
-    BreakingExecutor,
     DeviceOutage,
     FaultPlan,
     ResolvedOutage,
     corrupt_file,
-    inject_broken_process_pool,
     locked_database,
     write_foreign_store,
 )
@@ -93,7 +91,6 @@ __all__ = [
     "Allocator",
     "BatchJob",
     "BreakerState",
-    "BreakingExecutor",
     "CircuitBreaker",
     "CloudScheduler",
     "CnaAllocator",
@@ -144,7 +141,6 @@ __all__ = [
     "grow_partition_candidates",
     "hardware_throughput",
     "index_sensitive_transpiler",
-    "inject_broken_process_pool",
     "jensen_shannon_divergence",
     "kl_divergence",
     "locked_database",

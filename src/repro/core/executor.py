@@ -262,9 +262,9 @@ class ExecutionCache:
                             result: TranspileResult) -> None:
         """Insert a computed result under a precomputed key (no-op for
         ``None`` keys).  Used by
-        :class:`~repro.core.compile_service.CompileService` workers to
-        publish results back into the shared cache; publication fans out
-        to every applicable tier (exact, equivalence-class, persistent).
+        :class:`~repro.core.compile_service.CompileService` to publish
+        results into the shared cache; publication fans out to every
+        applicable tier (exact, equivalence-class, persistent).
         """
         if key is not None and self._may_write():
             self.tiers.store(key, device, transpiler_fn, result)
@@ -386,10 +386,10 @@ def execute_allocation(
     measured distributions).  Pass a shared :class:`ExecutionCache` to
     amortize transpilation and ideal-distribution work across calls (or
     use :func:`run_batch`, which does so automatically).  With a
-    *compile_service*, the job's programs are submitted to its worker
-    pool up front and compiled in parallel.  With an
-    *execution_service*, repeated simulations are served from its memos
-    (bit-identical to a fresh simulation — see
+    *compile_service*, each program is keyed and compiled once through
+    it, joining a compile another job thread already has in flight.
+    With an *execution_service*, repeated simulations are served from
+    its memos (bit-identical to a fresh simulation — see
     :class:`~repro.core.execution_service.ExecutionService`).
     """
     transpiler_fn = transpiler_fn or _default_transpiler
@@ -406,15 +406,13 @@ def execute_allocation(
     transpiled: List[TranspileResult] = []
     programs: List[Program] = []
     if compile_service is not None:
-        # submit_allocation resolves the compile route per batch (auto
-        # mode may shard wide batches across its process pool) and
-        # returns futures in allocation-index order — the same order as
-        # `ordered`.
+        # Futures come back in allocation-index order — the same order
+        # as `ordered`.  Consume their raw results directly (freshened
+        # against aliasing): for hashable circuits they are already
+        # published to the shared cache, and unhashable ones must not
+        # compile twice.
         futures = compile_service.submit_allocation(allocation_result,
                                                     transpiler_fn)
-        # Consume the futures' raw results directly (freshened against
-        # aliasing): for hashable circuits they are already published to
-        # the shared cache, and unhashable ones must not compile twice.
         for alloc, fut in zip(ordered, futures):
             tr = ExecutionCache._fresh(fut.result())
             transpiled.append(tr)
@@ -473,37 +471,13 @@ def run_batch(
     streams spawned from *seed*.  Returns one outcome list per job, in
     input order.
 
-    With a *compile_service*, every job's programs are prefetched onto
-    its worker pool before the first job executes: job *i*'s simulation
-    overlaps the compilation of jobs *i+1...*, and each job only waits
-    on its own transpiles.  With an *execution_service*, each job's
-    repeated simulations are served from its memos (bit-identical).
+    *compile_service* and *execution_service* are passed through to
+    every job's :func:`execute_allocation`.
     """
     normalized: List[BatchJob] = [
         job if isinstance(job, BatchJob) else BatchJob(job) for job in jobs
     ]
     cache = _resolve_service_cache(cache, compile_service)
-    if compile_service is not None:
-        for job in normalized:
-            fn = job.transpiler_fn or _default_transpiler
-            device = job.allocation.device
-            # Unhashable circuits cannot be deduped against the
-            # prefetch (no cache key, no in-flight coalescing), so
-            # submitting them here would double-compile when
-            # execute_allocation submits its own request.  The rest go
-            # through submit_allocation as one batch, so the compile
-            # service's per-batch routing (auto mode, process-chunk
-            # sharding) applies to the prefetch too.
-            hashable = [
-                alloc for alloc in job.allocation.allocations
-                if cache.transpile_key(alloc.circuit, device, alloc,
-                                       fn) is not None
-            ]
-            if hashable:
-                compile_service.submit_allocation(
-                    AllocationResult(method=job.allocation.method,
-                                     device=device,
-                                     allocations=hashable), fn)
     batch_seeds = spawn_seeds(seed, len(normalized))
     outcomes: List[List[ExecutionOutcome]] = []
     for job, child in zip(normalized, batch_seeds):

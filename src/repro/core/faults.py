@@ -1,11 +1,11 @@
 """Deterministic infrastructure fault injection.
 
 The paper's premise is a shared cloud of *unreliable* devices; the
-degradation paths this package promises (outage re-queueing, broken-pool
-inline fallback, corrupt-store cold paths) must be tested, not hoped
-for.  This module is the one place faults come from, and every fault is
-deterministic — a committed :class:`FaultPlan` replays the identical
-failure sequence on every run, so chaos tests assert exact outcomes:
+degradation paths this package promises (outage re-queueing,
+corrupt-store cold paths) must be tested, not hoped for.  This module
+is the one place faults come from, and every fault is deterministic — a
+committed :class:`FaultPlan` replays the identical failure sequence on
+every run, so chaos tests assert exact outcomes:
 
 - :class:`DeviceOutage` / :class:`FaultPlan` — take fleet devices
   offline at event time *t* (and optionally back online at *t'*).  The
@@ -14,10 +14,6 @@ failure sequence on every run, so chaos tests assert exact outcomes:
   references against the :class:`~repro.hardware.fleet.DeviceFleet`):
   an in-flight batch on the failed device fails, its programs re-queue
   to surviving devices, and the device rejoins at *t'*.
-- :class:`BreakingExecutor` / :func:`inject_broken_process_pool` — a
-  process-pool stand-in that breaks on cue (at submit time or
-  mid-chunk), driving the :class:`~repro.core.CompileService`
-  inline-fallback path without having to OOM-kill a real worker.
 - :func:`corrupt_file` / :func:`write_foreign_store` /
   :func:`locked_database` — damage an on-disk SQLite store (compile
   cache or job store) the ways real disks do: truncation, garbage
@@ -28,20 +24,14 @@ from __future__ import annotations
 
 import os
 import sqlite3
-from concurrent.futures import Future
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
-
-from .pool import ProcessPool
 
 __all__ = [
     "DeviceOutage",
     "FaultPlan",
     "ResolvedOutage",
-    "BreakingExecutor",
-    "inject_broken_process_pool",
     "corrupt_file",
     "write_foreign_store",
     "locked_database",
@@ -132,85 +122,6 @@ class FaultPlan:
 
     def __bool__(self) -> bool:
         return bool(self.outages)
-
-
-# ----------------------------------------------------------------------
-# broken worker pools
-# ----------------------------------------------------------------------
-
-class BreakingExecutor:
-    """A process-pool stand-in that breaks deterministically on cue.
-
-    The first *break_after* submissions run **inline** (synchronously,
-    in submission order — deterministic), then the pool "breaks":
-
-    - ``mode="submit"`` — ``submit`` itself raises
-      :class:`~concurrent.futures.process.BrokenProcessPool`, the shape
-      of a pool whose workers died between batches;
-    - ``mode="result"`` — ``submit`` returns a future that *fails* with
-      ``BrokenProcessPool``, the shape of a worker OOM-killed mid-chunk.
-
-    Install one with :func:`inject_broken_process_pool`; the consuming
-    service's fallback path must then produce bit-identical results
-    with a non-zero ``stats["fallbacks"]`` counter.
-    """
-
-    _MODES = ("submit", "result")
-
-    def __init__(self, break_after: int = 0, mode: str = "submit") -> None:
-        if break_after < 0:
-            raise ValueError("break_after must be non-negative")
-        if mode not in self._MODES:
-            raise ValueError(
-                f"unknown mode {mode!r}; choose from {self._MODES}")
-        self.break_after = break_after
-        self.mode = mode
-        self.submitted = 0
-        self.broke = False
-
-    def submit(self, fn, *args, **kwargs) -> "Future":
-        if self.submitted >= self.break_after:
-            self.broke = True
-            if self.mode == "submit":
-                raise BrokenProcessPool(
-                    "injected fault: process pool broke at submit")
-            self.submitted += 1
-            future: Future = Future()
-            future.set_exception(BrokenProcessPool(
-                "injected fault: worker died mid-chunk"))
-            return future
-        self.submitted += 1
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:  # noqa: BLE001 - future carries it
-            future.set_exception(exc)
-        return future
-
-    def shutdown(self, wait: bool = True, **kwargs) -> None:
-        """Executor-protocol no-op (nothing to stop)."""
-
-
-def inject_broken_process_pool(service, break_after: int = 0,
-                               mode: str = "submit") -> BreakingExecutor:
-    """Replace *service*'s lazy process pool with a breaking one.
-
-    Works on anything holding a :class:`~repro.core.pool.ProcessPool`
-    in a ``_pool`` attribute (:class:`~repro.core.CompileService`).
-    Returns the injected executor so tests can assert how far it got
-    before breaking.  The pool's own compare-and-swap discard still
-    applies: once the injected executor breaks, the next batch lazily
-    builds a real one.
-    """
-    pool = getattr(service, "_pool", None)
-    if not isinstance(pool, ProcessPool):
-        raise TypeError(
-            f"{type(service).__name__} has no process pool to break")
-    executor = BreakingExecutor(break_after=break_after, mode=mode)
-    pool._executor = executor  # noqa: SLF001 - installs the stand-in
-    return executor
 
 
 # ----------------------------------------------------------------------

@@ -24,10 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .compile_service import CompileService
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.devices import Device
@@ -159,11 +156,6 @@ class ScheduleOutcome:
     rejected: List[int] = field(default_factory=list)
     completion_ns: Dict[int, float] = field(default_factory=dict)
     jobs: List[DispatchedBatch] = field(default_factory=list)
-    #: Transpile requests handed to the compile service (0 without one).
-    #: The service's own stats say how many actually compiled vs. hit
-    #: the structural cache — identical programs at different queue
-    #: indices dedup into one compile.
-    compile_requests: int = 0
     #: Turnaround tail percentiles (NaN when nothing completed).  Means
     #: hide exactly the tail a production queue is judged by.
     turnaround_p50_ns: float = math.nan
@@ -235,7 +227,6 @@ class ScheduleOutcome:
             "rejected": [int(i) for i in self.rejected],
             "completion_ns": {str(i): float(t) for i, t
                               in sorted(self.completion_ns.items())},
-            "compile_requests": int(self.compile_requests),
             "turnaround_p50_ns": json_safe_num(self.turnaround_p50_ns),
             "turnaround_p95_ns": json_safe_num(self.turnaround_p95_ns),
             "turnaround_p99_ns": json_safe_num(self.turnaround_p99_ns),
@@ -288,21 +279,6 @@ class CloudScheduler:
         combining it with an explicit *allocator* is an error (pass the
         parameter to the allocator instead, e.g.
         ``get_allocator("qucp", sigma=...)``).
-    compile_service:
-        Optional :class:`~repro.core.compile_service.CompileService`.
-        When set, each dispatched batch's programs are submitted to the
-        service's worker pool *at dispatch time*, so compilation
-        overlaps the rest of the scheduling run; :meth:`schedule`
-        returns only after every submitted transpile has landed in the
-        service's cache, ready for cache-hit execution.  Cache keys are
-        structural, so a program resubmitted at a different queue index
-        (or by a different user) re-uses the earlier compile instead of
-        re-transpiling.  Dispatch-time submissions dedup through every
-        cache tier: a qubit-relabeled twin of an earlier program reuses
-        its equivalence class's artifact, and with a persistent store
-        attached (``QuantumProvider(cache_path=...)``) batches dedup
-        against artifacts compiled by *other processes* — a cold
-        scheduler on a warm store dispatches without compiling at all.
     race_allocators:
         Challenger allocators (incremental registry names or instances)
         raced against the primary at every dispatch.  The primary packs
@@ -366,7 +342,6 @@ class CloudScheduler:
         job_overhead_ns: float = 1e6,
         sigma: Optional[float] = None,
         max_batch_size: Optional[int] = None,
-        compile_service: "Optional[CompileService]" = None,
         race_allocators: Optional[Sequence[Union[str, Allocator]]] = None,
         fault_plan: Optional[FaultPlan] = None,
         failure_plan: Optional[DeviceFailurePlan] = None,
@@ -390,7 +365,6 @@ class CloudScheduler:
         self.batch_window_ns = batch_window_ns
         self.job_overhead_ns = job_overhead_ns
         self.max_batch_size = max_batch_size
-        self.compile_service = compile_service
         challengers: List[Allocator] = []
         names = {self.allocator.name}
         for item in race_allocators or ():
@@ -532,7 +506,6 @@ class CloudScheduler:
         completion: Dict[int, float] = {}
         rejected: List[int] = []
         jobs: List[DispatchedBatch] = []
-        compile_futures: List = []
         race_wins: Dict[str, int] = {}
         max_queue_depth = 0
         # Fault-plan state.  ``outage_depth`` counts overlapping outages
@@ -691,12 +664,6 @@ class CloudScheduler:
                     chosen, device.name, start, end, batch)
                 jobs.append(dispatched)
                 inflight[chosen] = dispatched
-                if self.compile_service is not None:
-                    # Compilation starts the moment the batch is packed
-                    # and proceeds on the worker pool while this event
-                    # loop keeps scheduling.
-                    compile_futures.extend(
-                        self.compile_service.submit_allocation(batch))
                 # An injected failure burst decides the batch's fate at
                 # dispatch time, but the scheduler only *learns* it at
                 # completion time — exactly like a real backend
@@ -797,9 +764,6 @@ class CloudScheduler:
 
         assert not pending, "event queue drained with programs pending"
 
-        for fut in compile_futures:
-            fut.result()  # surface compile errors; results are cached
-
         turnarounds = [
             completion[i] - submissions[i].arrival_ns for i in completion]
         makespan = max(completion.values(), default=0.0)
@@ -818,7 +782,6 @@ class CloudScheduler:
             rejected=rejected,
             completion_ns=completion,
             jobs=jobs,
-            compile_requests=len(compile_futures),
             turnaround_p50_ns=percentile(turnarounds, 50),
             turnaround_p95_ns=percentile(turnarounds, 95),
             turnaround_p99_ns=percentile(turnarounds, 99),

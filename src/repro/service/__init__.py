@@ -1,7 +1,7 @@
 """The service facade — the repo's primary public API.
 
 One object model over the whole execution stack (allocators, the
-discrete-event cloud scheduler, the parallel compile service, the noisy
+discrete-event cloud scheduler, the compile service, the noisy
 simulators), shaped like a cloud provider SDK::
 
     import repro

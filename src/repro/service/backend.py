@@ -428,8 +428,7 @@ class CloudBackend(BaseBackend):
 
     # ------------------------------------------------------------------
     def scheduler(self, allocator: Union[str, Allocator, None] = None,
-                  sigma: Optional[float] = None,
-                  with_compile_service: bool = False) -> CloudScheduler:
+                  sigma: Optional[float] = None) -> CloudScheduler:
         """A :class:`CloudScheduler` configured like this backend."""
         cfg = self._configuration
         if not isinstance(allocator, Allocator):
@@ -441,8 +440,6 @@ class CloudBackend(BaseBackend):
             batch_window_ns=cfg.batch_window_ns,
             job_overhead_ns=cfg.job_overhead_ns,
             max_batch_size=cfg.max_batch_size,
-            compile_service=(self._provider.compile_service
-                             if with_compile_service else None),
             race_allocators=cfg.race_allocators,
             fault_plan=cfg.fault_plan,
             failure_plan=cfg.failure_plan,
@@ -478,14 +475,9 @@ class CloudBackend(BaseBackend):
         # validation) should fail at submit time, like SimulatorBackend.
         chosen = self._resolve_allocator(allocator, sigma,
                                          require_incremental=True)
-        # Dispatch-time compile prefetch only helps when the execution
-        # pass will hit the same cache entries, i.e. when it compiles
-        # with the default hook.
-        prefetch = execute and transpiler_fn is None
 
         def serve(job_id: str) -> Result:
-            scheduler = self.scheduler(chosen,
-                                       with_compile_service=prefetch)
+            scheduler = self.scheduler(chosen)
             before = self._metadata_counters()
             outcome = scheduler.schedule(subs)
             if outcome.rejected and not outcome.completion_ns:
@@ -509,11 +501,7 @@ class CloudBackend(BaseBackend):
                 if batch_jobs:
                     outcomes = run_batch(
                         batch_jobs, seed=seed,
-                        compile_service=(
-                            self._provider.compile_service if prefetch
-                            else None),
-                        cache=(None if prefetch
-                               else self._provider.cache),
+                        compile_service=self._provider.compile_service,
                         execution_service=(
                             self._provider.execution_service))
             deltas = self._counter_deltas(before,
@@ -575,7 +563,6 @@ class CloudBackend(BaseBackend):
             makespan_ns=outcome.makespan_ns,
             mean_turnaround_ns=json_safe_num(outcome.mean_turnaround_ns),
             rejected=tuple(outcome.rejected),
-            compile_requests=outcome.compile_requests,
             transpile_hits=deltas["transpile_hits"],
             transpile_misses=deltas["transpile_misses"],
             cache_evictions=deltas["evictions"],

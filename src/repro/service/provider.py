@@ -109,12 +109,6 @@ class QuantumProvider:
     devices:
         Extra devices to register at construction (on top of the
         built-ins), addressable by their ``Device.name``.
-    compile_mode:
-        Worker routing of the shared :class:`CompileService` —
-        ``"auto"`` (default; per-batch serial/process choice), or an
-        explicit ``"serial"``/``"process"`` route.
-    compile_workers:
-        Compile pool size (``None`` = executor default).
     cache_entries:
         LRU bound on the shared :class:`ExecutionCache`'s in-memory
         tables.  When omitted, a generous default cap applies (4096,
@@ -129,9 +123,9 @@ class QuantumProvider:
     job_workers:
         Job pool width.  Defaults to 1, which keeps shared-cache
         statistics and engine memo growth deterministic.  Jobs run on
-        threads, so a wider pool overlaps their compile waits while
-        their simulations mostly serialize on the GIL (small-tensor
-        numpy).
+        threads, so their compiles and simulations mostly serialize on
+        the GIL (pure-Python passes, small-tensor numpy); concurrent
+        jobs compiling the same program share one compile.
     job_history:
         Bound on the job registry.  Finished jobs beyond it (oldest
         first) are evicted so their Results can be reclaimed —
@@ -159,8 +153,6 @@ class QuantumProvider:
     def __init__(
         self,
         devices: Sequence[Device] = (),
-        compile_mode: str = "auto",
-        compile_workers: Optional[int] = None,
         cache_entries=_UNSET,
         cache_path: Optional[str] = None,
         job_workers: int = 1,
@@ -189,9 +181,7 @@ class QuantumProvider:
         # stale artifacts into the shared cache (no-op for unfenced
         # threads, so this costs nothing without a retry policy).
         self.cache.write_gate = publication_allowed
-        self.compile_service = CompileService(
-            max_workers=compile_workers, mode=compile_mode,
-            cache=self.cache)
+        self.compile_service = CompileService(cache=self.cache)
         self.execution_service = ExecutionService()
         self._pool = ThreadPoolExecutor(
             max_workers=job_workers, thread_name_prefix="repro-job")
@@ -597,7 +587,7 @@ class QuantumProvider:
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the job pool and the compile service.
+        """Stop the job pool and close the durable job store.
 
         With ``wait=True`` queued jobs drain: everything already
         submitted finishes (and lands in the store) first.  With
@@ -626,7 +616,6 @@ class QuantumProvider:
                 job.cancel()
         else:
             self._pool.shutdown(wait=True)
-        self.compile_service.shutdown(wait=wait)
         if self._store is not None:
             self._store.close()
 

@@ -121,8 +121,6 @@ class RunMetadata:
     makespan_ns: Optional[float] = None
     mean_turnaround_ns: Optional[float] = None
     rejected: Tuple[int, ...] = ()
-    #: Transpile requests handed to the compile service (0 without one).
-    compile_requests: int = 0
     #: Shared-cache counter deltas over this job's execution window.
     #: Exact with the provider's default single-worker job pool; with
     #: ``job_workers > 1`` concurrent jobs' lookups land in each
@@ -162,7 +160,6 @@ class RunMetadata:
             "makespan_ns": json_safe_num(self.makespan_ns),
             "mean_turnaround_ns": json_safe_num(self.mean_turnaround_ns),
             "rejected": [int(i) for i in self.rejected],
-            "compile_requests": int(self.compile_requests),
             "transpile_hits": int(self.transpile_hits),
             "transpile_misses": int(self.transpile_misses),
             "cache_evictions": int(self.cache_evictions),
@@ -197,7 +194,6 @@ class RunMetadata:
             mean_turnaround_ns=(None if turnaround is None
                                 else float(turnaround)),
             rejected=tuple(int(i) for i in payload.get("rejected", ())),
-            compile_requests=int(payload.get("compile_requests", 0)),
             transpile_hits=int(payload.get("transpile_hits", 0)),
             transpile_misses=int(payload.get("transpile_misses", 0)),
             cache_evictions=int(payload.get("cache_evictions", 0)),

@@ -1,14 +1,13 @@
 """Retry and timeout policy for provider jobs.
 
-A :class:`RetryPolicy` makes transient infrastructure failures (a
-broken worker pool, a wedged store, an injected chaos fault) survivable
-without making deterministic failures (a rejected program, a broken
-circuit) slow: the policy re-runs a failed attempt with exponential
-backoff and a **seeded, per-job deterministic jitter** — two runs of
-the same job id under the same policy sleep the same schedule, so
-chaos tests assert exact retry traces — while exceptions on the
-``non_retryable`` list (a :class:`~repro.service.JobError` by default)
-propagate immediately.
+A :class:`RetryPolicy` makes transient infrastructure failures (a wedged
+store, an injected chaos fault) survivable without making deterministic
+failures (a rejected program, a broken circuit) slow: the policy re-runs
+a failed attempt with exponential backoff and a **seeded, per-job
+deterministic jitter** — two runs of the same job id under the same
+policy sleep the same schedule, so chaos tests assert exact retry traces
+— while exceptions on the ``non_retryable`` list (a
+:class:`~repro.service.JobError` by default) propagate immediately.
 
 Per-attempt timeouts run the attempt on a daemon thread: the simulation
 kernels hold no cancellation points, so a timed-out attempt is
@@ -24,12 +23,8 @@ fence is marked abandoned the instant the timeout fires.  Shared sinks
 accepting a write, so a superseded attempt that keeps simulating in the
 background can no longer publish stale artifacts into state the live
 attempt — or any other job — reads.  The fence is thread-local by
-design.  Serial-route compiles run on the attempt thread itself, so a
-fenced attempt's writes are gated there too.  Work an attempt hands to
-the compile service's process pool is published by the pool's
-callback threads, which is safe — those writes are content-addressed
-(structural keys), so a late one is value-identical to what the
-winning attempt would store.
+design, and every compile runs, and publishes, on the attempt thread
+itself, so none of an abandoned attempt's compile writes escape it.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ sharing), tier composition behind ExecutionCache, and the import shims
 that keep the pre-refactor entry points working."""
 
 import multiprocessing
+import os
 import sqlite3
+import threading
 
 import pytest
 
@@ -22,8 +24,8 @@ from repro.core import executor as executor_mod
 from repro.core import index_sensitive_transpiler as core_ist
 from repro.core.allocators import ProgramAllocation
 from repro.core.executor import _default_transpiler
-from repro.hardware import ibm_toronto
-from repro.workloads import workload
+from repro.hardware import ibm_manhattan, ibm_toronto
+from repro.workloads import synthesize_traffic, workload
 
 
 def _allocation(device, names=("lin", "adder")):
@@ -204,9 +206,8 @@ class TestTieredExecutionCache:
         assert key.invariants == ("86451c8cd06ebefa5c4fb991d509d392"
                                   "1a46badbc0cead267b7a478e98f3c0d7")
 
-    def test_storeless_process_chunks_hash_no_digests(self, toronto,
-                                                      monkeypatch,
-                                                      tmp_path):
+    def test_storeless_compiles_hash_no_digests(self, toronto,
+                                                monkeypatch, tmp_path):
         real = keys_mod.key_digest
         calls = []
 
@@ -217,19 +218,11 @@ class TestTieredExecutionCache:
         keys_mod.device_digest(toronto)  # warm the per-device memo
         monkeypatch.setattr(keys_mod, "key_digest", counting)
         job = _allocation(toronto, names=("lin", "adder", "bell"))
-        with CompileService(max_workers=2, mode="process") as svc:
-            got = svc.compile_allocation(job)
-            assert svc.stats["chunks"] >= 1
+        CompileService().compile_allocation(job)
         assert calls == []
-        with CompileService(mode="serial") as ser:
-            want = ser.compile_allocation(job)
-        for g, w in zip(got, want):
-            assert g.circuit == w.circuit
-        # With a store attached, the chunks do ship the digests.
+        # With a store attached, the store reads the digests.
         cache = ExecutionCache(store_path=str(tmp_path / "s.db"))
-        with CompileService(max_workers=2, mode="process",
-                            cache=cache) as svc:
-            svc.compile_allocation(job)
+        CompileService(cache=cache).compile_allocation(job)
         assert calls
 
     def test_undeclared_hook_not_persisted(self, toronto, tmp_path):
@@ -291,15 +284,13 @@ class TestTieredExecutionCache:
                                                          tmp_path):
         path = str(tmp_path / "store.db")
         job = _allocation(toronto)
-        with CompileService(mode="serial",
-                            cache=ExecutionCache(store_path=path)) as warm:
-            warm.compile_allocation(job)
-            assert warm.stats["submitted"] == 2
-        with CompileService(mode="serial",
-                            cache=ExecutionCache(store_path=path)) as cold:
-            cold.compile_allocation(job)
-            assert cold.stats["submitted"] == 0
-            assert cold.stats["promotions"] == 2
+        warm = CompileService(cache=ExecutionCache(store_path=path))
+        warm.compile_allocation(job)
+        assert warm.stats["submitted"] == 2
+        cold = CompileService(cache=ExecutionCache(store_path=path))
+        cold.compile_allocation(job)
+        assert cold.stats["submitted"] == 0
+        assert cold.stats["promotions"] == 2
 
     def test_env_default_max_entries(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "17")
@@ -326,32 +317,56 @@ class TestShims:
 
 
 class TestSingleCoreRouting:
-    """``choose_route`` must never auto-pick *any* pool on a single-core
-    (or unknown-core-count) host: measured there, threads run GIL-bound
-    compiles at ~0.9x serial and the chunked process pool at ~0.6x, so
-    the only route that never loses is serial."""
+    """Whatever the host's core count (one, unknown or many) every
+    compile runs on the calling thread.  Measured, a process route
+    never beat inline compilation on the one- and two-core hosts tried,
+    so no host shape or batch shape sends a compile anywhere else."""
+
+    @staticmethod
+    def _compiling_threads(monkeypatch, cores, device, circuits=None):
+        """Compile a batch on *device* with ``os.cpu_count`` reporting
+        *cores*; return the thread each compile ran on."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        if circuits is None:
+            circuits = [workload(n).circuit()
+                        for n in ("lin", "adder", "bell")]
+        threads = []
+
+        def hook(circuit, device, allocation):
+            threads.append(threading.get_ident())
+            return _default_transpiler(circuit, device, allocation)
+
+        futures = CompileService().submit_allocation(
+            qucp_allocate(circuits, device), hook)
+        # Inline: every future is resolved when submit returns.
+        assert all(f.done() for f in futures)
+        assert len(threads) == len(circuits)
+        return threads
 
     def test_auto_mode_single_core_host(self, monkeypatch):
-        monkeypatch.setattr("repro.core.compile_service.os.cpu_count",
-                            lambda: 1)
-        assert CompileService.choose_route(64, 65) == "serial"
+        threads = self._compiling_threads(monkeypatch, 1, ibm_manhattan())
+        assert set(threads) == {threading.get_ident()}
 
     def test_auto_mode_unknown_core_count(self, monkeypatch):
-        monkeypatch.setattr("repro.core.compile_service.os.cpu_count",
-                            lambda: None)
-        assert CompileService.choose_route(64, 65) == "serial"
+        threads = self._compiling_threads(monkeypatch, None,
+                                          ibm_manhattan())
+        assert set(threads) == {threading.get_ident()}
 
-    def test_cold_process_regression_batch_stays_serial_on_one_core(self):
-        # The committed BENCH_transpile run that motivated the retune:
-        # 150 heavy-tail programs on a 27q device, one core — explicit
-        # process mode ran at 0.47x serial; auto must not repeat that.
-        assert CompileService.choose_route(150, 27, cores=1) == "serial"
-        assert CompileService.choose_route(48, 65, cores=1) == "serial"
+    def test_cold_process_regression_batch_stays_serial_on_one_core(
+            self, monkeypatch):
+        # Heavy-tail programs on a 27q device, one core: a process
+        # route measured 0.47x serial on this shape.
+        heavy_tail = [s.circuit for s in synthesize_traffic(
+            4, mix="heavy_tail", seed=7)]
+        threads = self._compiling_threads(monkeypatch, 1, ibm_toronto(),
+                                          circuits=heavy_tail)
+        assert set(threads) == {threading.get_ident()}
 
-    def test_multi_core_still_routes_to_process(self, monkeypatch):
-        monkeypatch.setattr("repro.core.compile_service.os.cpu_count",
-                            lambda: 4)
-        assert CompileService.choose_route(64, 65) == "process"
+    def test_multi_core_wide_device_stays_serial(self, monkeypatch):
+        # Many cores and a 65q device: a process route's best case.
+        threads = self._compiling_threads(monkeypatch, 4, ibm_manhattan())
+        assert set(threads) == {threading.get_ident()}
 
-    def test_multi_core_narrow_device_stays_serial(self):
-        assert CompileService.choose_route(64, 27, cores=4) == "serial"
+    def test_multi_core_narrow_device_stays_serial(self, monkeypatch):
+        threads = self._compiling_threads(monkeypatch, 4, ibm_toronto())
+        assert set(threads) == {threading.get_ident()}

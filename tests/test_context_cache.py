@@ -5,6 +5,8 @@ invalidate.
 """
 
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import networkx as nx
 import pytest
@@ -273,50 +275,161 @@ class TestCompileService:
                     _measured(random_circuit(4, 8, seed=1))]
         return get_allocator("qucp").allocate(circuits, dev)
 
-    @pytest.mark.parametrize("mode", ["serial"])
-    def test_service_matches_direct_execution(self, job, mode):
+    @pytest.mark.parametrize("callers", [1, 4], ids=["serial", "threaded"])
+    def test_service_matches_direct_execution(self, job, callers):
         direct = execute_allocation(job, shots=256, seed=5)
-        with CompileService(max_workers=2, mode=mode) as svc:
-            via = execute_allocation(job, shots=256, seed=5,
-                                     compile_service=svc)
-        assert len(via) == len(direct)
-        for a, b in zip(via, direct):
-            assert a.transpiled.circuit == b.transpiled.circuit
-            assert a.result.probabilities == b.result.probabilities
+        svc = CompileService(cache=ExecutionCache())
+
+        def run(_):
+            return execute_allocation(job, shots=256, seed=5,
+                                      compile_service=svc)
+
+        with ThreadPoolExecutor(max_workers=callers) as pool:
+            runs = list(pool.map(run, range(callers)))
+        for via in runs:
+            assert len(via) == len(direct)
+            for a, b in zip(via, direct):
+                assert a.transpiled.circuit == b.transpiled.circuit
+                assert a.result.probabilities == b.result.probabilities
+        # However the callers interleave, each program compiles once.
+        assert svc.stats["submitted"] == 2
 
     def test_service_cache_short_circuit_and_counters(self, job):
-        with CompileService(mode="serial") as svc:
-            svc.compile_allocation(job)
-            assert svc.stats["submitted"] == 2
-            assert svc.cache.transpile_misses == 2
-            svc.compile_allocation(job)
-            assert svc.stats["submitted"] == 2  # all cache hits
-            assert svc.stats["short_circuits"] == 2
-            assert svc.cache.transpile_hits == 2
+        svc = CompileService(cache=ExecutionCache())
+        svc.compile_allocation(job)
+        assert svc.stats["submitted"] == 2
+        assert svc.cache.transpile_misses == 2
+        svc.compile_allocation(job)
+        assert svc.stats["submitted"] == 2  # all cache hits
+        assert svc.stats["short_circuits"] == 2
+        assert svc.cache.transpile_hits == 2
 
     def test_results_do_not_alias(self, job):
-        with CompileService(mode="serial") as svc:
-            first = svc.compile_allocation(job)
-            second = svc.compile_allocation(job)
+        svc = CompileService(cache=ExecutionCache())
+        first = svc.compile_allocation(job)
+        second = svc.compile_allocation(job)
         assert first[0].circuit == second[0].circuit
         assert first[0].circuit is not second[0].circuit
         assert first[0].final_layout is not second[0].final_layout
 
     def test_mismatched_cache_rejected(self, job):
-        with CompileService(mode="serial") as svc:
-            with pytest.raises(ValueError, match="cache"):
-                execute_allocation(job, shots=64,
-                                   cache=ExecutionCache(),
-                                   compile_service=svc)
+        svc = CompileService(cache=ExecutionCache())
+        with pytest.raises(ValueError, match="cache"):
+            execute_allocation(job, shots=64, cache=ExecutionCache(),
+                               compile_service=svc)
 
     def test_compile_errors_propagate(self, job):
         def broken(circuit, device, allocation):
             raise RuntimeError("compiler exploded")
 
-        with CompileService(mode="serial") as svc:
+        svc = CompileService(cache=ExecutionCache())
+        with pytest.raises(RuntimeError, match="compiler exploded"):
+            svc.transpile(job.allocations[0].circuit, job.device,
+                          job.allocations[0], broken)
+
+    def _gated(self, started, release, then):
+        """A hook that signals *started*, waits for *release*, then
+        returns ``then(...)``'s result."""
+        def hook(circuit, device, allocation):
+            started.set()
+            assert release.wait(timeout=30)
+            return then(circuit, device, allocation)
+        return hook
+
+    def test_concurrent_requests_coalesce(self, job):
+        """A request for a key another thread is compiling joins that
+        compile instead of compiling twice."""
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def compile_once(circuit, device, allocation):
+            calls.append(allocation.index)
+            return _default_transpiler(circuit, device, allocation)
+
+        hook = self._gated(started, release, compile_once)
+        svc = CompileService(cache=ExecutionCache())
+        alloc = job.allocations[0]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            try:
+                first = pool.submit(svc.submit, alloc.circuit, job.device,
+                                    alloc, hook)
+                assert started.wait(timeout=30)
+                joined = svc.submit(alloc.circuit, job.device, alloc, hook)
+                assert not joined.done()
+            finally:
+                release.set()
+            assert first.result(timeout=30) is joined
+        assert joined.result(timeout=30).circuit == _default_transpiler(
+            alloc.circuit, job.device, alloc).circuit
+        assert calls == [alloc.index]
+        assert svc.stats["submitted"] == 1
+        assert svc.stats["coalesced"] == 1
+
+    def test_inflight_compile_error_reaches_every_waiter(self, job):
+        started, release = threading.Event(), threading.Event()
+
+        def explode(circuit, device, allocation):
+            raise RuntimeError("compiler exploded")
+
+        hook = self._gated(started, release, explode)
+        svc = CompileService(cache=ExecutionCache())
+        alloc = job.allocations[0]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            try:
+                first = pool.submit(svc.submit, alloc.circuit, job.device,
+                                    alloc, hook)
+                assert started.wait(timeout=30)
+                joined = svc.submit(alloc.circuit, job.device, alloc, hook)
+            finally:
+                release.set()
+            owner = first.result(timeout=30)
+        for fut in (owner, joined):
             with pytest.raises(RuntimeError, match="compiler exploded"):
-                svc.transpile(job.allocations[0].circuit, job.device,
-                              job.allocations[0], broken)
+                fut.result(timeout=30)
+        # The failed compile left no in-flight entry behind: the next
+        # request compiles again rather than joining a dead future.
+        with pytest.raises(RuntimeError, match="compiler exploded"):
+            svc.transpile(alloc.circuit, job.device, alloc, hook)
+        assert svc.stats["submitted"] == 2
+        assert svc.stats["coalesced"] == 1
+
+    def test_interrupted_compile_fails_waiters_and_propagates(self, job):
+        class Interrupt(BaseException):
+            pass
+
+        started, release = threading.Event(), threading.Event()
+
+        def interrupt(circuit, device, allocation):
+            raise Interrupt()
+
+        hook = self._gated(started, release, interrupt)
+        svc = CompileService(cache=ExecutionCache())
+        alloc = job.allocations[0]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            try:
+                first = pool.submit(svc.submit, alloc.circuit, job.device,
+                                    alloc, hook)
+                assert started.wait(timeout=30)
+                joined = svc.submit(alloc.circuit, job.device, alloc, hook)
+            finally:
+                release.set()
+            # The interrupt propagates out of the compiling call ...
+            with pytest.raises(Interrupt):
+                first.result(timeout=30)
+        # ... and the waiter is failed with it instead of hanging.
+        with pytest.raises(Interrupt):
+            joined.result(timeout=30)
+
+    def test_unkeyable_requests_compile_every_time(self, job, monkeypatch):
+        svc = CompileService(cache=ExecutionCache())
+        monkeypatch.setattr(svc.cache, "transpile_key", lambda *args: None)
+        alloc = job.allocations[0]
+        first = svc.transpile(alloc.circuit, job.device, alloc)
+        second = svc.transpile(alloc.circuit, job.device, alloc)
+        assert first.circuit == second.circuit
+        assert svc.stats["submitted"] == 2
+        assert svc.stats["short_circuits"] == 0
+        assert svc.stats["coalesced"] == 0
 
     def test_default_transpiler_key_stable(self, job):
         """The default hook is module-level, so its cache key is stable

@@ -6,8 +6,7 @@ probabilities, same clbit records — because the joint half of the batch
 (ASAP padding, crosstalk scales, seed spawning) is the library's own and
 each program's RNG stream is a pre-spawned ``SeedSequence`` child.  The
 randomized suite here sweeps programs x shots x seeds x the run options.
-Also covers the broken-pool inline fallbacks of the compile service's
-process pool, and the memo contract: a task- or schedule-memo hit is
+Also covers the memo contract: a task- or schedule-memo hit is
 bit-identical to a fresh simulation, and anything a distribution
 depends on misses.
 """
@@ -20,11 +19,9 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core import (
-    CompileService,
     ExecutionService,
     execute_allocation,
     get_allocator,
-    inject_broken_process_pool,
     qucp_allocate,
     run_batch,
 )
@@ -150,65 +147,6 @@ class TestShardedEquivalence:
         with pytest.raises(ValueError, match="no such link"):
             ExecutionService().run_parallel([Program(bad, (0, 2))], device,
                                             shots=16)
-
-
-#: The service that runs on a ProcessPool.
-SERVICES = pytest.mark.parametrize(
-    "service", [CompileService], ids=["compile"])
-
-
-class TestPoolFallbacks:
-    """Pool health must never fail a batch — and never change a bit."""
-
-    def setup_method(self):
-        self.job = qucp_allocate(
-            [workload(n).circuit() for n in ("adder", "bell", "lin")],
-            ibm_toronto())
-
-    def _serve(self, svc):
-        """Run this case's batch through *svc*, check it against the
-        serial reference, and return how many programs it held."""
-        got = svc.compile_allocation(self.job)
-        with CompileService(mode="serial") as ser:
-            want = ser.compile_allocation(self.job)
-        for g, w in zip(got, want):
-            assert g.circuit == w.circuit
-            assert g.final_layout == w.final_layout
-        return len(self.job.allocations)
-
-    @SERVICES
-    def test_broken_submit_falls_back_inline(self, service):
-        svc = service(max_workers=2, mode="process")
-        inject_broken_process_pool(svc, mode="submit")
-        served = self._serve(svc)
-        assert svc.stats["fallbacks"] == served
-        # The dead pool was dropped: the next process-route batch builds
-        # a fresh one instead of falling back forever.
-        assert svc._pool._executor is None  # noqa: SLF001
-        svc.shutdown()
-
-    @SERVICES
-    def test_mid_chunk_worker_death_falls_back_inline(self, service):
-        svc = service(max_workers=2, mode="process")
-        inject_broken_process_pool(svc, mode="result")
-        served = self._serve(svc)
-        assert svc.stats["fallbacks"] == served
-        assert svc._pool._executor is None  # noqa: SLF001
-        svc.shutdown()
-
-    def test_late_discard_keeps_the_replacement_pool(self):
-        # Compare-and-swap: discarding an executor that was already
-        # replaced must not drop the healthy replacement.
-        from repro.core.pool import ProcessPool
-
-        pool = ProcessPool(max_workers=1)
-        stale = pool.executor()
-        pool.discard(stale)
-        fresh = pool.executor()
-        assert fresh is not stale
-        pool.discard(stale)
-        assert pool.executor() is fresh
-        pool.shutdown()
 
 
 class TestExecutorWiring:

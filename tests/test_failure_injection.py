@@ -1,7 +1,7 @@
 """Failure-injection tests: the library must fail loudly and precisely
 when inputs are broken, not silently mis-simulate — and, for
-*infrastructure* faults (device outages, dying worker pools, killed
-processes), degrade deterministically instead of failing at all."""
+*infrastructure* faults (device outages, killed processes), degrade
+deterministically instead of failing at all."""
 
 import json
 import os
@@ -17,7 +17,6 @@ from repro.core import (
     CloudScheduler,
     FaultPlan,
     SubmittedProgram,
-    inject_broken_process_pool,
     qucp_allocate,
 )
 from repro.hardware import (
@@ -279,20 +278,24 @@ class TestStructuredRejections:
         assert "program 0" in str(info.value)
 
 
-class TestBrokenPoolChaos:
-    """An injected BrokenProcessPool degrades to inline compilation
-    (never a wrong answer, never a crash)."""
+class TestCompileFaultChaos:
+    """A compile that crashes fails its own job, never the provider:
+    the next job on the same backend completes."""
 
-    def test_broken_compile_pool_job_still_completes(self, line5):
-        prov = QuantumProvider(devices=[line5], compile_mode="process")
+    def test_failed_compile_fails_only_its_job(self, line5):
+        def crashing(circuit, device, allocation):
+            raise RuntimeError("compiler crashed")
+
+        prov = QuantumProvider(devices=[line5])
         try:
-            executor = inject_broken_process_pool(
-                prov.compile_service, break_after=0, mode="submit")
-            job = prov.backend(line5).run(
-                [ghz_circuit(2).measure_all()] * 3, shots=16, seed=1)
-            result = job.result()
-            assert len(result.programs) == 3
-            assert executor.broke
+            backend = prov.backend(line5)
+            bad = backend.run([ghz_circuit(2).measure_all()] * 3,
+                              shots=16, seed=1, transpiler_fn=crashing)
+            with pytest.raises(RuntimeError, match="compiler crashed"):
+                bad.result()
+            good = backend.run([ghz_circuit(2).measure_all()] * 3,
+                               shots=16, seed=1)
+            assert len(good.result().programs) == 3
         finally:
             prov.shutdown()
 

@@ -1,6 +1,6 @@
 """Cold-path compile optimizations: vectorized layout search vs the
 scalar reference, structural cache-key dedup across queue indices, and
-the compile service's auto/process-chunk routing."""
+the compile service's one inline route."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,20 @@ import pytest
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.core import (
     AllocationResult,
-    CloudScheduler,
+    BatchJob,
     CompileService,
     ExecutionCache,
     ProgramAllocation,
     SubmittedProgram,
     get_allocator,
     index_sensitive_transpiler,
+    run_batch,
 )
 from repro.core.cna import cna_compile
 from repro.core.executor import _default_transpiler
 from repro.hardware import CouplingMap, ibm_toronto, linear_device
 from repro.hardware.calibration import generate_calibration
+from repro.service import QuantumProvider
 from repro.transpiler import (
     DeviceContext,
     Layout,
@@ -265,38 +267,33 @@ class TestStructuralCacheKey:
 
 
 class TestCompileServiceRouting:
-    def test_choose_route_thresholds(self):
-        assert CompileService.choose_route(1, 65, cores=4) == "serial"
-        assert CompileService.choose_route(2, 65, cores=4) == "serial"
-        assert CompileService.choose_route(3, 27, cores=4) == "serial"
-        assert CompileService.choose_route(12, 27, cores=4) == "serial"
-        assert CompileService.choose_route(8, 30, cores=4) == "process"
-        assert CompileService.choose_route(7, 65, cores=4) == "serial"
-        # A single core never auto-routes to any pool (measured: threads
-        # ~0.9x and chunked process ~0.6x vs serial on a 1-core host).
-        assert CompileService.choose_route(8, 30, cores=1) == "serial"
-        assert CompileService.choose_route(150, 27, cores=1) == "serial"
-
     def test_auto_tiny_batch_runs_inline(self):
         dev = ibm_toronto()
         circuits = [_measured(random_circuit(3, 6, seed=1))]
         job = get_allocator("qucp").allocate(circuits, dev)
-        with CompileService(mode="auto") as svc:
-            svc.compile_allocation(job)
-            assert svc._pool._executor is None  # noqa: SLF001
+        svc = CompileService()
+        futures = svc.submit_allocation(job)
+        # Compiled on the calling thread: resolved when submit returns.
+        assert all(f.done() for f in futures)
+        assert svc.stats["submitted"] == 1
+        assert svc.stats["chunks"] == 0
+        alloc = job.allocations[0]
+        assert futures[0].result().circuit == _default_transpiler(
+            alloc.circuit, dev, alloc).circuit
 
     def test_unknown_mode_rejected(self):
-        for mode in ("fork", "thread"):
-            with pytest.raises(ValueError, match="mode"):
+        # The service has one route, so it takes no mode.
+        for mode in ("fork", "thread", "process", "auto", "serial"):
+            with pytest.raises(TypeError, match="mode"):
                 CompileService(mode=mode)
 
-    def test_process_chunked_matches_serial(self):
-        """Chunk-sharded process compilation (fingerprint rehydration in
-        the worker) returns results identical to inline compilation."""
+    def test_repeat_compiles_once_matches_direct(self):
+        """A batch compiles program by program, identically to calling
+        the transpiler directly, and a repeated program is served from
+        the cache instead of compiled twice."""
         dev = ibm_toronto()
         circuits = [_measured(random_circuit(3, 6, seed=s))
                     for s in range(4)]
-        # Duplicate a circuit so within-batch coalescing is exercised.
         circuits.append(circuits[0].copy())
         job = AllocationResult(method="test", device=dev)
         engine = get_allocator("qucp")
@@ -304,58 +301,51 @@ class TestCompileServiceRouting:
             placement = engine.best_placement(c, dev)
             job.allocations.append(ProgramAllocation(
                 i, c, placement.partition, placement.efs))
-        with CompileService(mode="serial") as ser:
-            want = ser.compile_allocation(job)
-        with CompileService(max_workers=2, mode="process") as svc:
-            got = svc.compile_allocation(job)
-            submitted = svc.stats["submitted"]
-            assert svc.stats["chunks"] >= 1
-        for a, b in zip(want, got):
-            assert a.circuit == b.circuit
-            assert a.initial_layout == b.initial_layout
-            assert a.final_layout == b.final_layout
-            assert a.num_swaps == b.num_swaps
-        # Programs 0 and 4 share a placement -> one compile between them
-        # iff their keys matched (identical placement); at minimum the
-        # service never compiles more than the unique keys.
-        assert submitted <= len(circuits)
+        svc = CompileService()
+        got = svc.compile_allocation(job)
+        for alloc, res in zip(job.allocations, got):
+            want = _default_transpiler(alloc.circuit, dev, alloc)
+            assert res.circuit == want.circuit
+            assert res.initial_layout == want.initial_layout
+            assert res.final_layout == want.final_layout
+            assert res.num_swaps == want.num_swaps
+        assert svc.stats["submitted"] == 4
+        assert svc.stats["short_circuits"] == 1
 
 
-class TestRunBatchPrefetchRouting:
-    def test_prefetch_uses_chunked_process_path(self):
-        """run_batch's prefetch goes through submit_allocation, so an
-        explicit process-mode service shards the prefetched batch."""
-        from repro.core import BatchJob, run_batch
-
+class TestRunBatchCompiles:
+    def test_each_program_compiles_once_through_the_service(self):
+        """run_batch compiles each job inside its execution, through
+        the service: a repeated job is all cache hits, and the results
+        match a service-free run."""
         dev = ibm_toronto()
         circuits = [_measured(random_circuit(3, 6, seed=s))
                     for s in range(3)]
         job = get_allocator("qucp").allocate(circuits, dev)
-        with CompileService(max_workers=2, mode="process") as svc:
-            direct = run_batch([BatchJob(job, shots=64, seed=5)])
-            via = run_batch([BatchJob(job, shots=64, seed=5)],
-                            compile_service=svc)
-            assert svc.stats["chunks"] >= 1
-            assert svc.stats["submitted"] == 3
-        for a, b in zip(via[0], direct[0]):
-            assert a.transpiled.circuit == b.transpiled.circuit
-            assert a.result.probabilities == b.result.probabilities
+        svc = CompileService()
+        direct = run_batch([BatchJob(job, shots=64, seed=5)])
+        via = run_batch([BatchJob(job, shots=64, seed=5)] * 2,
+                        compile_service=svc)
+        assert svc.stats["submitted"] == 3
+        assert svc.stats["short_circuits"] == 3
+        for outcomes in via:
+            for a, b in zip(outcomes, direct[0]):
+                assert a.transpiled.circuit == b.transpiled.circuit
+                assert a.result.probabilities == b.result.probabilities
 
 
 class TestSchedulerStructuralDedup:
     def test_repeat_submissions_hit_cache(self):
         """The same program at five distinct queue indices compiles
-        once through the scheduler's compile service."""
+        once through the provider's compile service."""
         dev = ibm_toronto()
         base = _measured(random_circuit(3, 6, seed=9))
         subs = [SubmittedProgram(base.copy(), arrival_ns=i * 1e5)
                 for i in range(5)]
-        with CompileService(mode="serial") as svc:
-            scheduler = CloudScheduler(dev, max_batch_size=1,
-                                       fidelity_threshold=0.0,
-                                       compile_service=svc)
-            outcome = scheduler.schedule(subs)
-            assert outcome.compile_requests == 5
-            assert svc.stats["submitted"] == 1
-            assert (svc.stats["short_circuits"]
-                    + svc.stats["coalesced"]) == 4
+        with QuantumProvider() as provider:
+            backend = provider.backend(dev, max_batch_size=1,
+                                       fidelity_threshold=0.0)
+            backend.run(subs, shots=64, seed=1).result()
+            stats = provider.compile_service.stats
+        assert stats["submitted"] == 1
+        assert stats["short_circuits"] == 4

@@ -10,8 +10,9 @@ import time
 import pytest
 
 from repro.circuits import QuantumCircuit
+from repro.core import CompileService, qucp_allocate
 from repro.core.executor import ExecutionCache
-from repro.hardware import linear_device
+from repro.hardware import ibm_manhattan, linear_device
 from repro.service import (
     AdmissionPolicy,
     Gateway,
@@ -23,6 +24,12 @@ from repro.service import (
 from repro.service.retry import (
     JobTimeoutError,
     publication_allowed,
+)
+from repro.vqe import (
+    group_commuting_terms,
+    h2_hamiltonian,
+    measurement_circuit,
+    ryrz_ansatz,
 )
 from repro.workloads import synthesize_traffic, workload
 
@@ -286,6 +293,33 @@ class TestAttemptFencing:
         assert cache.gated_writes == 0
         cache.ideal(qc)
         assert cache.stats["ideal_hits"] == 1
+
+    def test_abandoned_attempt_compiles_are_fenced(self):
+        """The compile service publishes on the attempt thread, so an
+        abandoned attempt's compiles never reach the cache."""
+        cache = ExecutionCache()
+        cache.write_gate = publication_allowed
+        service = CompileService(cache=cache)
+        circuits = [measurement_circuit(ryrz_ansatz([theta]), group)
+                    for theta in (0.3, -1.2, 2.0, -0.4)
+                    for group in group_commuting_terms(h2_hamiltonian())]
+        allocation = qucp_allocate(circuits, ibm_manhattan())
+        assert len(allocation.allocations) == 8
+        release = threading.Event()
+        finished = threading.Event()
+
+        def slow_attempt():
+            release.wait(5.0)  # outlive the timeout deliberately
+            service.compile_allocation(allocation)
+            finished.set()
+
+        policy = RetryPolicy(max_attempts=1, attempt_timeout_s=0.05)
+        with pytest.raises(JobTimeoutError):
+            policy.run_attempt(slow_attempt, "job-compile-fence", 1)
+        release.set()
+        assert finished.wait(30.0)
+        assert cache.gated_writes == 8
+        assert len(cache.tiers.l1) == 0
 
 
 class TestDeterministicShutdown:

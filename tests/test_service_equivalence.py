@@ -3,14 +3,13 @@
 A scheduler-backed facade job must reproduce a direct
 ``CloudScheduler.schedule`` + ``run_batch`` drive of the engine layer
 **bit-identically**: same seeds in, same dispatch decisions, same queue
-timings, same sampled counts out.  Also covers the
-``CompileService(mode="auto")`` degenerate routes reached through the
-Job path — batch of 1, single-partition allocations, and the inline
-fallback when the process pool is broken.
+timings, same sampled counts out.  Also covers the degenerate compile
+routes reached through the Job path — a batch of one, single-partition
+allocations, wider and concurrent batches, hook errors — which all
+compile inline through the provider's compile service.
 """
 
 import math
-from concurrent.futures import BrokenExecutor, Future
 
 import pytest
 
@@ -22,7 +21,7 @@ from repro.core import (
     run_batch,
 )
 from repro.core.compile_service import CompileService
-from repro.core.executor import BatchJob, ExecutionCache
+from repro.core.executor import BatchJob, ExecutionCache, _default_transpiler
 from repro.hardware import DeviceFleet, ibm_melbourne, ibm_toronto
 from repro.service import JobStatus, QuantumProvider
 from repro.workloads import synthesize_traffic, workload
@@ -167,108 +166,87 @@ class TestSchedulerEquivalence:
 
 
 # ----------------------------------------------------------------------
-# auto-mode degenerate routes through the Job path
+# degenerate compile routes through the Job path: all inline
 # ----------------------------------------------------------------------
 
 class TestAutoRouteDegenerates:
     def test_batch_of_one_runs_inline(self):
-        with QuantumProvider(compile_mode="auto") as prov:
+        with QuantumProvider() as prov:
             job = prov.simulator("ibm_toronto").run(
                 workload("adder").circuit(), shots=64, seed=1)
             result = job.result()
         svc = prov.compile_service
-        # One program -> serial route: compiled inline, no pool spun up.
-        assert svc._pool._executor is None
         assert svc.stats["submitted"] == 1
         assert result.programs[0].counts
 
     def test_single_partition_allocation_through_scheduler(self):
-        with QuantumProvider(compile_mode="auto") as prov:
+        with QuantumProvider() as prov:
             backend = prov.backend("ibm_toronto", max_batch_size=1)
             subs = [SubmittedProgram(workload("adder").circuit()),
                     SubmittedProgram(workload("bell").circuit())]
             result = backend.run(subs, shots=64, seed=7).result()
-        svc = prov.compile_service
-        # Every dispatched batch holds one program -> all serial.
-        assert svc._pool._executor is None
         assert result.schedule.num_jobs == 2
         assert len(result.programs) == 2
 
     def test_wider_batch_runs_inline(self):
-        with QuantumProvider(compile_mode="auto") as prov:
+        with QuantumProvider() as prov:
             circuits = [workload(n).circuit()
                         for n in ("adder", "bell", "lin", "var")]
             result = prov.simulator("ibm_toronto").run(
                 circuits, shots=0, seed=1).result()
-        svc = prov.compile_service
-        # 4 programs on a 27q device stay below the process thresholds
-        # on any core count: compiled inline, no pool spun up.
-        assert svc._pool._executor is None
+        assert prov.compile_service.stats["submitted"] == 4
         assert len(result.programs) == 4
 
-    def _broken_submit_pool(self):
-        class _BrokenPool:
-            def submit(self, *args, **kwargs):
-                raise BrokenExecutor("process pool is terminated")
-
-            def shutdown(self, wait=True):
-                pass
-        return _BrokenPool()
-
-    def _dying_worker_pool(self):
-        class _DyingPool:
-            def submit(self, *args, **kwargs):
-                fut = Future()
-                fut.set_exception(BrokenExecutor("worker died"))
-                return fut
-
-            def shutdown(self, wait=True):
-                pass
-        return _DyingPool()
-
-    def test_broken_pool_falls_back_inline_through_job_path(self):
-        with QuantumProvider(compile_mode="process") as prov:
-            prov.compile_service._pool._executor = (
-                self._broken_submit_pool())
-            circuits = [workload(n).circuit()
-                        for n in ("adder", "bell", "lin")]
+    def test_job_path_matches_service_free_run(self):
+        circuits = [workload(n).circuit() for n in ("adder", "bell", "lin")]
+        with QuantumProvider() as prov:
             job = prov.simulator("ibm_toronto").run(circuits, shots=64,
                                                     seed=5)
             result = job.result()
             assert job.status() is JobStatus.DONE
-        assert prov.compile_service.stats["fallbacks"] == 3
-        # The fallback compiles are real: counts match a service-free run.
-        device = ibm_toronto()
-        want = execute_allocation(qucp_allocate(circuits, device),
+        want = execute_allocation(qucp_allocate(circuits, ibm_toronto()),
                                   shots=64, seed=5)
         for prog, ref in zip(result.programs, want):
             assert prog.counts == ref.result.counts
 
-    def test_mid_chunk_worker_death_falls_back_inline(self):
-        with QuantumProvider(compile_mode="process") as prov:
-            prov.compile_service._pool._executor = (
-                self._dying_worker_pool())
-            circuits = [workload(n).circuit() for n in ("adder", "bell")]
-            result = prov.simulator("ibm_toronto").run(
-                circuits, shots=32, seed=2).result()
-        assert prov.compile_service.stats["fallbacks"] == 2
-        assert len(result.programs) == 2
-        assert all(p.counts for p in result.programs)
+    def test_concurrent_jobs_compile_once(self):
+        circuits = [workload(n).circuit() for n in ("adder", "bell", "lin")]
+        with QuantumProvider(job_workers=2) as prov:
+            sim = prov.simulator("ibm_toronto")
+            jobs = [sim.run(circuits, shots=64, seed=5) for _ in range(2)]
+            results = [job.result() for job in jobs]
+            stats = prov.compile_service.stats
+        # Whichever job thread compiles a program first, the other one
+        # joins that compile or hits its cached result.
+        assert stats["submitted"] == 3
+        assert stats["coalesced"] + stats["short_circuits"] == 3
+        for a, b in zip(*(r.programs for r in results)):
+            assert a.counts == b.counts
 
-    def test_broken_pool_is_replaced_for_the_next_batch(self):
-        with QuantumProvider(compile_mode="process") as prov:
-            svc = prov.compile_service
-            svc._pool._executor = self._broken_submit_pool()
-            circuits = [workload(n).circuit() for n in ("adder", "bell")]
-            prov.simulator("ibm_toronto").run(circuits, shots=0,
-                                              seed=1).result()
-            assert svc.stats["fallbacks"] == 2
-            # The dead pool was dropped: the next process-route batch
-            # builds a real pool instead of falling back forever.
-            assert svc._pool._executor is None
+    def test_custom_transpiler_uses_service(self):
+        calls = []
+
+        def hook(circuit, device, allocation):
+            calls.append(allocation.index)
+            return _default_transpiler(circuit, device, allocation)
+
+        base = workload("bell").circuit()
+        subs = [SubmittedProgram(base.copy(), arrival_ns=i * 1e5)
+                for i in range(3)]
+        with QuantumProvider() as prov:
+            backend = prov.backend("ibm_toronto", max_batch_size=1,
+                                   fidelity_threshold=0.0)
+            result = backend.run(subs, shots=32, seed=3,
+                                 transpiler_fn=hook).result()
+            stats = prov.compile_service.stats
+        # One hook call: the two repeats are served from the cache.
+        assert len(calls) == 1
+        assert stats["submitted"] == 1
+        assert stats["short_circuits"] == 2
+        assert len(result.programs) == 3
 
     def test_non_pool_errors_still_propagate(self):
-        svc = CompileService(mode="serial")
+        svc = CompileService()
 
         def broken_transpiler(circuit, device, allocation):
             raise RuntimeError("bad hook")
@@ -279,4 +257,32 @@ class TestAutoRouteDegenerates:
                          allocation.allocations[0], broken_transpiler)
         with pytest.raises(RuntimeError, match="bad hook"):
             fut.result()
-        assert svc.stats["fallbacks"] == 0
+        # Through the Job path the hook's own error fails the job.
+        with QuantumProvider() as prov:
+            job = prov.simulator("ibm_toronto").run(
+                workload("adder").circuit(), shots=16, seed=1,
+                transpiler_fn=broken_transpiler)
+            with pytest.raises(RuntimeError, match="bad hook"):
+                job.result()
+            assert job.status() is JobStatus.ERROR
+
+    def test_cloud_backend_keys_each_program_once(self, monkeypatch):
+        """Each program is keyed once, by the compile that serves it."""
+        import repro.core.executor as executor_mod
+
+        real = executor_mod.compute_transpile_key
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "compute_transpile_key",
+                            counting)
+        subs = traffic(16, seed=4)
+        with QuantumProvider() as prov:
+            backend = prov.fleet_backend(
+                [ibm_toronto(), ibm_toronto(seed=28)])
+            result = backend.run(subs, shots=64, seed=1).result()
+        assert not result.metadata.rejected
+        assert len(calls) == 16
