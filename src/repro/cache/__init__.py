@@ -8,17 +8,16 @@ One unified cache API over three tiers:
 - :mod:`~repro.cache.memory` — :class:`MemoryCache`, the thread-safe
   in-process LRU tier (L1) with hit/miss/eviction counters;
 - :mod:`~repro.cache.persistent` — :class:`PersistentCache`, the
-  SQLite WAL-mode on-disk tier (L2) shared across processes, with a
-  warn-once/fall-back-cold failure policy;
+  SQLite WAL-mode on-disk tier (L2) shared across processes;
+- :mod:`~repro.cache.sqlite` — the SQLite core under both durable
+  stores (this L2 and :class:`repro.service.JobStore`): connect, refuse
+  another store's file, warn once and degrade, close;
 - :mod:`~repro.cache.tiered` — :class:`TieredCache`, composing exact
   L1 + equivalence-class L1 + L2 with promotion on hit.
 
 :class:`repro.core.ExecutionCache` keeps its public API and delegates
-to a :class:`TieredCache` underneath; anything implementing the
-:class:`CacheBackend` protocol can slot into the composition.
+to a :class:`TieredCache` underneath.
 """
-
-from typing import Dict, Hashable, Optional, Protocol, runtime_checkable
 
 from .keys import (
     CanonicalForm,
@@ -40,7 +39,6 @@ from .persistent import PersistentCache
 from .tiered import TieredCache, dumps_artifact, loads_artifact
 
 __all__ = [
-    "CacheBackend",
     "CanonicalForm",
     "MemoryCache",
     "PersistentCache",
@@ -60,23 +58,3 @@ __all__ = [
     "remap_result",
     "transpile_key",
 ]
-
-
-@runtime_checkable
-class CacheBackend(Protocol):
-    """What a tier must provide to slot into the composition.
-
-    ``get`` returns the stored value or ``None``; ``put`` inserts or
-    replaces; ``stats`` is a counter snapshot.  :class:`MemoryCache`
-    and :class:`PersistentCache` both satisfy this structurally.
-    """
-
-    def get(self, key: Hashable) -> Optional[object]:
-        ...  # pragma: no cover - protocol signature
-
-    def put(self, key: Hashable, value) -> None:
-        ...  # pragma: no cover - protocol signature
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        ...  # pragma: no cover - protocol signature

@@ -269,24 +269,6 @@ class ExecutionCache:
         if key is not None and self._may_write():
             self.tiers.store(key, device, transpiler_fn, result)
 
-    def lookup_transpile(self, circuit: QuantumCircuit, device: Device,
-                         allocation: ProgramAllocation,
-                         transpiler_fn: TranspilerFn
-                         ) -> Optional[TranspileResult]:
-        """Cached result (fresh copy) or ``None``; counts hit/miss."""
-        key = self.transpile_key(circuit, device, allocation, transpiler_fn)
-        found = self.lookup_transpile_raw(key, device, transpiler_fn)
-        return None if found is None else self._fresh(found)
-
-    def store_transpile(self, circuit: QuantumCircuit, device: Device,
-                        allocation: ProgramAllocation,
-                        transpiler_fn: TranspilerFn,
-                        result: TranspileResult) -> None:
-        """Insert a computed result (no-op for unhashable circuits)."""
-        self.store_transpile_raw(
-            self.transpile_key(circuit, device, allocation, transpiler_fn),
-            device, transpiler_fn, result)
-
     def transpile(self, circuit: QuantumCircuit, device: Device,
                   allocation: ProgramAllocation,
                   transpiler_fn: TranspilerFn) -> TranspileResult:

@@ -33,6 +33,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.allocators import AllocationResult
@@ -479,10 +480,9 @@ class QuantumProvider:
                 # jobs are never dropped, so the registry can exceed
                 # the bound only by the number of in-flight jobs.
                 excess = len(self._jobs) - self.job_history
-                if excess > 0:
-                    for jid in [jid for jid, j in self._jobs.items()
-                                if j.done()][:excess]:
-                        del self._jobs[jid]
+                finished = (jid for jid, j in self._jobs.items() if j.done())
+                for jid in list(islice(finished, max(excess, 0))):
+                    del self._jobs[jid]
         return job
 
     def _run_job(self, fn: Callable[[str], Result], job_id: str,
@@ -523,9 +523,12 @@ class QuantumProvider:
                 result.metadata = dataclasses.replace(
                     result.metadata, attempts=attempt)
             if store is not None:
-                store.record_transition(job_id, "done", attempt=attempt)
                 if isinstance(result, Result):
+                    # One write: status and payload land together.
                     store.record_result(job_id, result.to_dict())
+                else:
+                    store.record_transition(job_id, "done",
+                                            attempt=attempt)
             return result
         raise AssertionError("unreachable")  # pragma: no cover
 

@@ -11,24 +11,26 @@ bit-identically and re-queues whatever was QUEUED/RUNNING at crash
 time (see ``QuantumProvider(store_path=...)``).
 
 The store is **memory-primary**: an in-process dict is the authority
-and SQLite is the durable write-through mirror.  That makes the
-failure policy identical to :class:`~repro.cache.PersistentCache` —
-the template this module copies deliberately: a corrupt, foreign,
-newer-schema, or locked database disables *the mirror* with a single
-:class:`RuntimeWarning`, and the provider keeps running (jobs just
-stop being durable), never crashes.
+and SQLite is the durable write-through mirror.  The mirror runs on
+:class:`~repro.cache.sqlite.SQLiteStore`, the core it shares with the
+persistent compile cache: a corrupt, foreign (a compile cache
+included), newer-schema, or locked database disables *the mirror* with
+a single :class:`RuntimeWarning`, and the provider keeps running (jobs
+just stop being durable), never crashes.  A job finishes in one write:
+:meth:`JobStore.record_result` lands the ``done`` status and the result
+payload in the same statement, so a restart never sees one without the
+other.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
 import threading
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
+
+from ..cache.sqlite import SQLiteStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .job import JobStatus
@@ -38,11 +40,6 @@ __all__ = ["JobStore", "StoredJob", "StoredTransition"]
 #: Bump when the table layout changes; newer-schema stores are left
 #: untouched (disabled with a warning) instead of being misread.
 _SCHEMA_VERSION = 1
-
-#: Tables a job store may legitimately contain.  Anything else (for
-#: example a compile cache's ``artifacts`` table — the two stores share
-#: the ``meta`` convention) marks the file as someone else's database.
-_OWN_TABLES = frozenset({"meta", "jobs", "transitions", "sqlite_sequence"})
 
 #: Statuses that survive a restart as work-to-redo.  Admission
 #: refusals ("shed"/"rejected") are terminal by construction — a
@@ -111,114 +108,48 @@ class JobStore:
     """
 
     def __init__(self, path: str, timeout: float = 5.0) -> None:
-        self.path = str(path)
         self._lock = threading.Lock()
-        self._conn: Optional[sqlite3.Connection] = None
         self._records: Dict[str, StoredJob] = {}
         self._transitions: List[StoredTransition] = []
-        self.disabled = False
         self.writes = 0
-        self.errors = 0
         self.loaded = 0
+        self._db = SQLiteStore(
+            path, kind="jobs", schema_version=_SCHEMA_VERSION,
+            tables={
+                "jobs": "job_id TEXT PRIMARY KEY, "
+                        "job_number INTEGER NOT NULL, "
+                        "backend TEXT NOT NULL, status TEXT NOT NULL, "
+                        "attempts INTEGER NOT NULL DEFAULT 0, "
+                        "error TEXT, spec BLOB, result TEXT, "
+                        "submitted REAL NOT NULL, updated REAL NOT NULL",
+                "transitions": "seq INTEGER PRIMARY KEY AUTOINCREMENT, "
+                               "job_id TEXT NOT NULL, "
+                               "status TEXT NOT NULL, "
+                               "attempt INTEGER NOT NULL, error TEXT, "
+                               "time REAL NOT NULL"},
+            indexes=("CREATE INDEX IF NOT EXISTS transitions_job "
+                     "ON transitions (job_id, seq)",),
+            timeout=timeout, label="job store",
+            fallback="continuing in-memory — jobs will not survive a "
+                     "restart")
+        self.path = self._db.path
         try:
-            parent = os.path.dirname(os.path.abspath(self.path))
-            os.makedirs(parent, exist_ok=True)
-            # Same connection discipline as the persistent compile
-            # cache: autocommit so concurrent openers never deadlock on
-            # a half-open transaction, check_same_thread=False because
-            # job-pool workers record transitions (all access is
-            # serialized by self._lock).
-            conn = sqlite3.connect(self.path, timeout=timeout,
-                                   isolation_level=None,
-                                   check_same_thread=False)
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            tables = {row[0] for row in conn.execute(
-                "SELECT name FROM sqlite_master WHERE type = 'table'")}
-            foreign = tables - _OWN_TABLES
-            if foreign:
-                conn.close()
-                raise sqlite3.DatabaseError(
-                    "file belongs to another application (unexpected "
-                    f"tables: {', '.join(sorted(foreign))})")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta ("
-                "  key TEXT PRIMARY KEY, value TEXT NOT NULL)")
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES "
-                "('schema_version', ?)", (str(_SCHEMA_VERSION),))
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES "
-                "('kind', 'jobs')")
-            rows = dict(conn.execute(
-                "SELECT key, value FROM meta WHERE key IN "
-                "('schema_version', 'kind')").fetchall())
-            if rows.get("kind") != "jobs":
-                conn.close()
-                raise sqlite3.DatabaseError(
-                    f"not a job store (kind={rows.get('kind')!r})")
-            if int(rows.get("schema_version", -1)) != _SCHEMA_VERSION:
-                conn.close()
-                raise sqlite3.DatabaseError(
-                    "unsupported job store schema version "
-                    f"{rows.get('schema_version')!r} (this build reads "
-                    f"version {_SCHEMA_VERSION})")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS jobs ("
-                "  job_id TEXT PRIMARY KEY,"
-                "  job_number INTEGER NOT NULL,"
-                "  backend TEXT NOT NULL,"
-                "  status TEXT NOT NULL,"
-                "  attempts INTEGER NOT NULL DEFAULT 0,"
-                "  error TEXT,"
-                "  spec BLOB,"
-                "  result TEXT,"
-                "  submitted REAL NOT NULL,"
-                "  updated REAL NOT NULL)")
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS transitions ("
-                "  seq INTEGER PRIMARY KEY AUTOINCREMENT,"
-                "  job_id TEXT NOT NULL,"
-                "  status TEXT NOT NULL,"
-                "  attempt INTEGER NOT NULL,"
-                "  error TEXT,"
-                "  time REAL NOT NULL)")
-            conn.execute(
-                "CREATE INDEX IF NOT EXISTS transitions_job "
-                "ON transitions (job_id, seq)")
-            self._conn = conn
             self._load()
-        except (sqlite3.Error, OSError, ValueError) as exc:
-            self._disable(exc)
+        except ValueError as exc:  # a damaged row: the file is unusable
+            self._db.disable(exc)
+
+    @property
+    def disabled(self) -> bool:
+        """Whether the mirror is out of service (memory-only from now)."""
+        return self._db.disabled
 
     # ------------------------------------------------------------------
-    def _disable(self, exc: BaseException) -> None:
-        """Degrade to memory-only: warn once, keep serving.
-
-        An unusable store must never take the provider down — jobs
-        keep running, they just stop being durable.
-        """
-        self.errors += 1
-        if not self.disabled:
-            self.disabled = True
-            warnings.warn(
-                f"job store {self.path!r} is unusable ({exc}); "
-                "continuing in-memory — jobs will not survive a restart",
-                RuntimeWarning, stacklevel=3)
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except sqlite3.Error:  # pragma: no cover - already broken
-                pass
-
     def _load(self) -> None:
         """Hydrate memory from the mirror (called once, at open)."""
-        assert self._conn is not None
-        for row in self._conn.execute(
+        for row in self._db.execute(
                 "SELECT job_id, job_number, backend, status, attempts, "
                 "error, spec, result, submitted, updated FROM jobs "
-                "ORDER BY job_number"):
+                "ORDER BY job_number") or []:
             (job_id, number, backend, status, attempts, error, spec,
              result, submitted, updated) = row
             self._records[job_id] = StoredJob(
@@ -234,9 +165,9 @@ class JobStore:
                 updated=float(updated),
             )
             self.loaded += 1
-        for row in self._conn.execute(
+        for row in self._db.execute(
                 "SELECT job_id, status, attempt, error, time "
-                "FROM transitions ORDER BY seq"):
+                "FROM transitions ORDER BY seq") or []:
             job_id, status, attempt, error, when = row
             self._transitions.append(StoredTransition(
                 job_id=str(job_id), status=str(status),
@@ -245,42 +176,28 @@ class JobStore:
                 time=float(when)))
 
     def _mirror(self, statement: str, params: tuple) -> None:
-        """Write-through one statement; degrade the mirror on error."""
-        if self._conn is None:
-            return
-        try:
-            self._conn.execute(statement, params)
-        except sqlite3.Error as exc:
-            self._disable(exc)
-            return
-        self.writes += 1
+        """Write-through one statement (a no-op once degraded)."""
+        if self._db.execute(statement, params) is not None:
+            self.writes += 1
+
+    def _log(self, job_id: str, status: str, attempt: int,
+             error: Optional[str], now: float) -> None:
+        """Append one audit-trail row (caller holds ``self._lock``)."""
+        self._transitions.append(StoredTransition(
+            job_id=job_id, status=status, attempt=attempt, error=error,
+            time=now))
+        self._mirror(
+            "INSERT INTO transitions (job_id, status, attempt, error, "
+            "time) VALUES (?, ?, ?, ?, ?)",
+            (job_id, status, attempt, error, now))
 
     # ------------------------------------------------------------------
     def record_submission(self, job_id: str, job_number: int,
                           backend_name: str,
                           spec: Optional[bytes] = None) -> None:
         """Persist a new submission (status ``queued``, attempt 0)."""
-        now = time.time()
-        record = StoredJob(
-            job_id=job_id, job_number=int(job_number),
-            backend_name=backend_name, status="queued",
-            attempts=0, spec=spec, submitted=now, updated=now)
-        with self._lock:
-            self._records[job_id] = record
-            self._transitions.append(StoredTransition(
-                job_id=job_id, status="queued", attempt=0,
-                error=None, time=now))
-            self._mirror(
-                "INSERT OR REPLACE INTO jobs (job_id, job_number, "
-                "backend, status, attempts, error, spec, result, "
-                "submitted, updated) VALUES (?, ?, ?, ?, 0, NULL, ?, "
-                "NULL, ?, ?)",
-                (job_id, int(job_number), backend_name, "queued",
-                 spec, now, now))
-            self._mirror(
-                "INSERT INTO transitions (job_id, status, attempt, "
-                "error, time) VALUES (?, ?, 0, NULL, ?)",
-                (job_id, "queued", now))
+        self._insert(job_id, job_number, backend_name, "queued", None,
+                     spec)
 
     def record_refusal(self, job_id: str, job_number: int,
                        backend_name: str,
@@ -298,72 +215,69 @@ class JobStore:
             raise ValueError(
                 f"refusal status must be one of "
                 f"{sorted(_REFUSAL_STATUSES)}, not {value!r}")
+        self._insert(job_id, job_number, backend_name, value, reason,
+                     None)
+
+    def _insert(self, job_id: str, job_number: int, backend_name: str,
+                status: str, error: Optional[str],
+                spec: Optional[bytes]) -> None:
+        """The one insert behind submissions and refusals (attempt 0)."""
         now = time.time()
         record = StoredJob(
             job_id=job_id, job_number=int(job_number),
-            backend_name=backend_name, status=value,
-            attempts=0, error=reason, submitted=now, updated=now)
+            backend_name=backend_name, status=status, error=error,
+            spec=spec, submitted=now, updated=now)
         with self._lock:
             self._records[job_id] = record
-            self._transitions.append(StoredTransition(
-                job_id=job_id, status=value, attempt=0,
-                error=reason, time=now))
             self._mirror(
                 "INSERT OR REPLACE INTO jobs (job_id, job_number, "
                 "backend, status, attempts, error, spec, result, "
-                "submitted, updated) VALUES (?, ?, ?, ?, 0, ?, NULL, "
-                "NULL, ?, ?)",
-                (job_id, int(job_number), backend_name, value,
-                 reason, now, now))
-            self._mirror(
-                "INSERT INTO transitions (job_id, status, attempt, "
-                "error, time) VALUES (?, ?, 0, ?, ?)",
-                (job_id, value, reason, now))
+                "submitted, updated) VALUES (?, ?, ?, ?, 0, ?, ?, NULL, "
+                "?, ?)",
+                (job_id, record.job_number, backend_name, status, error,
+                 spec, now, now))
+            self._log(job_id, status, 0, error, now)
 
     def record_transition(self, job_id: str,
                           status: Union[str, "JobStatus"],
                           attempt: Optional[int] = None,
                           error: Optional[str] = None) -> None:
         """Persist a status change (and optionally a new attempt count)."""
-        value = _status_value(status)
+        self._update(job_id, _status_value(status), attempt, error, None)
+
+    def record_result(self, job_id: str,
+                      payload: Dict[str, object]) -> None:
+        """Persist a completed job: status ``done`` and its
+        ``Result.to_dict()`` payload land in one write, so a restart
+        never sees a finished job without its result."""
+        self._update(job_id, "done", None, None, payload)
+
+    def _update(self, job_id: str, status: str, attempt: Optional[int],
+                error: Optional[str],
+                result: Optional[Dict[str, object]]) -> None:
+        """The one update behind transitions and completions; a
+        ``None`` *result* keeps the stored one."""
         now = time.time()
         with self._lock:
             record = self._records.get(job_id)
             if record is None:
                 return
             attempts = record.attempts if attempt is None else int(attempt)
-            self._records[job_id] = replace(
-                record, status=value, attempts=attempts,
+            record = replace(
+                record, status=status, attempts=attempts,
                 error=error if error is not None else (
-                    record.error if value == "error" else None),
+                    record.error if status == "error" else None),
+                result=record.result if result is None else result,
                 updated=now)
-            self._transitions.append(StoredTransition(
-                job_id=job_id, status=value, attempt=attempts,
-                error=error, time=now))
+            self._records[job_id] = record
             self._mirror(
                 "UPDATE jobs SET status = ?, attempts = ?, error = ?, "
-                "updated = ? WHERE job_id = ?",
-                (value, attempts, self._records[job_id].error, now,
-                 job_id))
-            self._mirror(
-                "INSERT INTO transitions (job_id, status, attempt, "
-                "error, time) VALUES (?, ?, ?, ?, ?)",
-                (job_id, value, attempts, error, now))
-
-    def record_result(self, job_id: str,
-                      payload: Dict[str, object]) -> None:
-        """Persist a completed job's ``Result.to_dict()`` payload."""
-        now = time.time()
-        with self._lock:
-            record = self._records.get(job_id)
-            if record is None:
-                return
-            self._records[job_id] = replace(record, result=payload,
-                                            updated=now)
-            self._mirror(
-                "UPDATE jobs SET result = ?, updated = ? "
+                "result = COALESCE(?, result), updated = ? "
                 "WHERE job_id = ?",
-                (json.dumps(payload), now, job_id))
+                (status, attempts, record.error,
+                 None if result is None else json.dumps(result), now,
+                 job_id))
+            self._log(job_id, status, attempts, error, now)
 
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Optional[StoredJob]:
@@ -406,20 +320,14 @@ class JobStore:
             "jobs": len(self),
             "loaded": self.loaded,
             "writes": self.writes,
-            "errors": self.errors,
+            "errors": self._db.errors,
             "disabled": int(self.disabled),
         }
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Close the mirror connection (the store file stays valid)."""
-        with self._lock:
-            conn, self._conn = self._conn, None
-        if conn is not None:
-            try:
-                conn.close()
-            except sqlite3.Error:  # pragma: no cover - best-effort
-                pass
+        self._db.close()
 
     def __enter__(self) -> "JobStore":
         return self

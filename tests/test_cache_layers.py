@@ -143,6 +143,41 @@ class TestPersistentCache:
             store = PersistentCache(path)
         assert store.disabled
 
+    def test_job_store_file_refused(self, tmp_path, line5):
+        """A job store shares the ``meta`` convention but is not a
+        compile cache: the cache refuses it untouched, and a provider
+        given one file for both stores keeps serving its jobs."""
+        from repro.circuits import ghz_circuit
+        from repro.service import QuantumProvider
+
+        path = str(tmp_path / "jobs.sqlite")
+        prov = QuantumProvider(devices=[line5], store_path=path)
+        job = prov.simulator(line5).run(
+            [ghz_circuit(2).measure_all()], shots=16, seed=1)
+        payload = job.result().to_dict()
+        prov.shutdown()
+        with pytest.warns(RuntimeWarning, match="another application"):
+            store = PersistentCache(path)
+        assert store.disabled
+        store.put("k", b"v")
+        assert store.get("k") is None
+        store.close()
+        conn = sqlite3.connect(path)
+        try:
+            tables = {row[0] for row in conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'")}
+        finally:
+            conn.close()
+        assert "artifacts" not in tables
+        with pytest.warns(RuntimeWarning, match="another application"):
+            both = QuantumProvider(devices=[line5], store_path=path,
+                                   cache_path=path)
+        try:
+            assert not both.store.disabled
+            assert both.job(job.job_id).result().to_dict() == payload
+        finally:
+            both.shutdown()
+
 
 def _spawn_writer(path, worker_id, n_entries):
     """Write one worker's slice plus the shared key (spawn target)."""

@@ -334,6 +334,48 @@ class TestKillAndResume:
         os._exit(1)
     """)
 
+    def test_every_write_boundary_resumes(self, tmp_path):
+        """Cut one job's store writes after any statement: a provider
+        reopened on that prefix drives the job to DONE with the
+        original counts (never to a finished-but-failed job)."""
+        from repro.service import JobStatus, JobStore
+
+        dev = linear_device(5, seed=7)
+        prov = QuantumProvider(devices=[dev],
+                               store_path=str(tmp_path / "jobs.sqlite"))
+        db = prov.store._db
+        execute = db.execute
+        writes = []
+
+        def recording(statement, params=()):
+            writes.append((statement, params))
+            return execute(statement, params)
+
+        db.execute = recording
+        try:
+            job = prov.simulator(dev).run(
+                [ghz_circuit(2).measure_all()] * 2, shots=64, seed=3)
+            counts = [job.result().counts(i) for i in range(2)]
+        finally:
+            prov.shutdown()
+        assert writes
+        for k in range(1, len(writes) + 1):
+            path = str(tmp_path / f"prefix-{k}.sqlite")
+            with JobStore(path) as replay:
+                for statement, params in writes[:k]:
+                    assert replay._db.execute(statement,
+                                              params) is not None
+            resumed = QuantumProvider(devices=[linear_device(5, seed=7)],
+                                      store_path=path)
+            try:
+                again = resumed.job(job.job_id)
+                cut = writes[k - 1][0]
+                assert again.wait(timeout=120) is JobStatus.DONE, cut
+                result = again.result()
+                assert [result.counts(i) for i in range(2)] == counts, cut
+            finally:
+                resumed.shutdown()
+
     def test_kill_and_resume(self, tmp_path):
         from repro.service import JobStatus, JobStore
 

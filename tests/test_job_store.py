@@ -228,7 +228,7 @@ class TestJobStoreDegradation:
         path = str(tmp_path / "s.sqlite")
         store = JobStore(path)
         store.record_submission("job-000001", 1, "dev")
-        store._conn.close()  # simulate the handle dying under us
+        store._db._conn.close()  # simulate the handle dying under us
         with pytest.warns(RuntimeWarning, match="unusable"):
             store.record_transition("job-000001", "done", attempt=1)
         assert store.disabled

@@ -130,6 +130,26 @@ class TestProvider:
         finally:
             prov.shutdown()
 
+    def test_job_history_evicts_oldest_finished_past_live_head(self):
+        """Eviction skips a live head and drops only the oldest finished
+        handle: after each submission the registry holds exactly the
+        blocker and the newest job."""
+        prov = QuantumProvider(job_workers=2, job_history=2)
+        release = threading.Event()
+        try:
+            backend = prov.simulator("ibm_toronto")
+            blocker = prov._submit_job(
+                backend, lambda job_id: release.wait(60))
+            for _ in range(4):
+                job = backend.run(small_programs()[0], shots=0)
+                assert [j.job_id for j in prov.jobs()] == [
+                    blocker.job_id, job.job_id]
+                assert job.wait(timeout=60) is JobStatus.DONE
+            assert not blocker.done()
+        finally:
+            release.set()
+            prov.shutdown()
+
     def test_submit_after_shutdown_refused(self):
         prov = QuantumProvider()
         backend = prov.simulator("ibm_toronto")
