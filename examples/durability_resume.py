@@ -6,7 +6,8 @@ completed result into a SQLite job store (``store_path=`` /
 
 Part 1 runs a job with a store attached, throws the provider away, and
 shows a *fresh* provider on the same store re-serving the completed
-result bit-identically — then simulates a crash (a job killed while
+result bit-identically — served from the store on demand, with no
+handle rebuilt at restart — then simulates a crash (a job killed while
 RUNNING) and shows the restart re-queueing it from its stored replay
 spec and driving it to DONE.
 
@@ -60,6 +61,11 @@ def main() -> None:
     print("provider shut down (the process could die here)\n")
 
     restarted = QuantumProvider(store_path=store_path)
+    # Finished jobs stay in the store: the restart rebuilds no handle
+    # until job() asks for one.
+    summary["restarted_handles"] = len(restarted.jobs())
+    print(f"fresh provider holds {summary['restarted_handles']} handles "
+          "before job() is called")
     rehydrated = restarted.job(job_id).result().to_dict()
     identical = rehydrated == payload
     print(f"fresh provider re-serves {job_id}: "
@@ -128,6 +134,7 @@ def main() -> None:
     print(f"\nwrote {out}")
 
     ok = (summary["rehydrated_identical"]
+          and summary["restarted_handles"] == 0
           and summary["resumed_status"] == "done"
           and summary["resumed_programs_identical"]
           and summary["replay_identical"]

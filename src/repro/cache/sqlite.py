@@ -17,7 +17,8 @@ statement through :meth:`SQLiteStore.execute`.  It does four things:
 - **Degrade**: any :class:`sqlite3.Error` (a garbage or torn file, a
   lock held past the timeout, a disk error mid-query) warns once with a
   :class:`RuntimeWarning`, and every later statement is a no-op.  An
-  unusable store must never take a job down.
+  unusable store must never take a job down; its owner may carry on
+  from a read-only copy of the file (:meth:`SQLiteStore.copy_from`).
 - **Close**.
 """
 
@@ -27,6 +28,8 @@ import os
 import sqlite3
 import threading
 import warnings
+from contextlib import closing
+from pathlib import Path
 from typing import AbstractSet, List, Mapping, Optional, Sequence
 
 __all__ = ["SQLiteStore"]
@@ -127,6 +130,19 @@ class SQLiteStore:
             except sqlite3.Error as exc:
                 self.disable(exc)
                 return None
+
+    def copy_from(self, path: str) -> None:
+        """Overwrite this store's database with a copy of the file at
+        *path*, read through a read-only connection.  Best effort: an
+        unreadable file leaves the store as it was."""
+        uri = Path(os.path.abspath(path)).as_uri() + "?mode=ro"
+        try:
+            with closing(sqlite3.connect(uri, uri=True)) as source, \
+                    self._lock:
+                if self._conn is not None:
+                    source.backup(self._conn)
+        except sqlite3.Error:
+            pass
 
     def close(self) -> None:
         """Close the connection (the store file stays valid)."""

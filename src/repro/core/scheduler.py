@@ -672,6 +672,18 @@ class CloudScheduler:
                 events.push(end, EventKind.COMPLETION,
                             (chosen, epoch[chosen], ok))
 
+        def requeue(batch: DispatchedBatch) -> None:
+            """Return a failed batch's members to the queue, by priority."""
+            nonlocal max_queue_depth
+            jobs.remove(batch)
+            members = sorted(batch.members, key=order_key)
+            for i in members:
+                completion.pop(i, None)
+            pending.extend(members)
+            pending.sort(key=order_key)
+            max_queue_depth = max(max_queue_depth, len(pending))
+            requeued.extend(members)
+
         for event in events.drain():
             if event.kind is EventKind.ARRIVAL:
                 pending.append(event.payload)
@@ -697,14 +709,7 @@ class CloudScheduler:
                     # refunds the un-run remainder).
                     assert batch is not None
                     batch_failures += 1
-                    jobs.remove(batch)
-                    members = sorted(batch.members, key=order_key)
-                    for i in members:
-                        completion.pop(i, None)
-                    pending.extend(members)
-                    pending.sort(key=order_key)
-                    max_queue_depth = max(max_queue_depth, len(pending))
-                    requeued.extend(members)
+                    requeue(batch)
                     if health is not None:
                         tripped = health[device_index].record_failure(
                             event.time_ns)
@@ -737,17 +742,10 @@ class CloudScheduler:
                     batch = inflight[d]
                     assert batch is not None
                     epoch[d] += 1
-                    jobs.remove(batch)
                     load[d] -= batch.end_ns - event.time_ns
                     busy[d] = False
                     inflight[d] = None
-                    members = sorted(batch.members, key=order_key)
-                    for i in members:
-                        completion.pop(i, None)
-                    pending.extend(members)
-                    pending.sort(key=order_key)
-                    max_queue_depth = max(max_queue_depth, len(pending))
-                    requeued.extend(members)
+                    requeue(batch)
                 events.push(event.time_ns, EventKind.DISPATCH)
             elif event.kind is EventKind.RECOVERY:
                 outage_depth[event.payload] -= 1

@@ -130,18 +130,21 @@ class QuantumProvider:
     job_history:
         Bound on the job registry.  Finished jobs beyond it (oldest
         first) are evicted so their Results can be reclaimed —
-        ``provider.job(old_id)`` then raises KeyError (unless a durable
-        store still holds the result, which :meth:`job` falls back to).
-        ``None`` (default) keeps every handle, which is fine
-        interactively but grows without bound in a long-lived service;
-        set it (like *cache_entries*) for service deployments.
+        ``provider.job(old_id)`` then raises KeyError unless a durable
+        store holds the job, which :meth:`job` then serves.  A
+        restarted provider registers only the jobs it resumes, so the
+        bound holds across restarts.  ``None`` (default) keeps every
+        handle, which is fine interactively but grows without bound in
+        a long-lived service; set it (like *cache_entries*) for
+        service deployments.
     store_path:
         Location of a durable :class:`~repro.service.JobStore` (SQLite
         WAL).  Every submission, status transition, and completed
         ``Result`` payload is persisted there, and a fresh provider
-        opened on the same store **resumes**: completed results are
-        re-served bit-identically, and jobs that were QUEUED/RUNNING
-        at crash time are re-queued from their stored replay specs.
+        opened on the same store **resumes**: jobs that were
+        QUEUED/RUNNING at crash time are re-queued from their stored
+        replay specs, and finished jobs stay in the store, where
+        :meth:`job` re-serves their results bit-identically.
         When omitted, the ``REPRO_JOB_STORE`` environment variable is
         consulted; unset means in-memory jobs only.
     retry_policy:
@@ -323,21 +326,13 @@ class QuantumProvider:
     # resume-on-restart
     # ------------------------------------------------------------------
     def _recover(self) -> None:
-        """Rebuild the job registry from the durable store.
-
-        Finished jobs come back as resolved handles (completed results
-        re-served **bit-identically** from their stored payloads);
-        QUEUED/RUNNING/RETRYING jobs — interrupted by whatever killed
-        the previous provider — are re-queued from their replay specs
-        under their original ids.
-        """
+        """Re-queue the QUEUED/RUNNING/RETRYING jobs a killed provider
+        left in the store, under their original ids.  Finished jobs stay
+        there: :meth:`job` serves them on demand (completed results
+        **bit-identically**), so ``job_history`` bounds a restart too."""
         assert self._store is not None
-        for record in self._store.jobs():
-            if record.is_pending:
-                self._resume_record(record)
-            else:
-                self._jobs[record.job_id] = self._rehydrated_handle(
-                    record)
+        for record in self._store.pending():
+            self._resume_record(record)
 
     @staticmethod
     def _rehydrated_handle(record: StoredJob) -> Job:
@@ -375,28 +370,13 @@ class QuantumProvider:
                    state=state)
 
     def _resume_record(self, record: StoredJob) -> None:
-        """Re-queue one interrupted job from its stored replay spec."""
-        spec = None
-        if record.spec is not None:
-            try:
-                spec = pickle.loads(record.spec)
-            except Exception:  # noqa: BLE001 - damaged spec = no replay
-                spec = None
-        if spec is None:
-            assert self._store is not None
-            error = ("interrupted before completion and not "
-                     "replayable (no usable replay spec)")
-            self._store.record_transition(record.job_id, "error",
-                                          error=error)
-            future: "Future[Result]" = Future()
-            future.set_exception(RuntimeError(
-                f"job {record.job_id} was {error}"))
-            self._jobs[record.job_id] = Job(
-                record.job_id, record.backend_name, future)
-            return
+        """Re-queue one interrupted job from its stored replay spec.  A
+        spec that is missing, does not unpickle or fails to re-run marks
+        the job ``error`` instead: one bad record never stops a provider."""
         self._resume_id = record.job_id
         self._resume_number = record.job_number
         try:
+            spec = pickle.loads(record.spec)  # a missing spec raises too
             cfg = spec["configuration"]
             if spec["kind"] == "simulator":
                 backend: BaseBackend = SimulatorBackend(
@@ -415,6 +395,12 @@ class QuantumProvider:
                 backend.run(spec["submissions"], seed=spec["seed"],
                             allocator=spec["allocator"],
                             execute=spec["execute"])
+        except Exception:  # noqa: BLE001 - an unusable spec = no replay
+            assert self._store is not None
+            self._store.record_transition(
+                record.job_id, "error",
+                error="interrupted before completion and not replayable "
+                      "(no usable replay spec)")
         finally:
             self._resume_id = None
             self._resume_number = 0
@@ -535,9 +521,9 @@ class QuantumProvider:
     def job(self, job_id: str) -> Job:
         """Resolve a handle by its stable id.
 
-        Handles evicted from the registry (``job_history``) are
-        transparently rebuilt from the durable store when one is
-        attached and still holds the job.
+        Handles evicted from the registry (``job_history``) and the
+        finished jobs of earlier providers on the same store are
+        rebuilt from the durable store on demand.
         """
         with self._lock:
             found = self._jobs.get(job_id)
@@ -550,7 +536,9 @@ class QuantumProvider:
         return found
 
     def jobs(self) -> List[Job]:
-        """Every retained handle, in submission order."""
+        """Every retained handle, in submission order.  A restarted
+        provider retains only the jobs it resumed; :meth:`job` serves
+        finished ones from the durable store."""
         with self._lock:
             return list(self._jobs.values())
 

@@ -1,25 +1,26 @@
-"""Durable job store: submissions, transitions, and results on disk.
+"""Durable job store: submissions, transitions, and results in SQLite.
 
-:class:`JobStore` is the service layer's crash-recovery substrate — a
-SQLite (WAL-mode) mirror of everything the in-memory
-:class:`~repro.service.QuantumProvider` job pool knows: each submission
-(with a pickled replay spec), every :class:`~repro.service.JobStatus`
+:class:`JobStore` is the service layer's crash-recovery substrate: one
+SQLite (WAL-mode) ledger of every job the
+:class:`~repro.service.QuantumProvider` serves — each submission (with
+a pickled replay spec), every :class:`~repro.service.JobStatus`
 transition with wall-clock timestamps, attempt counts, error text, and
-the final :meth:`~repro.service.Result.to_dict` payload.  A fresh
-provider opened on the same store re-serves completed results
-bit-identically and re-queues whatever was QUEUED/RUNNING at crash
-time (see ``QuantumProvider(store_path=...)``).
+the final :meth:`~repro.service.Result.to_dict` payload, which is what
+``QuantumProvider(store_path=...)`` resumes from.  The database is the
+only copy: every read is a query, so the store holds no per-job state
+in memory and two handles on one file see each other's writes.
 
-The store is **memory-primary**: an in-process dict is the authority
-and SQLite is the durable write-through mirror.  The mirror runs on
-:class:`~repro.cache.sqlite.SQLiteStore`, the core it shares with the
-persistent compile cache: a corrupt, foreign (a compile cache
-included), newer-schema, or locked database disables *the mirror* with
-a single :class:`RuntimeWarning`, and the provider keeps running (jobs
-just stop being durable), never crashes.  A job finishes in one write:
-:meth:`JobStore.record_result` lands the ``done`` status and the result
-payload in the same statement, so a restart never sees one without the
-other.
+The ledger runs on :class:`~repro.cache.sqlite.SQLiteStore`, the core
+it shares with the persistent compile cache, and never takes a job
+down.  A file refused at open (corrupt, foreign — a compile cache
+included —, newer-schema, locked, or holding a row that does not parse)
+warns once with a :class:`RuntimeWarning` and the ledger continues in
+an empty in-memory SQLite database; a file that fails later warns once
+and the ledger continues in memory from a read-only copy of the file.
+Either way the same queries serve it; jobs just stop being durable.  A
+job finishes in one write: :meth:`JobStore.record_result` lands the
+``done`` status and the result payload in the same statement, so a
+restart never sees one without the other.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
 from ..cache.sqlite import SQLiteStore
 
@@ -44,15 +45,41 @@ _SCHEMA_VERSION = 1
 #: Statuses that survive a restart as work-to-redo.  Admission
 #: refusals ("shed"/"rejected") are terminal by construction — a
 #: restart must never re-queue work the gateway refused.
-_PENDING_STATUSES = frozenset({"queued", "running", "retrying"})
+_PENDING_STATUSES = ("queued", "running", "retrying")
 
 #: Terminal statuses :meth:`JobStore.record_refusal` accepts.
 _REFUSAL_STATUSES = frozenset({"shed", "rejected"})
+
+_SELECT_JOBS = ("SELECT job_id, job_number, backend, status, attempts, "
+                "error, spec, result, submitted, updated FROM jobs")
+_SELECT_TRAIL = "SELECT job_id, status, attempt, error, time FROM transitions"
 
 
 def _status_value(status: Union[str, "JobStatus"]) -> str:
     """Accept a :class:`~repro.service.JobStatus` or its string value."""
     return str(getattr(status, "value", status))
+
+
+def _ledger(path: str, timeout: float = 0.0) -> SQLiteStore:
+    """The job tables in the file at *path*, or in ``":memory:"``."""
+    return SQLiteStore(
+        path, kind="jobs", schema_version=_SCHEMA_VERSION,
+        tables={
+            "jobs": "job_id TEXT PRIMARY KEY, "
+                    "job_number INTEGER NOT NULL, "
+                    "backend TEXT NOT NULL, status TEXT NOT NULL, "
+                    "attempts INTEGER NOT NULL DEFAULT 0, "
+                    "error TEXT, spec BLOB, result TEXT, "
+                    "submitted REAL NOT NULL, updated REAL NOT NULL",
+            "transitions": "seq INTEGER PRIMARY KEY AUTOINCREMENT, "
+                           "job_id TEXT NOT NULL, "
+                           "status TEXT NOT NULL, "
+                           "attempt INTEGER NOT NULL, error TEXT, "
+                           "time REAL NOT NULL"},
+        indexes=("CREATE INDEX IF NOT EXISTS transitions_job "
+                 "ON transitions (job_id, seq)",),
+        timeout=timeout, label="job store",
+        fallback="continuing in-memory — jobs will not survive a restart")
 
 
 @dataclass(frozen=True)
@@ -91,105 +118,95 @@ class StoredTransition:
     time: float
 
 
+def _job(row: Sequence) -> StoredJob:
+    """Parse one ``jobs`` row (ValueError or TypeError when damaged)."""
+    (job_id, number, backend, status, attempts, error, spec, result,
+     submitted, updated) = row
+    return StoredJob(
+        job_id=str(job_id), job_number=int(number),
+        backend_name=str(backend), status=str(status),
+        attempts=int(attempts),
+        error=None if error is None else str(error),
+        spec=None if spec is None else bytes(spec),
+        result=None if result is None else json.loads(result),
+        submitted=float(submitted), updated=float(updated))
+
+
+def _transition(row: Sequence) -> StoredTransition:
+    """Parse one ``transitions`` row (ValueError or TypeError when damaged)."""
+    job_id, status, attempt, error, when = row
+    return StoredTransition(
+        job_id=str(job_id), status=str(status), attempt=int(attempt),
+        error=None if error is None else str(error), time=float(when))
+
+
 class JobStore:
-    """Durable job ledger: memory-primary with a SQLite mirror.
+    """Durable job ledger: every read and write is a SQLite statement.
 
     Parameters
     ----------
     path:
         Store file location; parent directories are created.  Opening
-        an existing store loads its rows into memory (that is what
-        resume-on-restart reads).
+        an existing store checks that its rows parse, and keeps none.
     timeout:
-        Seconds a writer waits on a locked database before the mirror
+        Seconds a writer waits on a locked database before the store
         degrades (SQLite busy timeout).  Shorter than the compile
         cache's: a wedged job store should degrade fast, not stall
         submissions.
+
+    Known edge: a file that fails mid-life and cannot be read at that
+    moment either leaves the in-memory ledger empty, so jobs recorded
+    before the failure can no longer be read from the store (their
+    live handles still work).
     """
 
     def __init__(self, path: str, timeout: float = 5.0) -> None:
-        self._lock = threading.Lock()
-        self._records: Dict[str, StoredJob] = {}
-        self._transitions: List[StoredTransition] = []
         self.writes = 0
         self.loaded = 0
-        self._db = SQLiteStore(
-            path, kind="jobs", schema_version=_SCHEMA_VERSION,
-            tables={
-                "jobs": "job_id TEXT PRIMARY KEY, "
-                        "job_number INTEGER NOT NULL, "
-                        "backend TEXT NOT NULL, status TEXT NOT NULL, "
-                        "attempts INTEGER NOT NULL DEFAULT 0, "
-                        "error TEXT, spec BLOB, result TEXT, "
-                        "submitted REAL NOT NULL, updated REAL NOT NULL",
-                "transitions": "seq INTEGER PRIMARY KEY AUTOINCREMENT, "
-                               "job_id TEXT NOT NULL, "
-                               "status TEXT NOT NULL, "
-                               "attempt INTEGER NOT NULL, error TEXT, "
-                               "time REAL NOT NULL"},
-            indexes=("CREATE INDEX IF NOT EXISTS transitions_job "
-                     "ON transitions (job_id, seq)",),
-            timeout=timeout, label="job store",
-            fallback="continuing in-memory — jobs will not survive a "
-                     "restart")
+        self._lock = threading.Lock()  # the memory switch and counter
+        self._db = _ledger(path, timeout)  # the file's statements
         self.path = self._db.path
-        try:
-            self._load()
-        except ValueError as exc:  # a damaged row: the file is unusable
+        try:  # a row that does not parse makes the file unusable
+            rows = self._db.execute(_SELECT_JOBS) or []
+            for row in rows:
+                _job(row)
+            for row in self._db.execute(_SELECT_TRAIL) or []:
+                _transition(row)
+            self.loaded = len(rows)
+        except (TypeError, ValueError) as exc:
             self._db.disable(exc)
+        self._memory = _ledger(":memory:") if self._db.disabled else None
 
     @property
     def disabled(self) -> bool:
-        """Whether the mirror is out of service (memory-only from now)."""
+        """Whether the file is out of service (in-memory from now)."""
         return self._db.disabled
 
     # ------------------------------------------------------------------
-    def _load(self) -> None:
-        """Hydrate memory from the mirror (called once, at open)."""
-        for row in self._db.execute(
-                "SELECT job_id, job_number, backend, status, attempts, "
-                "error, spec, result, submitted, updated FROM jobs "
-                "ORDER BY job_number") or []:
-            (job_id, number, backend, status, attempts, error, spec,
-             result, submitted, updated) = row
-            self._records[job_id] = StoredJob(
-                job_id=job_id,
-                job_number=int(number),
-                backend_name=str(backend),
-                status=str(status),
-                attempts=int(attempts),
-                error=None if error is None else str(error),
-                spec=None if spec is None else bytes(spec),
-                result=None if result is None else json.loads(result),
-                submitted=float(submitted),
-                updated=float(updated),
-            )
-            self.loaded += 1
-        for row in self._db.execute(
-                "SELECT job_id, status, attempt, error, time "
-                "FROM transitions ORDER BY seq") or []:
-            job_id, status, attempt, error, when = row
-            self._transitions.append(StoredTransition(
-                job_id=str(job_id), status=str(status),
-                attempt=int(attempt),
-                error=None if error is None else str(error),
-                time=float(when)))
+    def _run(self, statement: str, params: Sequence = ()) -> List[tuple]:
+        """Run one statement on the file or, once it failed (or was
+        closed), on the in-memory ledger seeded with its last state."""
+        if self._memory is None:
+            rows = self._db.execute(statement, params)
+            if rows is not None:
+                return rows
+            with self._lock:  # concurrent jobs switch to one ledger
+                if self._memory is None:
+                    memory = _ledger(":memory:")
+                    memory.copy_from(self.path)
+                    self._memory = memory
+        return self._memory.execute(statement, params) or []
 
-    def _mirror(self, statement: str, params: tuple) -> None:
-        """Write-through one statement (a no-op once degraded)."""
-        if self._db.execute(statement, params) is not None:
-            self.writes += 1
-
-    def _log(self, job_id: str, status: str, attempt: int,
-             error: Optional[str], now: float) -> None:
-        """Append one audit-trail row (caller holds ``self._lock``)."""
-        self._transitions.append(StoredTransition(
-            job_id=job_id, status=status, attempt=attempt, error=error,
-            time=now))
-        self._mirror(
-            "INSERT INTO transitions (job_id, status, attempt, error, "
-            "time) VALUES (?, ?, ?, ?, ?)",
-            (job_id, status, attempt, error, now))
+    def _write(self, statement: str, params: Sequence, job_id: str,
+               error: Optional[str]) -> None:
+        """One ``jobs`` write, then the audit-trail row copying the
+        job's new status, attempt count and time."""
+        self._run(statement, params)
+        self._run("INSERT INTO transitions (job_id, status, attempt, "
+                  "error, time) SELECT job_id, status, attempts, ?, "
+                  "updated FROM jobs WHERE job_id = ?", (error, job_id))
+        with self._lock:
+            self.writes += 2
 
     # ------------------------------------------------------------------
     def record_submission(self, job_id: str, job_number: int,
@@ -223,20 +240,12 @@ class JobStore:
                 spec: Optional[bytes]) -> None:
         """The one insert behind submissions and refusals (attempt 0)."""
         now = time.time()
-        record = StoredJob(
-            job_id=job_id, job_number=int(job_number),
-            backend_name=backend_name, status=status, error=error,
-            spec=spec, submitted=now, updated=now)
-        with self._lock:
-            self._records[job_id] = record
-            self._mirror(
-                "INSERT OR REPLACE INTO jobs (job_id, job_number, "
-                "backend, status, attempts, error, spec, result, "
-                "submitted, updated) VALUES (?, ?, ?, ?, 0, ?, ?, NULL, "
-                "?, ?)",
-                (job_id, record.job_number, backend_name, status, error,
-                 spec, now, now))
-            self._log(job_id, status, 0, error, now)
+        self._write(
+            "INSERT OR REPLACE INTO jobs (job_id, job_number, backend, "
+            "status, attempts, error, spec, result, submitted, updated) "
+            "VALUES (?, ?, ?, ?, 0, ?, ?, NULL, ?, ?)",
+            (job_id, int(job_number), backend_name, status, error, spec,
+             now, now), job_id, error)
 
     def record_transition(self, job_id: str,
                           status: Union[str, "JobStatus"],
@@ -255,63 +264,48 @@ class JobStore:
     def _update(self, job_id: str, status: str, attempt: Optional[int],
                 error: Optional[str],
                 result: Optional[Dict[str, object]]) -> None:
-        """The one update behind transitions and completions; a
-        ``None`` *result* keeps the stored one."""
-        now = time.time()
-        with self._lock:
-            record = self._records.get(job_id)
-            if record is None:
-                return
-            attempts = record.attempts if attempt is None else int(attempt)
-            record = replace(
-                record, status=status, attempts=attempts,
-                error=error if error is not None else (
-                    record.error if status == "error" else None),
-                result=record.result if result is None else result,
-                updated=now)
-            self._records[job_id] = record
-            self._mirror(
-                "UPDATE jobs SET status = ?, attempts = ?, error = ?, "
-                "result = COALESCE(?, result), updated = ? "
-                "WHERE job_id = ?",
-                (status, attempts, record.error,
-                 None if result is None else json.dumps(result), now,
-                 job_id))
-            self._log(job_id, status, attempts, error, now)
+        """The one update behind transitions and completions (``None``
+        keeps a stored attempt, result, or an ``error`` job's text)."""
+        self._write(
+            "UPDATE jobs SET status = ?1, attempts = COALESCE(?2, attempts), "
+            "error = COALESCE(?3, CASE WHEN ?1 = 'error' THEN error END), "
+            "result = COALESCE(?4, result), updated = ?5 WHERE job_id = ?6",
+            (status, None if attempt is None else int(attempt), error,
+             None if result is None else json.dumps(result), time.time(),
+             job_id), job_id, error)
 
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> Optional[StoredJob]:
         """One job's record, or ``None``."""
-        with self._lock:
-            return self._records.get(job_id)
+        rows = self._run(_SELECT_JOBS + " WHERE job_id = ?", (job_id,))
+        return _job(rows[0]) if rows else None
 
     def jobs(self) -> List[StoredJob]:
         """Every record, in submission (``job_number``) order."""
-        with self._lock:
-            return sorted(self._records.values(),
-                          key=lambda r: r.job_number)
+        return [_job(row) for row in self._run(
+            _SELECT_JOBS + " ORDER BY job_number")]
 
     def pending(self) -> List[StoredJob]:
         """Jobs a restart should re-run (QUEUED/RUNNING/RETRYING at
         crash time), in submission order."""
-        return [r for r in self.jobs() if r.is_pending]
+        return [_job(row) for row in self._run(
+            _SELECT_JOBS + " WHERE status IN (?, ?, ?) ORDER BY job_number",
+            _PENDING_STATUSES)]
 
     def transitions(self, job_id: str) -> List[StoredTransition]:
         """One job's status history, oldest first."""
-        with self._lock:
-            return [t for t in self._transitions if t.job_id == job_id]
+        return [_transition(row) for row in self._run(
+            _SELECT_TRAIL + " WHERE job_id = ? ORDER BY seq", (job_id,))]
 
     def max_job_number(self) -> int:
         """Highest persisted ordinal (0 for an empty store); the
         provider continues its ``job-NNNNNN`` sequence from here."""
-        with self._lock:
-            if not self._records:
-                return 0
-            return max(r.job_number for r in self._records.values())
+        rows = self._run("SELECT COALESCE(MAX(job_number), 0) FROM jobs")
+        return int(rows[0][0]) if rows else 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        rows = self._run("SELECT COUNT(*) FROM jobs")
+        return int(rows[0][0]) if rows else 0
 
     @property
     def stats(self) -> Dict[str, int]:
@@ -326,7 +320,7 @@ class JobStore:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the mirror connection (the store file stays valid)."""
+        """Close the file (it stays valid); later calls run in memory."""
         self._db.close()
 
     def __enter__(self) -> "JobStore":

@@ -103,7 +103,7 @@ def timed_intervals(
                 # branch for if/else, iterations x body makespan for
                 # loops.  That is the bound the scheduler must reserve.
                 dur = inst.gate.duration_bound(
-                    lambda body: _body_makespan(body, gate_duration))
+                    lambda body: program_duration(body, gate_duration))
             elif inst.name == "delay":
                 dur = float(inst.params[0])
             else:
@@ -129,13 +129,6 @@ def timed_intervals(
         rev = asap_times(list(reversed(circuit.instructions)))
         return list(reversed(rev))
     raise ValueError(f"unknown scheduling mode {mode!r}")
-
-
-def _body_makespan(body: QuantumCircuit,
-                   gate_duration: Dict[str, float]) -> float:
-    """ASAP makespan of a control-flow body (recursive via intervals)."""
-    intervals = timed_intervals(body, gate_duration, mode="asap")
-    return max((end for _, end in intervals), default=0.0)
 
 
 def _crosstalk_scales(
@@ -289,14 +282,12 @@ def prepare_parallel(
     # *before* computing crosstalk scales so instruction indices agree.
     effective = list(programs)
     if scheduling == "asap" and noisy and len(programs) > 1:
-        total_duration = max(
-            program_duration(p.circuit, durations) for p in programs)
-        effective = []
-        for prog in programs:
-            idle = total_duration - program_duration(prog.circuit, durations)
-            effective.append(
-                Program(_with_trailing_idle(prog.circuit, idle),
-                        prog.partition))
+        spans = [program_duration(p.circuit, durations) for p in programs]
+        total_duration = max(spans)
+        effective = [
+            Program(_with_trailing_idle(prog.circuit, total_duration - span),
+                    prog.partition)
+            for prog, span in zip(programs, spans)]
 
     if include_crosstalk and noisy and len(programs) > 1:
         scales = _crosstalk_scales(effective, device, scheduling)

@@ -19,7 +19,7 @@ from .optimize import (cancel_adjacent_pairs, combine_adjacent_delays,
                        fuse_oneq_runs, optimize_circuit)
 from .routing import RoutedCircuit, route_circuit
 from .sabre import sabre_route
-from .schedule import circuit_duration, schedule_alap
+from .schedule import schedule_alap
 from .transpile import (
     TranspileResult,
     partition_calibration,
@@ -35,7 +35,6 @@ __all__ = [
     "RoutedCircuit",
     "TranspileResult",
     "cancel_adjacent_pairs",
-    "circuit_duration",
     "combine_adjacent_delays",
     "context_cache_stats",
     "decompose_oneq_gate",

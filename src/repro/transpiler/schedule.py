@@ -19,14 +19,7 @@ from ..circuits.circuit import Instruction, QuantumCircuit
 from ..circuits.gates import Gate
 from ..sim.executor import timed_intervals
 
-__all__ = ["schedule_alap", "circuit_duration"]
-
-
-def circuit_duration(circuit: QuantumCircuit,
-                     gate_duration: Dict[str, float]) -> float:
-    """Makespan of the circuit in nanoseconds."""
-    intervals = timed_intervals(circuit, gate_duration, mode="asap")
-    return max((end for _, end in intervals), default=0.0)
+__all__ = ["schedule_alap"]
 
 
 def schedule_alap(circuit: QuantumCircuit,

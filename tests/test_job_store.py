@@ -2,9 +2,12 @@
 contracts, Result round-trips, retry-policy determinism, and the
 provider's resume-on-restart path."""
 
+import gc
 import json
 import math
+import pickle
 import sqlite3
+import sys
 import threading
 import time
 import warnings
@@ -30,6 +33,8 @@ from repro.service import (
     RetryPolicy,
     RunMetadata,
     ScheduleRecord,
+    StoredJob,
+    StoredTransition,
 )
 
 
@@ -118,6 +123,20 @@ class TestJobStoreCrud:
     def test_max_job_number_empty(self, tmp_path):
         with JobStore(str(tmp_path / "s.sqlite")) as store:
             assert store.max_job_number() == 0
+
+    def test_two_handles_share_one_ledger(self, tmp_path):
+        """Every read is a query: a second handle on the same file sees
+        the first one's writes, not a snapshot taken at open."""
+        path = str(tmp_path / "s.sqlite")
+        with JobStore(path) as first, JobStore(path) as second:
+            assert len(second) == 0
+            first.record_submission("job-000003", 3, "dev")
+            first.record_transition("job-000003", "running", attempt=1)
+            assert second.get("job-000003").status == "running"
+            assert [t.status for t in second.transitions("job-000003")] \
+                == ["queued", "running"]
+            assert second.max_job_number() == 3
+            assert len(second) == 1
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +252,73 @@ class TestJobStoreDegradation:
             store.record_transition("job-000001", "done", attempt=1)
         assert store.disabled
         assert store.get("job-000001").status == "done"
+        store.close()
+
+    def test_mid_life_failure_on_unreadable_file_keeps_serving(
+            self, tmp_path):
+        """The file fails mid-life and cannot be copied either: one
+        warning, and the in-memory ledger serves every later write."""
+        path = str(tmp_path / "s.sqlite")
+        store = JobStore(path)
+        store.record_submission("job-000001", 1, "dev")
+        store._db._conn.close()
+        corrupt_file(path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            store.record_transition("job-000001", "done", attempt=1)
+            store.record_submission("job-000002", 2, "dev")
+            store.record_result("job-000002", {"ok": True})
+        runtime = [w for w in caught
+                   if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert store.disabled
+        rec = store.get("job-000002")
+        assert rec.status == "done"
+        assert rec.result == {"ok": True}
+        assert [t.status for t in store.transitions("job-000002")] == [
+            "queued", "done"]
+        assert store.max_job_number() == 2
+        store.close()
+
+    def test_concurrent_writers_land_in_one_ledger(self, tmp_path):
+        """Job threads racing the mid-life switch to memory all land in
+        one ledger: no row and no counted write is lost."""
+        store = JobStore(str(tmp_path / "s.sqlite"))
+        threads, per_thread = 8, 25
+        start = threading.Barrier(threads + 1)
+
+        def writer(t):
+            start.wait(timeout=30)
+            for i in range(per_thread):
+                number = t * per_thread + i + 1
+                store.record_submission(f"job-{number:06d}", number, "dev")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        workers = [threading.Thread(target=writer, args=(t,))
+                   for t in range(threads)]
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                for worker in workers:
+                    worker.start()
+                start.wait(timeout=30)
+                with store._db._lock:  # the file dies between statements
+                    store._db._conn.close()
+                for worker in workers:
+                    worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        runtime = [w for w in caught
+                   if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1
+        assert store.disabled
+        total = threads * per_thread
+        assert len(store) == total
+        assert store.writes == 2 * total
+        assert all(len(store.transitions(f"job-{n:06d}")) == 1
+                   for n in range(1, total + 1))
         store.close()
 
 
@@ -591,6 +677,65 @@ class TestProviderDurability:
                 handle.result()
         finally:
             fresh.shutdown()
+
+    def test_malformed_spec_fails_the_job_not_the_provider(self,
+                                                           tmp_path):
+        """A replay spec that unpickles but cannot be re-run errors its
+        job; every provider opened on the store still starts."""
+        path = str(tmp_path / "jobs.sqlite")
+        with JobStore(path) as store:
+            store.record_submission("job-000001", 1,
+                                    "ibm_toronto-simulator",
+                                    pickle.dumps({"kind": "simulator"}))
+        for _ in range(2):
+            prov = QuantumProvider(store_path=path)
+            try:
+                handle = prov.job("job-000001")
+                assert handle.status() is JobStatus.ERROR
+                with pytest.raises(RuntimeError, match="not replayable"):
+                    handle.result()
+                assert prov.store.get("job-000001").status == "error"
+            finally:
+                prov.shutdown()
+
+    def test_reopen_holds_no_finished_handles(self, tmp_path, line5):
+        """A restart registers only what it resumes; finished jobs stay
+        in the store and ``job()`` serves them bit-identically."""
+        prov = make_provider(tmp_path, devices=[line5], job_history=2)
+        payloads = {}
+        try:
+            sim = prov.simulator(line5)
+            for seed in range(5):
+                job = sim.run([ghz_circuit(2).measure_all()], shots=8,
+                              seed=seed)
+                payloads[job.job_id] = job.result().to_dict()
+        finally:
+            prov.shutdown()
+        fresh = make_provider(tmp_path, devices=[line5], job_history=2)
+        try:
+            assert fresh.jobs() == []
+            for job_id, payload in payloads.items():
+                assert fresh.job(job_id).result().to_dict() == payload
+        finally:
+            fresh.shutdown()
+
+    def test_history_leaves_no_records_in_memory(self, tmp_path, line5):
+        """``job_history`` bounds a durable provider's memory: the store
+        keeps no record or transition of the jobs it serves."""
+        prov = make_provider(tmp_path, devices=[line5], job_history=4)
+        try:
+            sim = prov.simulator(line5)
+            for seed in range(200):
+                sim.run([ghz_circuit(2).measure_all()], shots=8,
+                        seed=seed).result()
+            assert len(prov.store) == 200
+            assert len(prov.jobs()) == 4
+            gc.collect()
+            alive = [obj for obj in gc.get_objects()
+                     if isinstance(obj, (StoredJob, StoredTransition))]
+            assert alive == []
+        finally:
+            prov.shutdown()
 
     def test_error_job_rehydrates_as_error(self, tmp_path, line5):
         prov = make_provider(tmp_path, devices=[line5])

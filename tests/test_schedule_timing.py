@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits import QuantumCircuit
 from repro.sim.executor import program_duration, timed_intervals
-from repro.transpiler import circuit_duration, schedule_alap
+from repro.transpiler import schedule_alap
 
 DUR = {"x": 10.0, "sx": 10.0, "rz": 0.0, "cx": 100.0, "measure": 50.0}
 
@@ -27,8 +27,8 @@ class TestAlapDelayPlacement:
         qc.cx(0, 1)
         qc.x(0).x(0)
         qc.cx(0, 1)
-        before = circuit_duration(qc, DUR)
-        after = circuit_duration(schedule_alap(qc, DUR), DUR)
+        before = program_duration(qc, DUR)
+        after = program_duration(schedule_alap(qc, DUR), DUR)
         assert after == pytest.approx(before)
 
     def test_no_leading_delays(self):
@@ -42,7 +42,7 @@ class TestAlapDelayPlacement:
     def test_rz_is_free(self):
         qc = QuantumCircuit(1)
         qc.rz(0.3, 0).x(0)
-        assert circuit_duration(qc, DUR) == pytest.approx(10.0)
+        assert program_duration(qc, DUR) == pytest.approx(10.0)
 
 
 class TestTimedIntervals:
@@ -96,4 +96,4 @@ class TestTimedIntervals:
     def test_barrier_takes_no_time(self):
         qc = QuantumCircuit(2)
         qc.x(0).barrier().x(0)
-        assert circuit_duration(qc, DUR) == pytest.approx(20.0)
+        assert program_duration(qc, DUR) == pytest.approx(20.0)

@@ -14,10 +14,10 @@ from repro.circuits import (
 )
 from repro.circuits.gates import gate
 from repro.sim import circuit_unitary, simulate_statevector
+from repro.sim.executor import program_duration
 from repro.transpiler import (
     Layout,
     cancel_adjacent_pairs,
-    circuit_duration,
     decompose_to_basis,
     fuse_oneq_runs,
     noise_aware_layout,
@@ -298,7 +298,7 @@ class TestSchedule:
     def test_circuit_duration(self):
         qc = QuantumCircuit(2)
         qc.x(0).cx(0, 1)
-        assert circuit_duration(qc, {"x": 35.0, "cx": 300.0}) == 335.0
+        assert program_duration(qc, {"x": 35.0, "cx": 300.0}) == 335.0
 
 
 class TestTranspileEndToEnd:
