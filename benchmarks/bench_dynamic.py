@@ -24,9 +24,9 @@ the properties the subsystem promises:
 4. **Mixed traffic** — scheduler turnaround as the dynamic fraction of
    a Poisson stream grows (shape only, no gate).
 
-Outcomes land in ``BENCH_dynamic.json``.
+Outcomes land in ``BENCH_dynamic.json`` (or ``--out PATH``).
 
-Run:  PYTHONPATH=../src python bench_dynamic.py [--smoke]
+Run:  PYTHONPATH=../src python bench_dynamic.py [--smoke] [--out PATH]
 """
 
 from __future__ import annotations
@@ -95,6 +95,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small CI configuration with the same gates")
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--out", default=ARTIFACT,
+                        help="where to write the JSON artifact "
+                             "(default: the committed BENCH_dynamic.json)")
     args = parser.parse_args(argv)
 
     timing_shots = 64 if args.smoke else 256
@@ -254,7 +257,7 @@ def main(argv: Sequence[str] | None = None) -> int:
          "turnaround(ms)", "p99(ms)"],
         traffic_rows)
 
-    with open(ARTIFACT, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump({"smoke": bool(args.smoke), "seed": args.seed,
                    "unroll_vs_branching": unroll_artifact,
                    "feedforward_accuracy": accuracy_artifact,
@@ -262,7 +265,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                    "mixed_traffic": traffic_artifact},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"\nwrote {ARTIFACT}")
+    print(f"\nwrote {args.out}")
 
     if failures:
         for failure in failures:

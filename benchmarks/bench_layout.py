@@ -17,9 +17,10 @@ calibration) under both engines:
 Every pair of results is checked for cost equality while timing, so the
 speedup is never bought with a worse layout.  The acceptance gate (also
 run in CI via ``--smoke``): vectorized >= 4x over reference on the
-6-qubit partition mix.  Timings land in ``BENCH_layout.json``.
+6-qubit partition mix.  Timings land in ``BENCH_layout.json`` (or
+``--out PATH``).
 
-Run:  PYTHONPATH=../src python bench_layout.py [--smoke]
+Run:  PYTHONPATH=../src python bench_layout.py [--smoke] [--out PATH]
 """
 
 from __future__ import annotations
@@ -131,6 +132,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="timed passes over the mix (default 5; 3 "
                              "with --smoke)")
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--out", default=ARTIFACT,
+                        help="where to write the JSON artifact "
+                             "(default: the committed BENCH_layout.json)")
     args = parser.parse_args(argv)
 
     num_cases = args.cases or (48 if args.smoke else 120)
@@ -171,10 +175,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "speedup": speedup,
         "floor": SPEEDUP_FLOOR,
     }
-    with open(ARTIFACT, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {ARTIFACT}")
+    print(f"wrote {args.out}")
 
     print(f"\nvectorized-vs-reference layout-search speedup: "
           f"{speedup:.2f}x (floor {SPEEDUP_FLOOR:g}x)")

@@ -21,9 +21,10 @@ admission-control subsystem promises:
    probes; the breaker trajectory also replays bit-identically.
 
 Results land in ``BENCH_overload.json`` (accept rate and accepted-
-traffic p99 per priority class, plus the breaker scenario summary).
+traffic p99 per priority class, plus the breaker scenario summary), or
+in ``--out PATH``.
 
-Run:  PYTHONPATH=../src python bench_overload.py [--smoke]
+Run:  PYTHONPATH=../src python bench_overload.py [--smoke] [--out PATH]
 """
 
 from __future__ import annotations
@@ -190,6 +191,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                         help="submissions in the overload trace "
                              "(default 90; 45 with --smoke)")
     parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--out", default=ARTIFACT,
+                        help="where to write the JSON artifact "
+                             "(default: the committed BENCH_overload.json)")
     args = parser.parse_args(argv)
 
     num_programs = args.programs or (45 if args.smoke else 90)
@@ -300,7 +304,7 @@ def main(argv: Sequence[str] | None = None) -> int:
           f"{breaker.get('state')!r}, replay identical: "
           f"{breaker_replay_ok}")
 
-    with open(ARTIFACT, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump({
             "programs": num_programs,
             "interarrival_ns": interarrival_ns,
@@ -324,7 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             },
         }, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"\nwrote {ARTIFACT}")
+    print(f"\nwrote {args.out}")
 
     if failures:
         for failure in failures:

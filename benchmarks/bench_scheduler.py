@@ -13,9 +13,11 @@ device fleet must beat serial single-device service by >= 2x on mean
 turnaround for a Poisson arrival workload.  ``BENCH_scheduler.json``
 keeps one summary per measured queue (jobs, makespan, mean/p50/p95/p99
 turnaround, peak queue depth), not the per-job
-``ScheduleOutcome.to_dict()`` traces.
+``ScheduleOutcome.to_dict()`` traces; ``--out PATH`` writes it
+elsewhere, and the knee gate still reads the committed file.
 
 Run:  PYTHONPATH=../src python bench_scheduler.py [--smoke]
+      [--sweep-fleets] [--out PATH]
 """
 
 from __future__ import annotations
@@ -104,6 +106,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--threshold", type=float, default=1.0,
                         help="fidelity threshold of the multi-programmed "
                              "services")
+    parser.add_argument("--out", default=ARTIFACT,
+                        help="where to write the JSON artifact "
+                             "(default: the committed "
+                             "BENCH_scheduler.json, which the knee gate "
+                             "reads either way)")
     args = parser.parse_args(argv)
 
     num_programs = args.programs or (12 if args.smoke else 24)
@@ -388,7 +395,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{policy}: knee {base / 1e6:g} ms -> "
                 f"{'none' if new is None else f'{new / 1e6:g} ms'}")
 
-    with open(ARTIFACT, "w") as fh:
+    with open(args.out, "w") as fh:
         json.dump({"programs": num_programs, "threshold": args.threshold,
                    "best_speedup": best_overall, "outcomes": artifact,
                    "saturation_knee": {
@@ -410,7 +417,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                    }},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"\nwrote {ARTIFACT}")
+    print(f"\nwrote {args.out}")
 
     if not reproducible:
         print("FAIL: raced schedule did not replay bit-identically "

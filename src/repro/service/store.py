@@ -29,7 +29,8 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
+                    Sequence, Union)
 
 from ..cache.sqlite import SQLiteStore
 
@@ -50,9 +51,15 @@ _PENDING_STATUSES = ("queued", "running", "retrying")
 #: Terminal statuses :meth:`JobStore.record_refusal` accepts.
 _REFUSAL_STATUSES = frozenset({"shed", "rejected"})
 
-_SELECT_JOBS = ("SELECT job_id, job_number, backend, status, attempts, "
-                "error, spec, result, submitted, updated FROM jobs")
-_SELECT_TRAIL = "SELECT job_id, status, attempt, error, time FROM transitions"
+_JOB_COLUMNS = ("job_id, job_number, backend, status, attempts, error, "
+                "spec, result, submitted, updated")
+_TRAIL_COLUMNS = "job_id, status, attempt, error, time"
+_SELECT_JOBS = f"SELECT {_JOB_COLUMNS} FROM jobs"
+_SELECT_TRAIL = f"SELECT {_TRAIL_COLUMNS} FROM transitions"
+
+#: Rows the open-time check reads per statement: it holds one page of
+#: replay specs and result payloads at a time, not the whole table.
+_CHECK_PAGE = 64
 
 
 def _status_value(status: Union[str, "JobStatus"]) -> str:
@@ -140,6 +147,25 @@ def _transition(row: Sequence) -> StoredTransition:
         error=None if error is None else str(error), time=float(when))
 
 
+def _check_rows(db: SQLiteStore, table: str, columns: str,
+                parse: Callable[[Sequence], object]) -> int:
+    """Parse every row of *table*, one page at a time in rowid order
+    (ValueError or TypeError at the first damaged row); returns the row
+    count."""
+    statement = (f"SELECT rowid, {columns} FROM {table} WHERE rowid > ? "
+                 f"ORDER BY rowid LIMIT {_CHECK_PAGE}")
+    count, last = 0, float("-inf")
+    while True:
+        rows = db.execute(statement, (last,)) or []
+        for row in rows:
+            parse(row[1:])
+        count += len(rows)
+        if len(rows) < _CHECK_PAGE:
+            return count
+        last = rows[-1][0]
+        del rows  # one page alive at a time
+
+
 class JobStore:
     """Durable job ledger: every read and write is a SQLite statement.
 
@@ -147,7 +173,8 @@ class JobStore:
     ----------
     path:
         Store file location; parent directories are created.  Opening
-        an existing store checks that its rows parse, and keeps none.
+        an existing store checks that its rows parse, a page at a
+        time, and keeps none.
     timeout:
         Seconds a writer waits on a locked database before the store
         degrades (SQLite busy timeout).  Shorter than the compile
@@ -167,12 +194,9 @@ class JobStore:
         self._db = _ledger(path, timeout)  # the file's statements
         self.path = self._db.path
         try:  # a row that does not parse makes the file unusable
-            rows = self._db.execute(_SELECT_JOBS) or []
-            for row in rows:
-                _job(row)
-            for row in self._db.execute(_SELECT_TRAIL) or []:
-                _transition(row)
-            self.loaded = len(rows)
+            self.loaded = _check_rows(self._db, "jobs", _JOB_COLUMNS, _job)
+            _check_rows(self._db, "transitions", _TRAIL_COLUMNS,
+                        _transition)
         except (TypeError, ValueError) as exc:
             self._db.disable(exc)
         self._memory = _ledger(":memory:") if self._db.disabled else None

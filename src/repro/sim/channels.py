@@ -14,6 +14,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .kernels import kron, superop_matrix
+
 __all__ = [
     "KrausChannel",
     "depolarizing_channel",
@@ -88,8 +90,6 @@ class KrausChannel:
         """
         cached = self._embed_cache.get("superop")
         if cached is None:
-            from .kernels import superop_matrix
-
             cached = superop_matrix(self.operators)
             self._embed_cache["superop"] = cached
         return cached
@@ -154,7 +154,7 @@ def _depolarizing_cached(p: float, num_qubits: int) -> KrausChannel:
     for label in labels:
         mat = np.eye(1, dtype=complex)
         for ch in label:
-            mat = np.kron(mat, _PAULIS[ch])
+            mat = kron(mat, _PAULIS[ch])
         if label == "I" * num_qubits:
             weight = 1.0 - p * (d2 - 1) / d2
         else:
@@ -181,7 +181,7 @@ def pauli_channel(probabilities: dict) -> KrausChannel:
             continue
         mat = np.eye(1, dtype=complex)
         for ch in label:
-            mat = np.kron(mat, _PAULIS[ch])
+            mat = kron(mat, _PAULIS[ch])
         ops.append(math.sqrt(prob) * mat)
     return KrausChannel(tuple(ops))
 

@@ -37,6 +37,7 @@ from .kernels import (
     RESET_KRAUS,
     apply_local,
     initial_density_tensor,
+    kron,
     superop_matrix,
     target_axes,
 )
@@ -70,7 +71,7 @@ def _instruction_superop(gate: _GateKey, num_qubits: int,
     superop = None
     if gate is not None:
         unitary = Gate(gate[0], num_qubits, gate[1]).matrix()
-        superop = np.kron(unitary, unitary.conj())
+        superop = kron(unitary, unitary.conj())
     if channel is not None:
         superop = (channel.superop() if superop is None
                    else channel.superop() @ superop)

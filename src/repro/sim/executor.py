@@ -90,45 +90,57 @@ def timed_intervals(
     time** (0 = end of the job), which is the natural frame for parallel
     programs that finish together; under ``"asap"`` they count forward
     from the start.
+
+    One pass: each instruction starts at the latest availability of its
+    qubits and clbits (0 for none) and holds them until ``start + dur``;
+    ALAP is the same pass over the reversed instruction list.  Every
+    time is a sum of durations along one chain, added in instruction
+    order, so the floats are reproducible bit for bit — the crosstalk
+    scales of :func:`_crosstalk_scales` depend on them.
     """
-
-    def asap_times(instructions) -> List[Tuple[float, float]]:
-        avail: Dict[int, float] = {}
-        cavail: Dict[int, float] = {}
-        out: List[Tuple[float, float]] = []
-        for inst in instructions:
-            if isinstance(inst.gate, ControlFlowOp):
-                # A control-flow block occupies its whole qubit/clbit
-                # footprint for its *worst-case* duration: the deepest
-                # branch for if/else, iterations x body makespan for
-                # loops.  That is the bound the scheduler must reserve.
-                dur = inst.gate.duration_bound(
-                    lambda body: program_duration(body, gate_duration))
-            elif inst.name == "delay":
-                dur = float(inst.params[0])
-            else:
-                dur = gate_duration.get(inst.name, 35.0)
-            if inst.name == "barrier":
-                dur = 0.0
-            start = max(
-                [avail.get(q, 0.0) for q in inst.qubits]
-                + [cavail.get(c, 0.0) for c in inst.clbits]
-                + [0.0]
-            )
-            end = start + dur
-            for q in inst.qubits:
-                avail[q] = end
-            for c in inst.clbits:
-                cavail[c] = end
-            out.append((start, end))
-        return out
-
     if mode == "asap":
-        return asap_times(circuit.instructions)
+        instructions = circuit.instructions
+    elif mode == "alap":
+        instructions = reversed(circuit.instructions)
+    else:
+        raise ValueError(f"unknown scheduling mode {mode!r}")
+    avail: Dict[int, float] = {}
+    cavail: Dict[int, float] = {}
+    out: List[Tuple[float, float]] = []
+    for inst in instructions:
+        gate = inst.gate
+        name = gate.name
+        if isinstance(gate, ControlFlowOp):
+            # A control-flow block occupies its whole qubit/clbit
+            # footprint for its *worst-case* duration: the deepest
+            # branch for if/else, iterations x body makespan for
+            # loops.  That is the bound the scheduler must reserve.
+            dur = gate.duration_bound(
+                lambda body: program_duration(body, gate_duration))
+        elif name == "barrier":
+            dur = 0.0
+        elif name == "delay":
+            dur = float(gate.params[0])
+        else:
+            dur = gate_duration.get(name, 35.0)
+        start = 0.0
+        for q in inst.qubits:
+            t = avail.get(q, 0.0)
+            if t > start:
+                start = t
+        for c in inst.clbits:
+            t = cavail.get(c, 0.0)
+            if t > start:
+                start = t
+        end = start + dur
+        for q in inst.qubits:
+            avail[q] = end
+        for c in inst.clbits:
+            cavail[c] = end
+        out.append((start, end))
     if mode == "alap":
-        rev = asap_times(list(reversed(circuit.instructions)))
-        return list(reversed(rev))
-    raise ValueError(f"unknown scheduling mode {mode!r}")
+        out.reverse()
+    return out
 
 
 def _crosstalk_scales(
@@ -142,41 +154,66 @@ def _crosstalk_scales(
     multiplicative error boost given by the device's ground-truth
     crosstalk factor for their link pair, weighted by the fraction of the
     gate duration during which the aggressor is active.
+
+    Victim *v* (one row per CX, in program then instruction order) gets
+    ``prod_a 1 + (f(v, a) - 1) * min(overlap(v, a) / dur(v), 1)`` over
+    every aggressor *a* of another program that overlaps it with
+    ``f > 1``.  The terms are N x N arrays; every other pair's term is
+    exactly 1.0, and each row is multiplied left to right in aggressor
+    order by ``np.multiply.accumulate``.  That order is part of the
+    result: float products are not associative, so reordering them
+    (``np.prod`` promises no order) would change the scales' bits, and
+    with them every noisy distribution.
     """
     durations = device.calibration.gate_duration
-    # Collect (program, inst index, interval, physical edge) for every CX.
-    active: List[Tuple[int, int, float, float, Tuple[int, int]]] = []
+    # One row per CX: program, instruction index, start, end, link id.
+    rows: List[Tuple[int, int, float, float, int]] = []
+    links: Dict[Tuple[int, int], int] = {}
     for p_idx, prog in enumerate(programs):
         intervals = timed_intervals(prog.circuit, durations,
                                     mode=scheduling)
-        for i_idx, inst in enumerate(prog.circuit):
-            if (inst.gate.is_directive or len(inst.qubits) != 2
+        for i_idx, (inst, (start, end)) in enumerate(zip(prog.circuit,
+                                                         intervals)):
+            if (len(inst.qubits) != 2 or inst.gate.is_directive
                     or isinstance(inst.gate, ControlFlowOp)):
                 # Control-flow blocks are neither crosstalk aggressors
                 # nor victims: their internal CX timing is shot-dependent
                 # so the joint-schedule overlap model cannot place them.
                 continue
-            edge = prog.physical_edge(*inst.qubits)
-            start, end = intervals[i_idx]
-            active.append((p_idx, i_idx, start, end, edge))
+            link = links.setdefault(prog.physical_edge(*inst.qubits),
+                                    len(links))
+            rows.append((p_idx, i_idx, start, end, link))
 
     scales: List[Dict[int, float]] = [dict() for _ in programs]
-    for p_idx, i_idx, start, end, edge in active:
-        duration = max(end - start, 1e-9)
-        factor = 1.0
-        for q_idx, _, s2, e2, other in active:
-            if q_idx == p_idx:
-                continue
-            overlap = min(end, e2) - max(start, s2)
-            if overlap <= 0.0:
-                continue
-            pair_factor = device.crosstalk.factor(edge, other)
-            if pair_factor <= 1.0:
-                continue
-            weight = min(overlap / duration, 1.0)
-            factor *= 1.0 + (pair_factor - 1.0) * weight
-        if factor > 1.0:
-            scales[p_idx][i_idx] = factor
+    if not rows:
+        return scales
+    # The batch's link-pair factors; absent pairs interfere with 1.0.
+    table = np.ones((len(links), len(links)))
+    for pair, factor in device.crosstalk.factors.items():
+        ids = [links[edge] for edge in pair if edge in links]
+        if len(ids) == 2:
+            table[ids[0], ids[1]] = table[ids[1], ids[0]] = factor
+    prog_of, _, start, end, link = (np.array(col) for col in zip(*rows))
+    duration = np.maximum(end - start, 1e-9)
+    overlap = np.minimum.outer(end, end)
+    overlap -= np.maximum.outer(start, start)
+    pair_factor = table[np.ix_(link, link)]
+    quiet = np.equal.outer(prog_of, prog_of)
+    quiet |= overlap <= 0.0
+    quiet |= pair_factor <= 1.0
+    # term = 1 + (f - 1) * min(overlap / duration, 1), in place.
+    term = np.divide(overlap, duration[:, None], out=overlap)
+    np.minimum(term, 1.0, out=term)
+    pair_factor -= 1.0
+    term *= pair_factor
+    term += 1.0
+    term[quiet] = 1.0
+    # Left to right, as one `factor *= term` per aggressor; a 1.0 term
+    # changes no bit.  Not np.prod: it promises no order.
+    np.multiply.accumulate(term, axis=1, out=term)
+    for r in np.flatnonzero(term[:, -1] > 1.0).tolist():
+        p_idx, i_idx = rows[r][:2]
+        scales[p_idx][i_idx] = float(term[r, -1])
     return scales
 
 

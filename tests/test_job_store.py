@@ -10,6 +10,7 @@ import sqlite3
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -36,6 +37,7 @@ from repro.service import (
     StoredJob,
     StoredTransition,
 )
+from repro.service.store import _CHECK_PAGE
 
 
 def make_provider(tmp_path=None, **kwargs):
@@ -241,6 +243,42 @@ class TestJobStoreDegradation:
         assert len(runtime) == 1
         assert store.stats["disabled"] == 1
         store.close()
+
+    def test_open_checks_rows_a_page_at_a_time(self, tmp_path):
+        """Opening parses every row but holds one page of replay specs
+        at a time; a damaged row on the last page still refuses the
+        file, with one warning."""
+        path = str(tmp_path / "s.sqlite")
+        jobs = 300  # more than four pages of 16 KB specs (~4.7 MB)
+        assert jobs > 4 * _CHECK_PAGE
+        with JobStore(path) as store:
+            for n in range(1, jobs + 1):
+                store.record_submission(f"job-{n:06d}", n, "dev",
+                                        bytes(16 * 1024))
+        tracemalloc.start()
+        try:
+            with JobStore(path) as fresh:
+                _, peak = tracemalloc.get_traced_memory()
+                assert fresh.stats["loaded"] == jobs
+                assert not fresh.disabled
+        finally:
+            tracemalloc.stop()
+        # One fetch of the whole table peaks near 4.9 MB; a page, ~1 MB.
+        assert peak < 2 * 1024 * 1024
+        with sqlite3.connect(path) as conn:
+            conn.execute("UPDATE jobs SET result = 'not json' "
+                         "WHERE job_number = ?", (jobs,))
+        conn.close()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            refused = JobStore(path)
+        runtime = [str(w.message) for w in caught
+                   if issubclass(w.category, RuntimeWarning)]
+        assert len(runtime) == 1 and "unusable" in runtime[0]
+        assert refused.disabled
+        assert refused.stats["loaded"] == 0
+        assert len(refused) == 0
+        refused.close()
 
     def test_mid_life_mirror_failure_degrades(self, tmp_path):
         """Losing the connection after open degrades writes, not reads."""

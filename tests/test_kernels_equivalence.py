@@ -5,12 +5,17 @@ embedding path (to 1e-10) over random circuits with non-sorted
 multi-qubit gate tuples, resets, delays, noise, crosstalk error scales,
 and non-contiguous measured clbits; its process-wide superoperator memo
 must stay bounded and never serve one noise model's channel to another.
+The broadcast :func:`~repro.sim.kernels.kron` must give ``np.kron``'s
+bytes, so the superoperators built on it do too.
 """
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
-from repro.circuits import QuantumCircuit
+from repro.circuits import Gate, QuantumCircuit
 from repro.sim import (
     NoiseModel,
     circuit_unitary,
@@ -19,7 +24,14 @@ from repro.sim import (
     simulate_density_matrix,
     simulate_statevector,
 )
+from repro.sim.channels import (
+    _PAULIS,
+    depolarizing_channel,
+    pauli_channel,
+    thermal_relaxation_channel,
+)
 from repro.sim.density_matrix import _instruction_superop
+from repro.sim.kernels import kron
 
 ATOL = 1e-10
 
@@ -165,3 +177,67 @@ class TestCircuitUnitaryEquivalence:
         for inst in qc:
             dense = embed_gate(inst.gate.matrix(), inst.qubits, n) @ dense
         assert np.allclose(via_kernels, dense, atol=ATOL)
+
+
+def _numpy_superop(operators):
+    """``sum_i K_i (x) conj(K_i)`` accumulated with ``np.kron``."""
+    d = operators[0].shape[0]
+    out = np.zeros((d * d, d * d), dtype=complex)
+    for op in operators:
+        out += np.kron(op, op.conj())
+    return out
+
+
+class TestKronEquivalence:
+    """Byte identity with ``np.kron``: the same products, the same bits."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_bytes_match_numpy_kron(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        for _ in range(20):
+            a = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            b = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+            assert kron(a, b.conj()).tobytes() == \
+                np.kron(a, b.conj()).tobytes()
+
+    @pytest.mark.parametrize("gate", [
+        ("h", ()), ("rx", (0.3,)), ("u", (0.1, -1.2, 2.9)),
+        ("cx", ()), ("rzz", (1.7,)), ("cp", (-0.4,))])
+    def test_instruction_superop_matches_numpy_kron(self, gate):
+        arity = 2 if gate[0] in ("cx", "rzz", "cp") else 1
+        unitary = Gate(gate[0], arity, gate[1]).matrix()
+        bare = np.kron(unitary, unitary.conj())
+        assert _instruction_superop(gate, arity, None).tobytes() == \
+            bare.tobytes()
+        channels = ((depolarizing_channel(0.013, 1),
+                     thermal_relaxation_channel(80_000.0, 70_000.0, 300.0))
+                    if arity == 1 else
+                    (depolarizing_channel(0.013, 2),
+                     pauli_channel({"XZ": 0.01, "YI": 0.02})))
+        for channel in channels:
+            fused = _numpy_superop(channel.operators) @ bare
+            assert _instruction_superop(gate, arity, channel).tobytes() \
+                == fused.tobytes()
+
+    @pytest.mark.parametrize("num_qubits", [1, 2])
+    def test_pauli_products_match_numpy_kron(self, num_qubits):
+        labels = ["".join(t)
+                  for t in itertools.product("IXYZ", repeat=num_qubits)]
+        ident = "I" * num_qubits
+        paulis = {}
+        for label in labels:
+            mat = np.eye(1, dtype=complex)
+            for ch in label:
+                mat = np.kron(mat, _PAULIS[ch])
+            paulis[label] = mat
+            prob = 1.0 if label == ident else 0.25
+            op = pauli_channel({label: prob}).operators[0]
+            assert op.tobytes() == (math.sqrt(prob) * mat).tobytes()
+        p, d2 = 0.03, 4 ** num_qubits
+        ops = depolarizing_channel(p, num_qubits).operators
+        for op, label in zip(ops, labels):
+            weight = 1.0 - p * (d2 - 1) / d2 if label == ident else p / d2
+            assert op.tobytes() == \
+                (math.sqrt(weight) * paulis[label]).tobytes()
