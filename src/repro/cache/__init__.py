@@ -1,6 +1,7 @@
 """Layered compile-cache subsystem.
 
-One unified cache API over three tiers:
+One cache class, :class:`ExecutionCache`, over three tiers, built from
+these modules:
 
 - :mod:`~repro.cache.keys` — structural cache keys, qubit-relabel
   equivalence-class canonicalization, and stable cross-process digests
@@ -12,11 +13,9 @@ One unified cache API over three tiers:
 - :mod:`~repro.cache.sqlite` — the SQLite core under both durable
   stores (this L2 and :class:`repro.service.JobStore`): connect, refuse
   another store's file, warn once and degrade, close;
-- :mod:`~repro.cache.tiered` — :class:`TieredCache`, composing exact
-  L1 + equivalence-class L1 + L2 with promotion on hit.
-
-:class:`repro.core.ExecutionCache` keeps its public API and delegates
-to a :class:`TieredCache` underneath.
+- :mod:`~repro.cache.tiered` — :class:`ExecutionCache`, the compile
+  cache: exact L1 + equivalence-class L1 + L2 with promotion on hit,
+  plus the ideal-distribution table.
 """
 
 from .keys import (
@@ -36,13 +35,13 @@ from .keys import (
 )
 from .memory import MemoryCache
 from .persistent import PersistentCache
-from .tiered import TieredCache, dumps_artifact, loads_artifact
+from .tiered import ExecutionCache, dumps_artifact, loads_artifact
 
 __all__ = [
     "CanonicalForm",
+    "ExecutionCache",
     "MemoryCache",
     "PersistentCache",
-    "TieredCache",
     "TranspileKey",
     "canonical_form",
     "circuit_key",

@@ -1,10 +1,9 @@
-"""Tier composition: exact L1 + equivalence-class L1 + persistent L2.
+"""The compile cache: :class:`ExecutionCache` over three tiers.
 
-:class:`TieredCache` is the compile-cache subsystem's engine.  One
-lookup walks three tiers, cheapest first:
+One lookup walks three tiers, cheapest first:
 
 1. **exact L1** — label-exact key, artifact already in the caller's
-   labeling (the historical :class:`~repro.core.ExecutionCache` path);
+   labeling;
 2. **equivalence-class L1** — same process, same device/hook, but the
    request's circuit is a qubit-relabeled twin of an earlier one: the
    class representative's artifact is remapped into the request's
@@ -23,23 +22,31 @@ Every artifact handed out is in the exact labeling of the request that
 asked, so callers never see a representative's labels; equivalence-class
 reuse is invisible except in the counters (``equivalence_hits``,
 ``promotions``).
+
+The same class memoizes ideal (noiseless) distributions.  Compiles run
+through :class:`~repro.core.compile_service.CompileService`, which keys
+each request once (:func:`~repro.cache.keys.transpile_key`), looks it up
+here and publishes what it compiles.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-from typing import TYPE_CHECKING, Dict, Optional
+from dataclasses import replace
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
+from ..circuits.circuit import QuantumCircuit
+from ..sim.statevector import ideal_probabilities
 from ..transpiler.transpile import TranspileResult
-from .keys import TranspileKey, invert_relabel, remap_result
+from .keys import TranspileKey, canonical_form, invert_relabel, remap_result
 from .memory import MemoryCache
 from .persistent import PersistentCache
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..hardware.devices import Device
 
-__all__ = ["TieredCache", "dumps_artifact", "loads_artifact"]
+__all__ = ["ExecutionCache", "dumps_artifact", "loads_artifact"]
 
 
 def dumps_artifact(result: TranspileResult) -> bytes:
@@ -62,44 +69,101 @@ def loads_artifact(payload: bytes) -> Optional[TranspileResult]:
     return artifact
 
 
-class TieredCache:
-    """Layered transpile-artifact cache behind one lookup/store API.
+class ExecutionCache:
+    """Cross-job memoization of compiled artifacts and ideal distributions.
 
     Parameters
     ----------
     max_entries:
         LRU bound applied to each in-memory table (``None`` unbounded,
-        ``0`` disables in-memory storage).
+        ``0`` disables in-memory storage).  The default is generous for
+        figure-sized sweeps and finite for long-lived services, whose
+        entries pin their keyed devices and results alive.
     store_path:
-        Location of the persistent L2 store; ``None`` runs in-memory
-        only.  Ignored when *persistent* is given.
-    persistent:
-        An existing :class:`PersistentCache` to attach (shared stores,
-        tests).
+        Location of the persistent L2 store (:attr:`persistent`);
+        ``None`` runs in-memory only.
+
+    Artifacts are keyed on circuit *structure* plus placement, so
+    repeated programs in a sweep amortize the expensive steps.
+    :attr:`stats` is the counter snapshot across every tier.
     """
 
-    def __init__(self, max_entries: Optional[int] = None,
-                 store_path: Optional[str] = None,
-                 persistent: Optional[PersistentCache] = None) -> None:
+    def __init__(self, max_entries: Optional[int] = 4096,
+                 store_path: Optional[str] = None) -> None:
+        self.max_entries = max_entries
+        # In-memory values keep strong references to the keyed
+        # device/transpiler so their id()s cannot be recycled onto
+        # different objects while an entry is alive.
         self.l1 = MemoryCache(max_entries)
         self.l1_classes = MemoryCache(max_entries)
-        if persistent is None and store_path is not None:
-            persistent = PersistentCache(store_path)
-        self.l2 = persistent
+        self.persistent: Optional[PersistentCache] = (
+            None if store_path is None else PersistentCache(store_path))
+        self._ideal_table = MemoryCache(max_entries)
         self._lock = threading.Lock()
         self.equivalence_hits = 0
         self.promotions = 0
         self.decode_errors = 0
+        self.transpile_hits = 0
+        self.transpile_misses = 0
+        self.ideal_hits = 0
+        self.ideal_misses = 0
+        #: Optional publication gate: a zero-argument callable consulted
+        #: before every write.  Returning ``False`` drops the write (the
+        #: caller still gets its computed value) and counts it in
+        #: :attr:`gated_writes`.  The service layer wires the retry
+        #: fence in here so attempts abandoned by a timeout stop
+        #: publishing into shared state.
+        self.write_gate: Optional[Callable[[], bool]] = None
+        self.gated_writes = 0
+
+    def _may_write(self) -> bool:
+        gate = self.write_gate
+        if gate is None or gate():
+            return True
+        self.gated_writes += 1
+        return False
+
+    @property
+    def store_path(self) -> Optional[str]:
+        """Path of the attached persistent store, or ``None``."""
+        return None if self.persistent is None else self.persistent.path
+
+    def clear(self) -> None:
+        """Drop the in-memory entries (counters are kept).
+
+        The on-disk store outlives this process by design; empty it
+        with ``persistent.clear()``.
+        """
+        self.l1.clear()
+        self.l1_classes.clear()
+        self._ideal_table.clear()
 
     # ------------------------------------------------------------------
-    def lookup(self, key: TranspileKey, device: "Device",
-               transpiler_fn) -> Optional[TranspileResult]:
-        """The cached artifact in *key*'s exact labeling, or ``None``.
+    def lookup_transpile_raw(self, key: Optional[TranspileKey],
+                             device: "Device", transpiler_fn
+                             ) -> Optional[TranspileResult]:
+        """Cached *raw* (shared, do-not-mutate) result for a
+        precomputed key, or ``None``; counts hit/miss.
 
-        Values are shared (do not mutate) — the caller freshens before
-        handing them to anything that may.  Device/hook identity is
-        re-checked against the stored strong references, so a recycled
-        ``id()`` can never alias a different object.
+        Apply :meth:`_fresh` before handing the result to anything that
+        may mutate it.  The result is always in the request's own qubit
+        labeling, whichever tier served it.
+        """
+        found = None if key is None else self._walk(key, device,
+                                                     transpiler_fn)
+        if found is None:
+            self.transpile_misses += 1
+        else:
+            self.transpile_hits += 1
+        return found
+
+    def _walk(self, key: TranspileKey, device: "Device",
+              transpiler_fn) -> Optional[TranspileResult]:
+        """The tier walk: exact L1, class L1, then the L2 store.
+
+        Device/hook identity is re-checked against the stored strong
+        references, so a recycled ``id()`` can never alias a different
+        object.
         """
         entry = self.l1.get(key.exact)
         if (entry is not None and entry[0] is device
@@ -115,9 +179,9 @@ class TieredCache:
             with self._lock:
                 self.equivalence_hits += 1
             return result
-        if self.l2 is None or key.digest is None:
+        if self.persistent is None or key.digest is None:
             return None
-        payload = self.l2.get(key.digest)
+        payload = self.persistent.get(key.digest)
         if payload is None:
             return None
         canonical = loads_artifact(payload)
@@ -126,7 +190,7 @@ class TieredCache:
             # replaces it, and treat this request as a plain miss.
             with self._lock:
                 self.decode_errors += 1
-            self.l2.delete(key.digest)
+            self.persistent.delete(key.digest)
             return None
         self.l1_classes.put(key.canonical,
                             (device, transpiler_fn, canonical))
@@ -136,19 +200,6 @@ class TieredCache:
             self.promotions += 1
         return result
 
-    def store(self, key: TranspileKey, device: "Device", transpiler_fn,
-              result: TranspileResult) -> None:
-        """Publish one computed artifact into every applicable tier."""
-        self.l1.put(key.exact, (device, transpiler_fn, result))
-        if key.canonical is None:
-            return
-        canonical = remap_result(result, key.relabel)
-        self.l1_classes.put(key.canonical,
-                            (device, transpiler_fn, canonical))
-        if self.l2 is not None and key.digest is not None:
-            self.l2.put(key.digest, dumps_artifact(canonical),
-                        key.invariants or "")
-
     @staticmethod
     def _to_request_labeling(canonical: TranspileResult,
                              key: TranspileKey) -> TranspileResult:
@@ -157,24 +208,76 @@ class TieredCache:
             return canonical
         return remap_result(canonical, invert_relabel(key.relabel))
 
+    def store_transpile_raw(self, key: Optional[TranspileKey],
+                            device: "Device", transpiler_fn,
+                            result: TranspileResult) -> None:
+        """Publish one computed artifact into every applicable tier
+        (no-op for ``None`` keys and gated writes)."""
+        if key is None or not self._may_write():
+            return
+        self.l1.put(key.exact, (device, transpiler_fn, result))
+        if key.canonical is None:
+            return
+        canonical = remap_result(result, key.relabel)
+        self.l1_classes.put(key.canonical,
+                            (device, transpiler_fn, canonical))
+        if self.persistent is not None and key.digest is not None:
+            self.persistent.put(key.digest, dumps_artifact(canonical),
+                                key.invariants or "")
+
+    @staticmethod
+    def _fresh(result: TranspileResult) -> TranspileResult:
+        """Copy a cached result so outcomes never alias mutable state.
+
+        Instructions are immutable (a shallow circuit copy suffices) but
+        layouts are not (``Layout.swap_physical`` mutates in place);
+        without these copies a caller mutating one outcome's transpiled
+        circuit or layout would corrupt every sibling and future hit.
+        """
+        return replace(result,
+                       circuit=result.circuit.copy(),
+                       initial_layout=result.initial_layout.copy(),
+                       final_layout=result.final_layout.copy())
+
     # ------------------------------------------------------------------
-    def clear(self, persistent: bool = False) -> None:
-        """Drop the in-memory tiers (and, optionally, the L2 store)."""
-        self.l1.clear()
-        self.l1_classes.clear()
-        if persistent and self.l2 is not None:
-            self.l2.clear()
+    def ideal(self, circuit: QuantumCircuit) -> Dict[str, float]:
+        """Ideal (noiseless) output distribution through the cache.
+
+        Keyed by the circuit's *canonical* form: relabeling the qubit
+        register permutes the state but not the measured clbits, so
+        every member of an equivalence class shares one distribution.
+        Returns a fresh dict each call — outcomes must not alias one
+        shared mutable distribution, or a caller mutating its copy would
+        corrupt the cache and every sibling outcome.
+        """
+        form = canonical_form(circuit)
+        if form is None:
+            self.ideal_misses += 1
+            return ideal_probabilities(circuit)
+        cached = self._ideal_table.get(form.key)
+        if cached is not None:
+            self.ideal_hits += 1
+            return dict(cached)
+        self.ideal_misses += 1
+        result = ideal_probabilities(circuit)
+        if self._may_write():
+            self._ideal_table.put(form.key, result)
+        return dict(result)
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Cross-tier counter snapshot.
+        """Counter snapshot (plain ints, JSON-safe).
 
-        ``evictions`` sums both in-memory tables; the ``persistent_*``
-        entries are zero when no L2 store is attached.
+        ``evictions`` sums every in-memory table; ``equivalence_hits``
+        and ``promotions`` (store -> memory) count the deeper tiers'
+        hits; the ``persistent_*`` entries are zero without an attached
+        store; then the transpile/ideal hit-miss counters and
+        ``gated_writes``.
         """
-        l2 = self.l2.stats if self.l2 is not None else {}
+        l2 = self.persistent.stats if self.persistent is not None else {}
         return {
-            "evictions": self.l1.evictions + self.l1_classes.evictions,
+            "evictions": (self.l1.evictions + self.l1_classes.evictions
+                          + self._ideal_table.evictions),
             "equivalence_hits": self.equivalence_hits,
             "promotions": self.promotions,
             "decode_errors": self.decode_errors,
@@ -182,9 +285,9 @@ class TieredCache:
             "persistent_misses": l2.get("misses", 0),
             "persistent_writes": l2.get("writes", 0),
             "persistent_errors": l2.get("errors", 0),
+            "transpile_hits": self.transpile_hits,
+            "transpile_misses": self.transpile_misses,
+            "ideal_hits": self.ideal_hits,
+            "ideal_misses": self.ideal_misses,
+            "gated_writes": self.gated_writes,
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        l2 = "none" if self.l2 is None else repr(self.l2.path)
-        return (f"<TieredCache l1={len(self.l1)} "
-                f"classes={len(self.l1_classes)} l2={l2}>")

@@ -33,7 +33,6 @@ from .executor import (
     ExecutionCache,
     ExecutionOutcome,
     execute_allocation,
-    index_sensitive_transpiler,
     run_batch,
 )
 from .faults import (
@@ -140,7 +139,6 @@ __all__ = [
     "get_allocator",
     "grow_partition_candidates",
     "hardware_throughput",
-    "index_sensitive_transpiler",
     "jensen_shannon_divergence",
     "kl_divergence",
     "locked_database",

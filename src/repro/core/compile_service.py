@@ -3,19 +3,20 @@
 The cloud service's compile cost is per-program transpilation; with the
 :mod:`~repro.transpiler.context` layer the device-invariant tables are
 shared, so what remains is per-program work.  :class:`CompileService`
-compiles each request inline on the calling thread, with three layers
-of reuse:
+is the one compile path: it compiles each request inline on the calling
+thread, with three layers of reuse:
 
-- the shared :class:`~repro.core.executor.ExecutionCache` (full results,
-  keyed by circuit structure + placement + device + hook; with a
-  persistent store attached, artifacts other processes compiled);
+- the shared :class:`~repro.cache.ExecutionCache` (full results, keyed
+  by circuit structure + placement + device + hook; with a persistent
+  store attached, artifacts other processes compiled);
 - in-flight coalescing — a job thread requesting a key another job
   thread is compiling waits for that compile instead of compiling twice;
 - the fingerprint-keyed :func:`~repro.transpiler.context.device_context`
   registry, so compiles never rebuild distance tables.
 
 :func:`repro.core.executor.execute_allocation` compiles each job's
-programs through it, so every program is keyed and compiled once.  All
+programs through it — the provider's service, or a private one over the
+caller's cache — so every program is keyed and compiled once.  All
 writes happen on the requesting thread, where the service layer's retry
 fence (:mod:`repro.service.retry`) gates them.
 """
@@ -24,15 +25,29 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from typing import Dict, Hashable, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional
 
+from ..cache import ExecutionCache, persistent_cache_token, transpile_key
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.devices import Device
-from ..transpiler.transpile import TranspileResult
+from ..transpiler.transpile import TranspileResult, transpile_for_partition
 from .allocators import AllocationResult, ProgramAllocation
-from .executor import ExecutionCache, TranspilerFn, _default_transpiler
 
 __all__ = ["CompileService"]
+
+#: Hook: (logical circuit, device, allocation) -> TranspileResult.
+TranspilerFn = Callable[[QuantumCircuit, Device, ProgramAllocation],
+                        TranspileResult]
+
+
+# The token versions the persistent store's entries for this pipeline:
+# bump it whenever the default pipeline's output would change, so stale
+# artifacts from older builds miss instead of being reused.
+@persistent_cache_token("default-O3-alap-sched/v2")
+def _default_transpiler(circuit: QuantumCircuit, device: Device,
+                        allocation: ProgramAllocation) -> TranspileResult:
+    return transpile_for_partition(circuit, device, allocation.partition,
+                                   optimization_level=3, schedule=True)
 
 
 class CompileService:
@@ -92,7 +107,7 @@ class CompileService:
         fn = transpiler_fn or _default_transpiler
         # The key (the circuit fingerprint, the expensive part) needs no
         # lock; the cache and in-flight checks must be one atomic step.
-        key = self.cache.transpile_key(circuit, device, allocation, fn)
+        key = transpile_key(circuit, device, allocation, fn)
         with self._lock:
             found = self.cache.lookup_transpile_raw(key, device, fn)
             if found is not None:

@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from ..core.allocators import AllocationResult
 from ..core.compile_service import CompileService
 from ..core.execution_service import ExecutionService
-from ..core.executor import _UNSET, ExecutionCache
+from ..core.executor import ExecutionCache
 from ..hardware.devices import (
     Device,
     ibm_manhattan,
@@ -112,9 +112,7 @@ class QuantumProvider:
         built-ins), addressable by their ``Device.name``.
     cache_entries:
         LRU bound on the shared :class:`ExecutionCache`'s in-memory
-        tables.  When omitted, a generous default cap applies (4096,
-        overridable via ``REPRO_CACHE_MAX_ENTRIES``); an explicit
-        ``None`` is unbounded.
+        tables (default 4096); ``None`` is unbounded.
     cache_path:
         Location of a persistent on-disk compile-artifact store (SQLite
         WAL, shared across processes): compiled equivalence classes
@@ -157,7 +155,7 @@ class QuantumProvider:
     def __init__(
         self,
         devices: Sequence[Device] = (),
-        cache_entries=_UNSET,
+        cache_entries: Optional[int] = 4096,
         cache_path: Optional[str] = None,
         job_workers: int = 1,
         job_history: Optional[int] = None,

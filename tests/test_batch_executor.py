@@ -116,7 +116,7 @@ class TestExecutionCache:
         run_batch([BatchJob(_allocation(toronto, names=("lin", "adder")),
                             shots=0)], cache=cache)
         assert len(cache._ideal_table) == 1  # noqa: SLF001
-        assert len(cache.tiers.l1) == 1
+        assert len(cache.l1) == 1
         cache.clear()
         assert len(cache._ideal_table) == 0  # noqa: SLF001
 
@@ -126,7 +126,7 @@ class TestExecutionCache:
         run_batch([BatchJob(alloc, shots=0), BatchJob(alloc, shots=0)],
                   cache=cache)
         assert cache.transpile_hits == 0
-        assert len(cache.tiers.l1) == 0
+        assert len(cache.l1) == 0
 
     def test_cache_sensitive_to_partition(self, toronto):
         """Same circuit on a different partition must re-transpile."""

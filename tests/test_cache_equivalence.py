@@ -16,8 +16,8 @@ from repro.cache import (
     transpile_key,
 )
 from repro.circuits import QuantumCircuit, random_circuit
-from repro.core import ExecutionCache, qucp_allocate
-from repro.core.executor import _default_transpiler
+from repro.core import CompileService, ExecutionCache, qucp_allocate
+from repro.core.compile_service import _default_transpiler
 from repro.service import QuantumProvider
 from repro.sim import ideal_probabilities
 from repro.transpiler import Layout
@@ -99,14 +99,16 @@ class TestEquivalenceReuse:
         cache = ExecutionCache()
         qc = _measured(random_circuit(3, 8, seed=2))
         base, twin = self._alloc_pair(toronto, qc, (1, 2, 0))
-        cache.transpile(base.circuit, toronto, base, _default_transpiler)
+        CompileService(cache).transpile(base.circuit, toronto, base,
+                                        _default_transpiler)
         assert cache.transpile_misses == 1
-        cache.transpile(twin.circuit, toronto, twin, _default_transpiler)
+        CompileService(cache).transpile(twin.circuit, toronto, twin,
+                                        _default_transpiler)
         assert cache.transpile_misses == 1
         assert cache.stats["equivalence_hits"] == 1
 
     def test_index_sensitive_hooks_never_alias_classes(self, toronto):
-        from repro.core import index_sensitive_transpiler
+        from repro.cache import index_sensitive_transpiler
 
         @index_sensitive_transpiler
         def hook(circuit, device, allocation):
@@ -117,8 +119,8 @@ class TestEquivalenceReuse:
         key = transpile_key(base.circuit, toronto, base, hook)
         assert key.canonical is None and key.digest is None
         cache = ExecutionCache()
-        cache.transpile(base.circuit, toronto, base, hook)
-        cache.transpile(twin.circuit, toronto, twin, hook)
+        CompileService(cache).transpile(base.circuit, toronto, base, hook)
+        CompileService(cache).transpile(twin.circuit, toronto, twin, hook)
         assert cache.stats["equivalence_hits"] == 0
         assert cache.transpile_misses == 2
 
@@ -130,10 +132,10 @@ class TestEquivalenceReuse:
         base, twin = self._alloc_pair(toronto, qc, perm)
 
         cache = ExecutionCache()
-        rep = cache.transpile(base.circuit, toronto, base,
-                              _default_transpiler)
-        reused = cache.transpile(twin.circuit, toronto, twin,
-                                 _default_transpiler)
+        rep = CompileService(cache).transpile(base.circuit, toronto, base,
+                                              _default_transpiler)
+        reused = CompileService(cache).transpile(twin.circuit, toronto,
+                                                 twin, _default_transpiler)
         fresh = _default_transpiler(twin.circuit, toronto, twin)
 
         # The physical circuit is label-invariant: reuse hands back the
@@ -165,11 +167,12 @@ class TestEquivalenceReuse:
         qc = _measured(random_circuit(3, 8, seed=5))
         base, twin = self._alloc_pair(toronto, qc, (2, 0, 1))
         warm = ExecutionCache(store_path=path)
-        warm.transpile(base.circuit, toronto, base, _default_transpiler)
+        CompileService(warm).transpile(base.circuit, toronto, base,
+                                       _default_transpiler)
         # Cold process simulation: new cache, same store, twin request.
         cold = ExecutionCache(store_path=path)
-        served = cold.transpile(twin.circuit, toronto, twin,
-                                _default_transpiler)
+        served = CompileService(cold).transpile(twin.circuit, toronto,
+                                                twin, _default_transpiler)
         assert cold.stats["promotions"] == 1
         assert ideal_probabilities(served.circuit) == pytest.approx(
             ideal_probabilities(twin.circuit), abs=1e-9)

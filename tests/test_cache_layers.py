@@ -1,7 +1,7 @@
 """The layered compile-cache subsystem: memory LRU tier, SQLite WAL
 persistent tier (including corruption fallback and cross-process
-sharing), tier composition behind ExecutionCache, and the import shims
-that keep the pre-refactor entry points working."""
+sharing), tier composition inside ExecutionCache, and the
+index-sensitive hook marking."""
 
 import multiprocessing
 import os
@@ -10,20 +10,18 @@ import threading
 
 import pytest
 
-import repro.cache as cache_pkg
 from repro.cache import (
     MemoryCache,
     PersistentCache,
     circuit_key,
     index_sensitive_transpiler,
+    transpile_key,
 )
 from repro.cache import keys as keys_mod
 from repro.circuits.circuit import QuantumCircuit
 from repro.core import CompileService, ExecutionCache, qucp_allocate
-from repro.core import executor as executor_mod
-from repro.core import index_sensitive_transpiler as core_ist
 from repro.core.allocators import ProgramAllocation
-from repro.core.executor import _default_transpiler
+from repro.core.compile_service import _default_transpiler
 from repro.hardware import ibm_manhattan, ibm_toronto
 from repro.workloads import synthesize_traffic, workload
 
@@ -213,14 +211,14 @@ class TestCrossProcessStore:
 
 
 class TestTieredExecutionCache:
-    def _key(self, cache, alloc, device):
-        return cache.transpile_key(alloc.circuit, device, alloc,
-                                   _default_transpiler)
+    @staticmethod
+    def _key(alloc, device):
+        return transpile_key(alloc.circuit, device, alloc,
+                             _default_transpiler)
 
     def test_persistable_key_has_digest(self, toronto):
-        cache = ExecutionCache()
         alloc = _allocation(toronto, names=("lin",)).allocations[0]
-        key = self._key(cache, alloc, toronto)
+        key = self._key(alloc, toronto)
         assert key.digest is not None
         assert key.invariants is not None
 
@@ -232,8 +230,7 @@ class TestTieredExecutionCache:
         circuit.h(1).cx(1, 0).rz(0.25, 2).cx(1, 2).measure_all()
         alloc = ProgramAllocation(0, circuit, (3, 5, 8), 0.875,
                                   ((1, 2), (5, 8)))
-        key = ExecutionCache().transpile_key(circuit, device, alloc,
-                                             _default_transpiler)
+        key = transpile_key(circuit, device, alloc, _default_transpiler)
         assert keys_mod._DIGEST_SCHEMA == 1  # noqa: SLF001
         assert key.relabel == (1, 0, 2)
         assert key.digest == ("0e72628d4803bdadc1e0ae7d0372ecc8"
@@ -266,9 +263,10 @@ class TestTieredExecutionCache:
 
         cache = ExecutionCache(store_path=str(tmp_path / "s.db"))
         alloc = _allocation(toronto, names=("lin",)).allocations[0]
-        key = cache.transpile_key(alloc.circuit, toronto, alloc, hook)
+        key = transpile_key(alloc.circuit, toronto, alloc, hook)
         assert key.digest is None
-        result = cache.transpile(alloc.circuit, toronto, alloc, hook)
+        result = CompileService(cache).transpile(alloc.circuit, toronto,
+                                                 alloc, hook)
         assert result is not None
         assert len(cache.persistent) == 0
 
@@ -276,12 +274,12 @@ class TestTieredExecutionCache:
         path = str(tmp_path / "store.db")
         alloc = _allocation(toronto, names=("lin",)).allocations[0]
         warm = ExecutionCache(store_path=path)
-        compiled = warm.transpile(alloc.circuit, toronto, alloc,
-                                  _default_transpiler)
+        compiled = CompileService(warm).transpile(alloc.circuit, toronto,
+                                                  alloc, _default_transpiler)
         assert len(warm.persistent) == 1
 
         cold = ExecutionCache(store_path=path)
-        key = self._key(cold, alloc, toronto)
+        key = self._key(alloc, toronto)
         served = cold.lookup_transpile_raw(key, toronto,
                                            _default_transpiler)
         assert served is not None
@@ -300,15 +298,15 @@ class TestTieredExecutionCache:
         path = str(tmp_path / "store.db")
         cache = ExecutionCache(store_path=path)
         alloc = _allocation(toronto, names=("lin",)).allocations[0]
-        key = self._key(cache, alloc, toronto)
+        key = self._key(alloc, toronto)
         cache.persistent.put(key.digest, b"not a pickle", "inv")
         cold = ExecutionCache(store_path=path)
         assert cold.lookup_transpile_raw(key, toronto,
                                          _default_transpiler) is None
-        assert cold.tiers.stats["decode_errors"] == 1
+        assert cold.stats["decode_errors"] == 1
         # The torn row was dropped; a real compile republishes it.
-        result = cold.transpile(alloc.circuit, toronto, alloc,
-                                _default_transpiler)
+        result = CompileService(cold).transpile(alloc.circuit, toronto,
+                                                alloc, _default_transpiler)
         assert result is not None
         assert len(cold.persistent) == 1
         healed = ExecutionCache(store_path=path)
@@ -327,22 +325,12 @@ class TestTieredExecutionCache:
         assert cold.stats["submitted"] == 0
         assert cold.stats["promotions"] == 2
 
-    def test_env_default_max_entries(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "17")
-        assert ExecutionCache().max_entries == 17
-        monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "-1")
-        assert ExecutionCache().max_entries is None
-        monkeypatch.delenv("REPRO_CACHE_MAX_ENTRIES")
-        assert ExecutionCache().max_entries == executor_mod._DEFAULT_MAX_ENTRIES  # noqa: E501,SLF001
+    def test_default_max_entries(self):
+        assert ExecutionCache().max_entries == 4096
         assert ExecutionCache(max_entries=None).max_entries is None
 
 
 class TestShims:
-    def test_key_helpers_moved_but_reachable(self):
-        assert executor_mod.index_sensitive_transpiler \
-            is cache_pkg.index_sensitive_transpiler
-        assert core_ist is index_sensitive_transpiler
-
     def test_index_sensitive_marking_unchanged(self):
         @index_sensitive_transpiler
         def hook(circuit, device, allocation):

@@ -11,9 +11,12 @@ from concurrent.futures import ThreadPoolExecutor
 import networkx as nx
 import pytest
 
+from repro.cache import transpile_key
 from repro.circuits import QuantumCircuit, qft_circuit, random_circuit
 from repro.core import CompileService, ExecutionCache, get_allocator
-from repro.core.executor import _default_transpiler, execute_allocation
+from repro.core import compile_service as compile_service_mod
+from repro.core.compile_service import _default_transpiler
+from repro.core.executor import execute_allocation
 from repro.hardware import CouplingMap, ibm_melbourne, ibm_toronto, linear_device
 from repro.transpiler import (
     DeviceContext,
@@ -422,7 +425,8 @@ class TestCompileService:
 
     def test_unkeyable_requests_compile_every_time(self, job, monkeypatch):
         svc = CompileService(cache=ExecutionCache())
-        monkeypatch.setattr(svc.cache, "transpile_key", lambda *args: None)
+        monkeypatch.setattr(compile_service_mod, "transpile_key",
+                            lambda *args: None)
         alloc = job.allocations[0]
         first = svc.transpile(alloc.circuit, job.device, alloc)
         second = svc.transpile(alloc.circuit, job.device, alloc)
@@ -434,10 +438,9 @@ class TestCompileService:
     def test_default_transpiler_key_stable(self, job):
         """The default hook is module-level, so its cache key is stable
         across calls (id() of a fresh lambda would never hit)."""
-        cache = ExecutionCache()
         alloc = job.allocations[0]
-        k1 = cache.transpile_key(alloc.circuit, job.device, alloc,
-                                 _default_transpiler)
-        k2 = cache.transpile_key(alloc.circuit, job.device, alloc,
-                                 _default_transpiler)
+        k1 = transpile_key(alloc.circuit, job.device, alloc,
+                           _default_transpiler)
+        k2 = transpile_key(alloc.circuit, job.device, alloc,
+                           _default_transpiler)
         assert k1 == k2 and k1 is not None

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core import execute_allocation, qucp_allocate
+from repro.core import (
+    CompileService,
+    execute_allocation,
+    qucp_allocate,
+    run_batch,
+)
 from repro.core.executor import ExecutionOutcome
 from repro.sim import ideal_probabilities
 from repro.workloads import workload
@@ -76,3 +81,23 @@ class TestExecuteAllocation:
         for out in outcomes:
             assert (out.transpiled.circuit.num_qubits
                     == len(out.allocation.partition))
+
+    def test_library_path_compiles_through_compile_service(self, toronto,
+                                                            monkeypatch):
+        """Without services, the library entry points still compile every
+        program through a (private) CompileService: one compile path."""
+        submitted = []
+        real = CompileService.submit
+
+        def counting(self, circuit, device, allocation, transpiler_fn=None):
+            submitted.append(allocation.index)
+            return real(self, circuit, device, allocation, transpiler_fn)
+
+        monkeypatch.setattr(CompileService, "submit", counting)
+        circuits = [workload(n).circuit() for n in ("lin", "alu", "adder")]
+        job = qucp_allocate(circuits, toronto)
+        execute_allocation(job, shots=16, seed=0)
+        assert sorted(submitted) == [0, 1, 2]
+        submitted.clear()
+        run_batch([job, job], seed=0)
+        assert sorted(submitted) == [0, 0, 1, 1, 2, 2]

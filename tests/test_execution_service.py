@@ -19,6 +19,7 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.core import (
+    CompileService,
     ExecutionService,
     execute_allocation,
     get_allocator,
@@ -26,7 +27,7 @@ from repro.core import (
     run_batch,
 )
 from repro.core import execution_service as execution_service_mod
-from repro.core.executor import ExecutionCache, _default_transpiler
+from repro.core.compile_service import _default_transpiler
 from repro.hardware import ibm_manhattan, ibm_toronto
 from repro.sim import executor as sim_executor
 from repro.sim.executor import Program, prepare_parallel, run_parallel
@@ -90,9 +91,9 @@ def transpiled_programs(circuits, device, method="qucp"):
     """Allocate *circuits* with *method* and transpile them as the
     service would: the programs a batch on *device* actually simulates."""
     allocation = get_allocator(method).allocate(circuits, device)
-    cache = ExecutionCache()
-    return [Program(cache.transpile(a.circuit, device, a,
-                                    _default_transpiler).circuit,
+    compiler = CompileService()
+    return [Program(compiler.transpile(a.circuit, device, a,
+                                       _default_transpiler).circuit,
                     a.partition)
             for a in sorted(allocation.allocations, key=lambda a: a.index)]
 

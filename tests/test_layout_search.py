@@ -5,6 +5,7 @@ the compile service's one inline route."""
 import numpy as np
 import pytest
 
+from repro.cache import index_sensitive_transpiler, transpile_key
 from repro.circuits import QuantumCircuit, random_circuit
 from repro.core import (
     AllocationResult,
@@ -14,11 +15,10 @@ from repro.core import (
     ProgramAllocation,
     SubmittedProgram,
     get_allocator,
-    index_sensitive_transpiler,
     run_batch,
 )
 from repro.core.cna import cna_compile
-from repro.core.executor import _default_transpiler
+from repro.core.compile_service import _default_transpiler
 from repro.hardware import CouplingMap, ibm_toronto, linear_device
 from repro.hardware.calibration import generate_calibration
 from repro.service import QuantumProvider
@@ -203,14 +203,13 @@ class TestStructuralCacheKey:
         partition = get_allocator("qucp").best_placement(
             circuit, dev).partition
         for index in (0, 3, 17):
-            cache.transpile(circuit, dev, self._alloc(
+            CompileService(cache).transpile(circuit, dev, self._alloc(
                 circuit, partition, index), _default_transpiler)
         assert cache.transpile_misses == 1
         assert cache.transpile_hits == 2
 
     def test_index_sensitive_hook_does_not_dedup(self):
         dev = ibm_toronto()
-        cache = ExecutionCache()
         circuit = _measured(random_circuit(3, 6, seed=4))
         partition = get_allocator("qucp").best_placement(
             circuit, dev).partition
@@ -219,17 +218,17 @@ class TestStructuralCacheKey:
         def hook(circ, device, alloc):
             return transpile_for_partition(circ, device, alloc.partition)
 
-        k0 = cache.transpile_key(circuit, dev,
-                                 self._alloc(circuit, partition, 0), hook)
-        k1 = cache.transpile_key(circuit, dev,
-                                 self._alloc(circuit, partition, 1), hook)
+        k0 = transpile_key(circuit, dev,
+                           self._alloc(circuit, partition, 0), hook)
+        k1 = transpile_key(circuit, dev,
+                           self._alloc(circuit, partition, 1), hook)
         assert k0 != k1
-        d0 = cache.transpile_key(circuit, dev,
-                                 self._alloc(circuit, partition, 0),
-                                 _default_transpiler)
-        d1 = cache.transpile_key(circuit, dev,
-                                 self._alloc(circuit, partition, 1),
-                                 _default_transpiler)
+        d0 = transpile_key(circuit, dev,
+                           self._alloc(circuit, partition, 0),
+                           _default_transpiler)
+        d1 = transpile_key(circuit, dev,
+                           self._alloc(circuit, partition, 1),
+                           _default_transpiler)
         assert d0 == d1
 
     def test_cna_adapter_is_index_sensitive(self):
@@ -240,29 +239,27 @@ class TestStructuralCacheKey:
                     for s in (1, 2)]
         compilation = cna_compile(circuits, dev)
         fn = compilation.transpiler_fn()
-        cache = ExecutionCache()
         allocs = compilation.allocation.allocations
         keys = {
-            cache.transpile_key(a.circuit, dev, a, fn) for a in allocs
+            transpile_key(a.circuit, dev, a, fn) for a in allocs
         }
         assert len(keys) == len(allocs)
         # Same circuit/partition at two indices -> distinct entries.
         a0 = allocs[0]
         moved = ProgramAllocation(99, a0.circuit, a0.partition, a0.efs,
                                   a0.crosstalk_pairs)
-        assert cache.transpile_key(a0.circuit, dev, a0, fn) \
-            != cache.transpile_key(a0.circuit, dev, moved, fn)
+        assert transpile_key(a0.circuit, dev, a0, fn) \
+            != transpile_key(a0.circuit, dev, moved, fn)
 
     def test_partition_still_differentiates(self):
         dev = ibm_toronto()
-        cache = ExecutionCache()
         circuit = _measured(random_circuit(3, 6, seed=4))
-        k_a = cache.transpile_key(circuit, dev,
-                                  self._alloc(circuit, (0, 1, 2), 0),
-                                  _default_transpiler)
-        k_b = cache.transpile_key(circuit, dev,
-                                  self._alloc(circuit, (1, 2, 3), 0),
-                                  _default_transpiler)
+        k_a = transpile_key(circuit, dev,
+                            self._alloc(circuit, (0, 1, 2), 0),
+                            _default_transpiler)
+        k_b = transpile_key(circuit, dev,
+                            self._alloc(circuit, (1, 2, 3), 0),
+                            _default_transpiler)
         assert k_a != k_b
 
 

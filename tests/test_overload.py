@@ -319,7 +319,7 @@ class TestAttemptFencing:
         release.set()
         assert finished.wait(30.0)
         assert cache.gated_writes == 8
-        assert len(cache.tiers.l1) == 0
+        assert len(cache.l1) == 0
 
 
 class TestDeterministicShutdown:

@@ -21,7 +21,8 @@ from repro.core import (
     run_batch,
 )
 from repro.core.compile_service import CompileService
-from repro.core.executor import BatchJob, ExecutionCache, _default_transpiler
+from repro.core.compile_service import _default_transpiler
+from repro.core.executor import BatchJob, ExecutionCache
 from repro.hardware import DeviceFleet, ibm_melbourne, ibm_toronto
 from repro.service import JobStatus, QuantumProvider
 from repro.workloads import synthesize_traffic, workload
@@ -268,16 +269,16 @@ class TestAutoRouteDegenerates:
 
     def test_cloud_backend_keys_each_program_once(self, monkeypatch):
         """Each program is keyed once, by the compile that serves it."""
-        import repro.core.executor as executor_mod
+        import repro.core.compile_service as compile_service_mod
 
-        real = executor_mod.compute_transpile_key
+        real = compile_service_mod.transpile_key
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(executor_mod, "compute_transpile_key",
+        monkeypatch.setattr(compile_service_mod, "transpile_key",
                             counting)
         subs = traffic(16, seed=4)
         with QuantumProvider() as prov:
