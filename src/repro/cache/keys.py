@@ -18,10 +18,11 @@ and the transpiler hook — but each tier needs a different *form* of it:
   coupling/calibration fingerprints, a declared hook token), valid
   across processes and process restarts — the on-disk L2 key.
 
-:func:`transpile_key` computes the first two in one pass and returns
-them as a :class:`TranspileKey` whose hash/equality is the exact tuple,
-so the existing L1/coalescing semantics are unchanged; the digests are
-hashed on first read, since only a persistent store reads them.
+:func:`transpile_key` computes the exact key and returns it as a
+:class:`TranspileKey` whose hash/equality is the exact tuple, so the
+existing L1/coalescing semantics are unchanged; the canonical key and
+the digests are computed on first read, since only an exact-L1 miss
+reads the one and only a persistent store the other.
 
 The equivalence model mirrors sat_revsynth's ``database/equivalence.py``:
 cheap invariants hash -> equivalence class -> canonical representative.
@@ -43,7 +44,7 @@ import hashlib
 import numbers
 import threading
 from collections import Counter, OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
@@ -270,7 +271,8 @@ def _record_appearance(instructions, order: Dict[int, int]) -> None:
                     order[q] = len(order)
 
 
-def canonical_form(circuit: QuantumCircuit) -> Optional[CanonicalForm]:
+def canonical_form(circuit: QuantumCircuit,
+                   exact: Optional[Tuple] = None) -> Optional[CanonicalForm]:
     """Canonicalize *circuit*, or ``None`` when unhashable.
 
     Qubits are relabeled in order of first appearance in the instruction
@@ -279,10 +281,15 @@ def canonical_form(circuit: QuantumCircuit) -> Optional[CanonicalForm]:
     permutation share one canonical form.  Clbits are untouched — the
     measured distribution is therefore invariant across a class, which
     is what makes representative-artifact reuse execution-identical.
+
+    *exact* is the circuit's :func:`circuit_key` when the caller already
+    has it; an identity relabeling then returns that very tuple as the
+    canonical key, so no second copy of it is built.
     """
-    exact = circuit_key(circuit)
     if exact is None:
-        return None
+        exact = circuit_key(circuit)
+        if exact is None:
+            return None
     order: Dict[int, int] = {}
     _record_appearance(circuit.instructions, order)
     nxt = len(order)
@@ -417,20 +424,56 @@ class TranspileKey:
     same-class requests with different labelings are distinct keys and
     never share a future (each gets artifacts in its own labeling).
 
-    The two persistent digests are SHA-256 over the whole canonical key,
-    and only a persistent store reads them, so they are computed on
-    first read from inputs captured when the key was made.
+    Only the exact key is built up front: an exact-L1 hit reads nothing
+    else.  The canonical form (and with it :attr:`canonical`,
+    :attr:`relabel` and the two persistent digests, SHA-256 over the
+    whole canonical key) is computed on first read, from inputs captured
+    when the key was made.
     """
 
-    #: Label-exact structural tuple (the PR-4 key, id-based identity).
+    #: Label-exact structural tuple with id-based device/hook identity:
+    #: ``(circuit key, index) + placement + (id(device), id(hook))``.
     exact: Tuple
-    #: In-memory equivalence-class key; ``None`` for index-sensitive hooks.
-    canonical: Optional[Tuple]
-    #: Original logical qubit -> canonical label (``None`` = identity).
-    relabel: Optional[Tuple[int, ...]]
-    #: ``(digest parts, invariants parts)``, the immutable inputs of
-    #: :attr:`digest` and :attr:`invariants`; ``None`` = not persistable.
-    digest_parts: Optional[Tuple[Tuple, Tuple]] = None
+    #: What the lazy forms read besides :attr:`exact`: a snapshot of the
+    #: circuit as keyed, the device and the hook; ``None`` for
+    #: index-sensitive hooks, which get no other form.
+    sources: Optional[Tuple] = field(default=None, repr=False)
+
+    @cached_property
+    def _form(self) -> Optional[CanonicalForm]:
+        if self.sources is None:
+            return None
+        return canonical_form(self.sources[0], self.exact[0])
+
+    @cached_property
+    def canonical(self) -> Optional[Tuple]:
+        """In-memory equivalence-class key; ``None`` for index-sensitive
+        hooks."""
+        if self._form is None:
+            return None
+        return (self._form.key,) + self.exact[2:]
+
+    @property
+    def relabel(self) -> Optional[Tuple[int, ...]]:
+        """Original logical qubit -> canonical label (``None`` =
+        identity)."""
+        return None if self._form is None else self._form.relabel
+
+    @cached_property
+    def digest_parts(self) -> Optional[Tuple[Tuple, Tuple]]:
+        """``(digest parts, invariants parts)``, the inputs of
+        :attr:`digest` and :attr:`invariants`; ``None`` = not
+        persistable."""
+        if self._form is None:
+            return None
+        _, device, transpiler_fn = self.sources
+        token = persistent_token(transpiler_fn)
+        if token is None:
+            return None
+        placement = self.exact[2:5]
+        return (("transpile", _DIGEST_SCHEMA, self._form.key) + placement
+                + (device_digest(device), token),
+                ("invariants", _DIGEST_SCHEMA) + self._form.invariants)
 
     @cached_property
     def digest(self) -> Optional[str]:
@@ -458,7 +501,7 @@ class TranspileKey:
 def transpile_key(circuit: QuantumCircuit, device: "Device",
                   allocation: "ProgramAllocation",
                   transpiler_fn) -> Optional[TranspileKey]:
-    """Compute every key form of one request, or ``None`` (unhashable).
+    """Key one request, or ``None`` (unhashable).
 
     The exact key is *structural*: circuit structure, placement
     (partition, EFS, crosstalk pairs), the device, and the hook — but
@@ -466,24 +509,18 @@ def transpile_key(circuit: QuantumCircuit, device: "Device",
     different queue positions share one entry across submissions.  Hooks
     that actually observe the index (marked via
     :func:`index_sensitive_transpiler`) get the index folded back in and
-    no canonical/persistent keys at all.
+    no canonical/persistent keys at all.  The other forms are computed
+    on first read (see :class:`TranspileKey`).
     """
-    form = canonical_form(circuit)
-    if form is None:
+    circuit_exact = circuit_key(circuit)
+    if circuit_exact is None:
         return None
     index_sensitive = getattr(transpiler_fn, _INDEX_SENSITIVE_ATTR, False)
     index = allocation.index if index_sensitive else None
     placement = (allocation.partition, allocation.efs,
                  allocation.crosstalk_pairs)
-    exact = (form.exact_key, index) + placement + (
+    exact = (circuit_exact, index) + placement + (
         id(device), id(transpiler_fn))
     if index_sensitive:
-        return TranspileKey(exact, None, None)
-    canonical = (form.key,) + placement + (id(device), id(transpiler_fn))
-    token = persistent_token(transpiler_fn)
-    parts = None
-    if token is not None:
-        parts = (("transpile", _DIGEST_SCHEMA, form.key) + placement
-                 + (device_digest(device), token),
-                 ("invariants", _DIGEST_SCHEMA) + form.invariants)
-    return TranspileKey(exact, canonical, form.relabel, parts)
+        return TranspileKey(exact)
+    return TranspileKey(exact, (circuit.copy(), device, transpiler_fn))

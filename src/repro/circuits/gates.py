@@ -18,6 +18,8 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
+from .parameters import ParameterExpression, UnboundParameterError
+
 __all__ = [
     "Gate",
     "GateError",
@@ -275,8 +277,6 @@ class Gate:
     @property
     def is_parameterized(self) -> bool:
         """True when any parameter is still a symbolic expression."""
-        from .parameters import ParameterExpression
-
         return any(isinstance(p, ParameterExpression)
                    for p in self.params)
 
@@ -286,8 +286,6 @@ class Gate:
             return _FIXED[self.name].copy()
         if self.name in _PARAMETRIC:
             if self.is_parameterized:
-                from .parameters import UnboundParameterError
-
                 raise UnboundParameterError(
                     f"gate {self.name!r} has unbound parameters; bind "
                     "the circuit first")
@@ -297,8 +295,6 @@ class Gate:
 
     def bound(self, values) -> "Gate":
         """Return a copy with symbolic parameters substituted."""
-        from .parameters import ParameterExpression
-
         new_params = []
         for p in self.params:
             if isinstance(p, ParameterExpression):
@@ -345,8 +341,6 @@ class Gate:
 
 def _coerce_param(p):
     """Floats pass through; symbolic parameter expressions are kept."""
-    from .parameters import ParameterExpression
-
     if isinstance(p, ParameterExpression):
         return p
     return float(p)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -92,7 +92,10 @@ def decompose_oneq_gate(g: Gate) -> List[Gate]:
 
 def _emit(qc: QuantumCircuit, name: str, qubits: Tuple[int, ...],
           *params: float) -> None:
-    qc.append(gate(name, *params), qubits)
+    # *qubits* come from an instruction the circuit already validated,
+    # and every rewrite keeps the gate's arity, so skip ``append``.
+    qc._instructions.append(  # noqa: SLF001
+        Instruction(gate(name, *params), qubits))
 
 
 def _decompose_multiq(qc: QuantumCircuit, inst: Instruction) -> None:
@@ -221,17 +224,30 @@ def decompose_to_basis(circuit: QuantumCircuit) -> QuantumCircuit:
             stage1._instructions.append(inst)  # noqa: SLF001
             continue
         _decompose_multiq(stage1, inst)
-    # Stage 2: 1q gates to ZXZXZ.
+    # Stage 2: 1q gates to ZXZXZ, each distinct (name, params) once:
+    # circuits repeat their rotations, and the rewrite is a pure
+    # function of the gate.  Keys equate 0.0 with -0.0; the rewrite gives
+    # both the same bits (every angle it emits passes through ``_wrap``),
+    # and basis gates, where a signed zero would show, pass through as is.
     out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
                          circuit.name)
+    emitted = out._instructions  # noqa: SLF001
+    rewrites: Dict[Tuple, List[Gate]] = {}
     for inst in stage1:
-        if inst.gate.is_directive or inst.name in ("cx",):
-            out._instructions.append(inst)  # noqa: SLF001
+        if inst.gate.is_directive or inst.name == "cx":
+            emitted.append(inst)
             continue
-        if len(inst.qubits) == 1:
-            for g in decompose_oneq_gate(inst.gate):
-                out.append(g, inst.qubits)
+        if len(inst.qubits) != 1:
+            raise AssertionError(
+                f"stage 1 left a non-CX multi-qubit gate: {inst.name}")
+        if inst.name in BASIS_GATES:
+            emitted.append(inst if not inst.clbits
+                           else Instruction(inst.gate, inst.qubits))
             continue
-        raise AssertionError(
-            f"stage 1 left a non-CX multi-qubit gate: {inst.name}")
+        key = (inst.name, inst.params)
+        gates = rewrites.get(key)
+        if gates is None:
+            gates = rewrites[key] = decompose_oneq_gate(inst.gate)
+        for g in gates:
+            emitted.append(Instruction(g, inst.qubits))
     return out

@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -28,9 +29,13 @@ __all__ = ["cancel_adjacent_pairs", "combine_adjacent_delays",
 #: pure function of the run's gates, and service traffic repeats the
 #: same few circuits endlessly (and level 3 re-fuses each circuit to a
 #: fixpoint), so the matrix-product + ZYZ extraction of a repeated run
-#: is paid once.  Gates are frozen dataclasses, safe to share.
+#: is paid once.  Gates are frozen dataclasses, safe to share.  Job
+#: threads compile concurrently, so every read and write of the memo
+#: holds :data:`_FUSED_RUNS_LOCK` (a hit's ``move_to_end`` must not race
+#: another thread's eviction).
 _FUSED_RUNS: "OrderedDict[Tuple, Optional[Tuple]]" = OrderedDict()
 _FUSED_RUNS_MAX = 4096
+_FUSED_RUNS_LOCK = threading.Lock()
 
 _SELF_INVERSE = {"x", "y", "z", "h", "cx", "cz", "swap", "ccx", "cswap",
                  "id"}
@@ -89,11 +94,13 @@ def _fused_run(run: List[Instruction]) -> Optional[Tuple]:
     """
     try:
         key = tuple((inst.name, inst.params) for inst in run)
-        cached = _FUSED_RUNS.get(key, _UNCACHED)
+        with _FUSED_RUNS_LOCK:
+            cached = _FUSED_RUNS.get(key, _UNCACHED)
+            if cached is not _UNCACHED:
+                _FUSED_RUNS.move_to_end(key)
     except TypeError:
         key, cached = None, _UNCACHED
     if cached is not _UNCACHED:
-        _FUSED_RUNS.move_to_end(key)
         return cached
     mat = np.eye(2, dtype=complex)
     for inst in run:
@@ -101,9 +108,10 @@ def _fused_run(run: List[Instruction]) -> Optional[Tuple]:
     decomposed = decompose_oneq_gate(_matrix_gate(mat))
     fused = tuple(decomposed) if len(decomposed) <= len(run) else None
     if key is not None:
-        _FUSED_RUNS[key] = fused
-        while len(_FUSED_RUNS) > _FUSED_RUNS_MAX:
-            _FUSED_RUNS.popitem(last=False)
+        with _FUSED_RUNS_LOCK:
+            _FUSED_RUNS[key] = fused
+            while len(_FUSED_RUNS) > _FUSED_RUNS_MAX:
+                _FUSED_RUNS.popitem(last=False)
     return fused
 
 
@@ -116,6 +124,7 @@ def fuse_oneq_runs(circuit: QuantumCircuit) -> QuantumCircuit:
     """
     out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
                          circuit.name)
+    emitted = out._instructions  # noqa: SLF001
     pending: Dict[int, List[Instruction]] = {}
 
     def flush(q: int) -> None:
@@ -123,12 +132,13 @@ def fuse_oneq_runs(circuit: QuantumCircuit) -> QuantumCircuit:
         if not run:
             return
         fused = _fused_run(run)
-        if fused is not None:
-            for g in fused:
-                out.append(g, (q,))
-        else:
-            for inst in run:
-                out._instructions.append(inst)  # noqa: SLF001
+        if fused is None:
+            emitted.extend(run)
+            return
+        # *q* is a validated 1q instruction's qubit: skip ``append``.
+        qubits = (q,)
+        for g in fused:
+            emitted.append(Instruction(g, qubits))
 
     for inst in circuit:
         if (not inst.gate.is_directive and len(inst.qubits) == 1
@@ -138,7 +148,7 @@ def fuse_oneq_runs(circuit: QuantumCircuit) -> QuantumCircuit:
             continue
         for q in inst.qubits:
             flush(q)
-        out._instructions.append(inst)  # noqa: SLF001
+        emitted.append(inst)
     for q in sorted(pending):
         flush(q)
     return out

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 import networkx as nx
 
-from ..circuits.circuit import Instruction, QuantumCircuit
+from ..circuits.circuit import CircuitError, Instruction, QuantumCircuit
 from ..circuits.gates import Gate, gate
 from ..hardware.calibration import Calibration
 from ..hardware.topology import CouplingMap
@@ -52,15 +52,26 @@ def route_circuit(
         context = device_context(coupling, calibration)
     rel = context.reliability_graph
     layout = initial_layout.copy()
+    # The input instructions are validated, the layout is injective and
+    # swaps only exchange the coupling map's qubits, so once the initial
+    # placement is on the device every emitted instruction is valid and
+    # skips ``append``.
+    for p in layout.as_dict().values():
+        if not 0 <= p < coupling.num_qubits:
+            raise CircuitError(f"qubit index {p} out of range")
     out = QuantumCircuit(coupling.num_qubits, circuit.num_clbits,
                          circuit.name)
+    emitted = out._instructions  # noqa: SLF001
+    cx = gate("cx")
+    measure = Gate("measure", 1)
     num_swaps = 0
 
     def emit_swap(p1: int, p2: int) -> None:
         nonlocal num_swaps
-        out.cx(p1, p2)
-        out.cx(p2, p1)
-        out.cx(p1, p2)
+        a, b = int(p1), int(p2)
+        emitted.append(Instruction(cx, (a, b)))
+        emitted.append(Instruction(cx, (b, a)))
+        emitted.append(Instruction(cx, (a, b)))
         layout.swap_physical(p1, p2)
         num_swaps += 1
 
@@ -70,15 +81,17 @@ def route_circuit(
             out.barrier(*phys)
             continue
         if inst.name == "measure":
-            out.measure(layout.physical(inst.qubits[0]), inst.clbits[0])
+            emitted.append(Instruction(
+                measure, (int(layout.physical(inst.qubits[0])),),
+                (int(inst.clbits[0]),)))
             continue
         if inst.name in ("reset", "delay"):
             phys = (layout.physical(inst.qubits[0]),)
-            out._instructions.append(  # noqa: SLF001
-                Instruction(inst.gate, phys, inst.clbits))
+            emitted.append(Instruction(inst.gate, phys, inst.clbits))
             continue
         if len(inst.qubits) == 1:
-            out.append(inst.gate, (layout.physical(inst.qubits[0]),))
+            emitted.append(Instruction(
+                inst.gate, (int(layout.physical(inst.qubits[0])),)))
             continue
         if len(inst.qubits) != 2:
             raise ValueError(
@@ -93,5 +106,5 @@ def route_circuit(
                 path[0] = hop
             pa, pb = (layout.physical(q) for q in inst.qubits)
             assert coupling.is_edge(pa, pb), "routing failed to converge"
-        out.append(inst.gate, (pa, pb))
+        emitted.append(Instruction(inst.gate, (int(pa), int(pb))))
     return RoutedCircuit(out, initial_layout.copy(), layout, num_swaps)

@@ -257,6 +257,53 @@ class TestTieredExecutionCache:
         CompileService(cache=cache).compile_allocation(job)
         assert calls
 
+    def test_exact_hits_never_canonicalize(self, toronto, monkeypatch):
+        real = keys_mod.canonical_form
+        calls = []
+
+        def counting(circuit, exact=None):
+            calls.append(circuit)
+            return real(circuit, exact)
+
+        monkeypatch.setattr(keys_mod, "canonical_form", counting)
+        job = _allocation(toronto, names=("lin", "adder", "bell"))
+        service = CompileService()
+        service.compile_allocation(job)
+        assert len(calls) == 3  # each miss walks on to the class table
+        calls.clear()
+        service.compile_allocation(job)
+        assert calls == []
+        assert service.stats["transpile_hits"] == 3
+
+    def test_lazy_forms_match_canonical_form(self, toronto):
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(1).cx(1, 0).rz(0.25, 2).cx(1, 2).measure_all()
+        identity = QuantumCircuit(2, 2)
+        identity.h(0).cx(0, 1).measure_all()
+        for qc in (circuit, identity):
+            alloc = ProgramAllocation(0, qc, (3, 5, 8)[:qc.num_qubits],
+                                      0.5)
+            key = transpile_key(qc, toronto, alloc, _default_transpiler)
+            form = keys_mod.canonical_form(qc)
+            assert key.relabel == form.relabel
+            assert key.canonical[0] == form.key
+            assert key.exact[0] == form.exact_key
+        # An identity relabel shares the exact tuple, not a copy of it.
+        assert key.relabel is None
+        assert key.canonical[0] is key.exact[0]
+
+    def test_lazy_forms_use_the_circuit_as_keyed(self, toronto):
+        circuit = QuantumCircuit(3, 3)
+        circuit.h(1).cx(1, 0).measure_all()
+        twin = circuit.copy()
+        alloc = ProgramAllocation(0, circuit, (3, 5, 8), 0.5)
+        key = transpile_key(circuit, toronto, alloc, _default_transpiler)
+        circuit.x(2)  # mutated after keying, before any lazy read
+        expected = transpile_key(twin, toronto, alloc, _default_transpiler)
+        assert key.canonical == expected.canonical
+        assert key.relabel == expected.relabel
+        assert key.digest == expected.digest
+
     def test_undeclared_hook_not_persisted(self, toronto, tmp_path):
         def hook(circuit, device, allocation):  # no persistent token
             return _default_transpiler(circuit, device, allocation)
