@@ -3,9 +3,10 @@
 One cache class, :class:`ExecutionCache`, over three tiers, built from
 these modules:
 
-- :mod:`~repro.cache.keys` — structural cache keys, qubit-relabel
-  equivalence-class canonicalization, and stable cross-process digests
-  (:func:`transpile_key` computes all forms in one pass);
+- :mod:`~repro.cache.keys` — each circuit's cached structural
+  :func:`fingerprint`, qubit-relabel equivalence-class
+  canonicalization, and stable cross-process digests
+  (:func:`transpile_key` builds the exact form, the others lazily);
 - :mod:`~repro.cache.memory` — :class:`MemoryCache`, the thread-safe
   in-process LRU tier (L1) with hit/miss/eviction counters;
 - :mod:`~repro.cache.persistent` — :class:`PersistentCache`, the
@@ -24,6 +25,7 @@ from .keys import (
     canonical_form,
     circuit_key,
     device_digest,
+    fingerprint,
     index_sensitive_transpiler,
     invert_relabel,
     key_digest,
@@ -47,6 +49,7 @@ __all__ = [
     "circuit_key",
     "device_digest",
     "dumps_artifact",
+    "fingerprint",
     "index_sensitive_transpiler",
     "invert_relabel",
     "key_digest",

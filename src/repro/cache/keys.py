@@ -6,7 +6,9 @@ and the transpiler hook — but each tier needs a different *form* of it:
 
 - the **exact key** is the PR-4 structural tuple (label-exact circuit
   structure, ``id()``-based device/hook identity) used by the in-memory
-  L1 and the in-flight coalescing map — cheap, process-local;
+  L1 and the in-flight coalescing map — cheap, process-local.  Its
+  circuit part is the circuit's :func:`fingerprint`, built once per
+  circuit and read by every layer that keys on structure;
 - the **canonical key** adds equivalence-class dedup: a cheap
   qubit-relabel canonicalization (first-appearance order over the gate
   sequence) maps equivalent-but-not-identical circuits to one
@@ -43,6 +45,7 @@ from __future__ import annotations
 import hashlib
 import numbers
 import threading
+import weakref
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -51,6 +54,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.controlflow import (ControlFlowOp, ForLoopOp, IfElseOp,
                                     WhileLoopOp)
+from ..circuits.gates import DIRECTIVES
 from ..circuits.parameters import Parameter, ParameterExpression
 from ..transpiler.context import (
     calibration_fingerprint,
@@ -65,10 +69,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 __all__ = [
     "CanonicalForm",
+    "Fingerprint",
     "TranspileKey",
     "canonical_form",
     "circuit_key",
     "device_digest",
+    "fingerprint",
     "index_sensitive_transpiler",
     "invert_relabel",
     "key_digest",
@@ -207,27 +213,103 @@ def _entry(inst, relabel: Optional[Dict[int, int]] = None) -> Tuple:
     return (inst.name, inst.params, qubits, inst.clbits)
 
 
-def circuit_key(circuit: QuantumCircuit) -> Optional[Tuple]:
-    """Structural fingerprint of a circuit, or None when unhashable.
+class _Key:
+    """A tuple key that hashes once.
 
-    Circuits are compared by value, not identity, so two benchmark combos
-    that instantiate the same workload twice share cache entries.
-    Control-flow ops contribute a recursive payload (nested bodies,
-    condition, indexset/max-iterations), so two dynamic programs with
-    the same block structure share entries too.  Unbound symbolic
-    parameters may be unhashable; those circuits simply bypass the
-    cache.
+    Python does not cache tuple hashes, so a nested key would be
+    re-hashed on every dict operation; memos key on these instead.
+    Equality is the wrapped tuple's.
     """
-    key = (
-        circuit.num_qubits,
-        circuit.num_clbits,
-        tuple(_entry(inst) for inst in circuit),
-    )
+
+    __slots__ = ("key", "_hash")
+
+    def __init__(self, key: Tuple) -> None:
+        self.key = key
+        self._hash = hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Key):
+            return NotImplemented
+        return self._hash == other._hash and self.key == other.key
+
+
+class Fingerprint(_Key):
+    """One circuit's exact structural key (``(num_qubits, num_clbits,
+    entries)``, what :func:`circuit_key` returns) hashed once, with its
+    ``size()``, ``num_twoq_gates()`` (``twoq``) and whether it holds
+    control flow (``dynamic``)."""
+
+    __slots__ = ("size", "twoq", "dynamic", "__weakref__")
+
+    def __init__(self, key: _Key, size: int, twoq: int,
+                 dynamic: bool) -> None:
+        # Adopts *key*'s tuple and hash: the tuple is hashed only once.
+        self.key, self._hash = key.key, key._hash
+        self.size = size
+        self.twoq = twoq
+        self.dynamic = dynamic
+
+
+#: key -> its live fingerprint, so equal circuits share one object.
+_FINGERPRINTS: "weakref.WeakValueDictionary[_Key, Fingerprint]" = \
+    weakref.WeakValueDictionary()
+_fingerprint_lock = threading.Lock()
+
+
+def fingerprint(circuit: QuantumCircuit) -> Optional[Fingerprint]:
+    """The circuit's interned :class:`Fingerprint`, or ``None`` when
+    unhashable (unbound symbolic parameters may be).
+
+    Cached on the circuit and reused while its instruction count and
+    register sizes are unchanged, which is sound because instructions
+    are only ever appended.  A circuit holding control flow is
+    fingerprinted afresh on every call: an op's bodies are the caller's
+    circuits and may change after the op was appended.  Control-flow
+    ops contribute a recursive payload (nested bodies, condition,
+    indexset/max-iterations), so two dynamic programs with the same
+    block structure share cache entries.
+    """
+    instructions = circuit._instructions  # noqa: SLF001
+    fp = circuit._fingerprint  # noqa: SLF001
+    if (fp is not None and len(fp.key[2]) == len(instructions)
+            and fp.key[0] == circuit.num_qubits
+            and fp.key[1] == circuit.num_clbits):
+        return fp
+    entries = []
+    size = twoq = 0
+    dynamic = False
+    for inst in instructions:  # _entry inlined: halves a cold fingerprint
+        g = inst.gate
+        if isinstance(g, ControlFlowOp):
+            dynamic = True
+            entries.append(_entry(inst))
+        else:
+            entries.append((g.name, g.params, inst.qubits, inst.clbits))
+        if g.name not in DIRECTIVES:
+            size += 1
+            if len(inst.qubits) >= 2:
+                twoq += 1
     try:
-        hash(key)
+        key = _Key((circuit.num_qubits, circuit.num_clbits, tuple(entries)))
     except TypeError:
         return None
-    return key
+    with _fingerprint_lock:
+        fp = _FINGERPRINTS.get(key)
+        if fp is None:
+            fp = _FINGERPRINTS[key] = Fingerprint(key, size, twoq, dynamic)
+    if not dynamic:
+        circuit._fingerprint = fp  # noqa: SLF001
+    return fp
+
+
+def circuit_key(circuit: QuantumCircuit) -> Optional[Tuple]:
+    """Structural key of a circuit (its :func:`fingerprint`'s key), or
+    ``None`` when unhashable."""
+    fp = fingerprint(circuit)
+    return None if fp is None else fp.key
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +514,8 @@ class TranspileKey:
     """
 
     #: Label-exact structural tuple with id-based device/hook identity:
-    #: ``(circuit key, index) + placement + (id(device), id(hook))``.
+    #: ``(circuit fingerprint, index) + placement + (id(device),
+    #: id(hook))``.
     exact: Tuple
     #: What the lazy forms read besides :attr:`exact`: a snapshot of the
     #: circuit as keyed, the device and the hook; ``None`` for
@@ -443,7 +526,7 @@ class TranspileKey:
     def _form(self) -> Optional[CanonicalForm]:
         if self.sources is None:
             return None
-        return canonical_form(self.sources[0], self.exact[0])
+        return canonical_form(self.sources[0], self.exact[0].key)
 
     @cached_property
     def canonical(self) -> Optional[Tuple]:
@@ -512,7 +595,7 @@ def transpile_key(circuit: QuantumCircuit, device: "Device",
     no canonical/persistent keys at all.  The other forms are computed
     on first read (see :class:`TranspileKey`).
     """
-    circuit_exact = circuit_key(circuit)
+    circuit_exact = fingerprint(circuit)
     if circuit_exact is None:
         return None
     index_sensitive = getattr(transpiler_fn, _INDEX_SENSITIVE_ATTR, False)

@@ -23,7 +23,8 @@ asked, so callers never see a representative's labels; equivalence-class
 reuse is invisible except in the counters (``equivalence_hits``,
 ``promotions``).
 
-The same class memoizes ideal (noiseless) distributions.  Compiles run
+The same class memoizes ideal (noiseless) distributions, keyed by each
+circuit's exact :func:`~repro.cache.keys.fingerprint`.  Compiles run
 through :class:`~repro.core.compile_service.CompileService`, which keys
 each request once (:func:`~repro.cache.keys.transpile_key`), looks it up
 here and publishes what it compiles.
@@ -39,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from ..circuits.circuit import QuantumCircuit
 from ..sim.statevector import ideal_probabilities
 from ..transpiler.transpile import TranspileResult
-from .keys import TranspileKey, canonical_form, invert_relabel, remap_result
+from .keys import TranspileKey, fingerprint, invert_relabel, remap_result
 from .memory import MemoryCache
 from .persistent import PersistentCache
 
@@ -147,7 +148,8 @@ class ExecutionCache:
 
         Apply :meth:`_fresh` before handing the result to anything that
         may mutate it.  The result is always in the request's own qubit
-        labeling, whichever tier served it.
+        labeling, whichever tier served it, and its circuit carries its
+        fingerprint, so every fresh copy of a hit is keyed already.
         """
         found = None if key is None else self._walk(key, device,
                                                      transpiler_fn)
@@ -155,6 +157,7 @@ class ExecutionCache:
             self.transpile_misses += 1
         else:
             self.transpile_hits += 1
+            fingerprint(found.circuit)
         return found
 
     def _walk(self, key: TranspileKey, device: "Device",
@@ -243,25 +246,25 @@ class ExecutionCache:
     def ideal(self, circuit: QuantumCircuit) -> Dict[str, float]:
         """Ideal (noiseless) output distribution through the cache.
 
-        Keyed by the circuit's *canonical* form: relabeling the qubit
-        register permutes the state but not the measured clbits, so
-        every member of an equivalence class shares one distribution.
-        Returns a fresh dict each call — outcomes must not alias one
-        shared mutable distribution, or a caller mutating its copy would
-        corrupt the cache and every sibling outcome.
+        Keyed by the circuit's exact structural key (its
+        :func:`~repro.cache.keys.fingerprint`), so a qubit-relabeled twin
+        computes its own distribution.  Returns a fresh dict each call —
+        outcomes must not alias one shared mutable distribution, or a
+        caller mutating its copy would corrupt the cache and every
+        sibling outcome.
         """
-        form = canonical_form(circuit)
-        if form is None:
+        key = fingerprint(circuit)
+        if key is None:
             self.ideal_misses += 1
             return ideal_probabilities(circuit)
-        cached = self._ideal_table.get(form.key)
+        cached = self._ideal_table.get(key)
         if cached is not None:
             self.ideal_hits += 1
             return dict(cached)
         self.ideal_misses += 1
         result = ideal_probabilities(circuit)
         if self._may_write():
-            self._ideal_table.put(form.key, result)
+            self._ideal_table.put(key, result)
         return dict(result)
 
     @property

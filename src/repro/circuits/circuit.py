@@ -81,6 +81,10 @@ class QuantumCircuit:
     3
     """
 
+    #: The circuit's structural fingerprint, cached by
+    #: :func:`repro.cache.keys.fingerprint` (``None`` until first read).
+    _fingerprint = None
+
     def __init__(self, num_qubits: int, num_clbits: int = 0,
                  name: str = "circuit") -> None:
         if num_qubits < 0 or num_clbits < 0:
@@ -88,7 +92,16 @@ class QuantumCircuit:
         self.num_qubits = int(num_qubits)
         self.num_clbits = int(num_clbits)
         self.name = name
+        # Append-only: code may push onto this list but never removes,
+        # replaces or reorders an entry, so a cached fingerprint stays
+        # valid while the length and register sizes are unchanged.
         self._instructions: List[Instruction] = []
+
+    def __getstate__(self) -> Dict:
+        # Pickles and deep copies carry no fingerprint: their bytes do
+        # not depend on whether the circuit was ever keyed.
+        return {k: v for k, v in self.__dict__.items()
+                if k != "_fingerprint"}
 
     # ------------------------------------------------------------------
     # container protocol
@@ -475,10 +488,12 @@ class QuantumCircuit:
     # transformations
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "QuantumCircuit":
-        """Shallow-copy the circuit (instructions are immutable)."""
+        """Shallow-copy the circuit (instructions are immutable); the
+        copy keeps the cached fingerprint."""
         out = QuantumCircuit(self.num_qubits, self.num_clbits,
                              name or self.name)
         out._instructions = list(self._instructions)
+        out._fingerprint = self._fingerprint
         return out
 
     def inverse(self) -> "QuantumCircuit":

@@ -41,6 +41,7 @@ from typing import (
     Union,
 )
 
+from ..cache.keys import fingerprint
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.devices import Device
 from ..hardware.topology import Edge
@@ -123,9 +124,14 @@ CircuitKey = Tuple[int, int, int]
 
 
 def circuit_structure_key(circuit: QuantumCircuit) -> CircuitKey:
-    """``(num_qubits, n2q, n1q)`` — all the structure the EFS sees."""
-    n2q = circuit.num_twoq_gates()
-    return (circuit.num_qubits, n2q, circuit.size() - n2q)
+    """``(num_qubits, n2q, n1q)`` — all the structure the EFS sees,
+    read from the circuit's cached fingerprint."""
+    fp = fingerprint(circuit)
+    if fp is None:  # unhashable parameters: count directly
+        n2q, size = circuit.num_twoq_gates(), circuit.size()
+    else:
+        n2q, size = fp.twoq, fp.size
+    return (circuit.num_qubits, n2q, size - n2q)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .allocators import (
     Allocator,
     PlacementContext,
     ProgramAllocation,
+    circuit_structure_key,
     register_allocator,
 )
 from .metrics import estimated_fidelity_score
@@ -175,8 +176,7 @@ def cna_compile(
             for logical in range(circuit.num_qubits)
         })
 
-        n2q = circuit.num_twoq_gates()
-        n1q = circuit.size() - n2q
+        _, n2q, n1q = circuit_structure_key(circuit)
         efs = estimated_fidelity_score(
             partition, device.coupling, device.calibration, n2q, n1q)
         result.allocations.append(

@@ -31,6 +31,7 @@ import threading
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cache import MemoryCache
+from ..cache.keys import Fingerprint, _Key, fingerprint
 from ..circuits.circuit import QuantumCircuit
 from ..hardware.devices import Device
 from ..sim.density_matrix import SimulationResult
@@ -61,41 +62,14 @@ _DEVICE_KEY_ENTRIES = 16
 # memo keys
 # ----------------------------------------------------------------------
 
-class _Key:
-    """A tuple key that hashes once.
+def _program_key(circuit: QuantumCircuit) -> Optional[Fingerprint]:
+    """Value key of one program's circuit: its fingerprint, or ``None``.
 
-    Python does not cache tuple hashes, so a nested key would be
-    re-hashed on every dict operation; the memos key on these instead.
-    Equality is the wrapped tuple's.
+    Control-flow programs and unhashable circuits get ``None``, which
+    keeps them out of both memos.
     """
-
-    __slots__ = ("parts", "_hash")
-
-    def __init__(self, parts: Tuple) -> None:
-        self.parts = parts
-        self._hash = hash(parts)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, _Key):
-            return NotImplemented
-        return self._hash == other._hash and self.parts == other.parts
-
-
-def _program_key(circuit: QuantumCircuit) -> Optional[_Key]:
-    """Value key of one program's circuit, or ``None`` when unhashable.
-
-    Built from the circuit's own immutable instructions, so it costs one
-    tuple and one hash.  Control-flow ops are unhashable, which keeps
-    those programs out of both memos.
-    """
-    try:
-        return _Key((circuit.num_qubits, circuit.num_clbits,
-                     circuit.instructions))
-    except TypeError:
-        return None
+    fp = fingerprint(circuit)
+    return None if fp is None or fp.dynamic else fp
 
 
 def _device_key(device: Device) -> _Key:
@@ -250,7 +224,7 @@ class ExecutionService:
     def _schedule(self, programs: Sequence[Program], device: Device,
                   device_key: _Key, scheduling: str,
                   include_crosstalk: bool, noisy: bool
-                  ) -> List[Tuple[Program, Optional[_Key],
+                  ) -> List[Tuple[Program, Optional[Fingerprint],
                                   Tuple[Tuple[int, float], ...]]]:
         """``prepare_parallel`` through the schedule memo.
 

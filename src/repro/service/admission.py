@@ -35,7 +35,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cache import MemoryCache, circuit_key
+from ..cache import MemoryCache, fingerprint
 from ..circuits.circuit import QuantumCircuit
 from ..core.scheduler import json_safe_num
 from ..hardware.fleet import DeviceFleet
@@ -226,14 +226,14 @@ class CostModel:
     def program_ns(self, circuit: QuantumCircuit) -> float:
         """Mean over the fleet of the circuit's measured duration.
 
-        Memoized on the circuit's structural key in a bounded LRU table,
+        Memoized on the circuit's fingerprint in a bounded LRU table,
         so a circuit mutated after its first estimate is priced afresh,
         no other circuit can ever read its entry, and a long-lived
         gateway pricing fresh-angle circuits holds at most
         ``_MEMO_MAX_ENTRIES`` estimates.  Circuits without a key
         (unhashable symbolic parameters) are priced without memoizing.
         """
-        key = circuit_key(circuit)
+        key = fingerprint(circuit)
         hit = None if key is None else self._memo.get(key)
         if hit is None:
             hit = sum(program_duration(circuit, d)

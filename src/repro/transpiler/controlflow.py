@@ -159,11 +159,12 @@ def _decompose_dynamic(circuit: QuantumCircuit) -> QuantumCircuit:
     segment = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
 
     def flush_segment() -> None:
+        nonlocal segment
         if not len(segment):
             return
         for inst in decompose_to_basis(segment):
             out._instructions.append(inst)  # noqa: SLF001
-        segment._instructions.clear()  # noqa: SLF001
+        segment = QuantumCircuit(circuit.num_qubits, circuit.num_clbits)
 
     for inst in circuit:
         if isinstance(inst.gate, ControlFlowOp):

@@ -287,10 +287,10 @@ class TestTieredExecutionCache:
             form = keys_mod.canonical_form(qc)
             assert key.relabel == form.relabel
             assert key.canonical[0] == form.key
-            assert key.exact[0] == form.exact_key
+            assert key.exact[0].key == form.exact_key
         # An identity relabel shares the exact tuple, not a copy of it.
         assert key.relabel is None
-        assert key.canonical[0] is key.exact[0]
+        assert key.canonical[0] is key.exact[0].key
 
     def test_lazy_forms_use_the_circuit_as_keyed(self, toronto):
         circuit = QuantumCircuit(3, 3)

@@ -353,6 +353,9 @@ class TestMemos:
             assert_bit_identical(got, want)
         assert len(calls) == 3 * len(programs)
         assert svc.stats["memo_hits"] == 0
+        # The control-flow program keeps the batch out of the schedule
+        # memo, though its fingerprint would be hashable.
+        assert svc.stats["schedule_hits"] == 0
         assert len(svc._tasks) == 0  # noqa: SLF001
 
     def test_schedule_hit_equals_fresh_prepare_parallel(self):
