@@ -29,7 +29,7 @@ boundaries: one process compiles the full mix into a SQLite WAL store,
 then a **fresh spawned process** (empty in-memory tiers) replays the
 identical mix against that store.  The gate: the cold process must
 compile **zero** programs — every request is served by promoting the
-stored equivalence-class artifact.
+artifact stored under its exact structural key.
 
 The acceptance gate (also run in CI via ``--smoke``): warm-context
 service compilation must beat cold per-call transpilation by >= 5x on
@@ -397,7 +397,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if store["cold_compiled"] != 0:
         print(f"FAIL: cold process on warm store compiled "
               f"{store['cold_compiled']} programs (expected 0: every "
-              "equivalence class was already in the persistent store)",
+              "program structure was already in the persistent store)",
               file=sys.stderr)
         return 1
     print("OK: cold process on warm store compiled 0 programs "

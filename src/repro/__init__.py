@@ -9,8 +9,8 @@ The package implements, from scratch:
   crosstalk model (:mod:`repro.hardware`)
 - randomized benchmarking / simultaneous RB (:mod:`repro.characterization`)
 - a noise-aware transpiler with ALAP scheduling (:mod:`repro.transpiler`)
-- a layered compile cache: in-memory LRU tiers, qubit-relabel
-  equivalence classes, and a SQLite WAL persistent store
+- a layered compile cache: in-memory LRU tiers and a SQLite WAL
+  persistent store, keyed by each circuit's structural fingerprint
   (:mod:`repro.cache`)
 - the paper's contribution — QuCP crosstalk-aware parallel workload
   execution — plus the QuMC / CNA / MultiQC / QuCloud baselines

@@ -1,43 +1,29 @@
-"""Cache-key layer: structural keys, equivalence classes, stable digests.
+"""Cache-key layer: structural keys and stable digests.
 
 Every compile-cache tier keys on the same request description — circuit
 structure plus placement (partition, EFS, crosstalk pairs), the device,
-and the transpiler hook — but each tier needs a different *form* of it:
+and the transpiler hook — in one of two forms:
 
-- the **exact key** is the PR-4 structural tuple (label-exact circuit
+- the **exact key** is the structural tuple (label-exact circuit
   structure, ``id()``-based device/hook identity) used by the in-memory
   L1 and the in-flight coalescing map — cheap, process-local.  Its
   circuit part is the circuit's :func:`fingerprint`, built once per
   circuit and read by every layer that keys on structure;
-- the **canonical key** adds equivalence-class dedup: a cheap
-  qubit-relabel canonicalization (first-appearance order over the gate
-  sequence) maps equivalent-but-not-identical circuits to one
-  representative, so a circuit submitted over a permuted qubit register
-  reuses the representative's compiled artifact (layouts remapped
-  through the relabeling — the physical circuit is label-invariant);
-- the **persistent digest** is a stable SHA-256 over the canonical key
-  with *value* fingerprints in place of ``id()``s (device
-  coupling/calibration fingerprints, a declared hook token), valid
-  across processes and process restarts — the on-disk L2 key.
+- the **persistent digest** is a stable SHA-256 over the same
+  structural key with *value* fingerprints in place of ``id()``s
+  (device coupling/calibration fingerprints, a declared hook token),
+  valid across processes and process restarts — the on-disk L2 key.
 
 :func:`transpile_key` computes the exact key and returns it as a
-:class:`TranspileKey` whose hash/equality is the exact tuple, so the
-existing L1/coalescing semantics are unchanged; the canonical key and
-the digests are computed on first read, since only an exact-L1 miss
-reads the one and only a persistent store the other.
-
-The equivalence model mirrors sat_revsynth's ``database/equivalence.py``:
-cheap invariants hash -> equivalence class -> canonical representative.
-Canonicalization is *sound* but not complete: two circuits mapping to
-the same canonical form are always related by a qubit relabeling (hence
-execution-identical — same clbit distribution), while some genuinely
-equivalent pairs (e.g. commuting gate reorderings) land in different
-classes and simply miss the dedup.
+:class:`TranspileKey` whose hash/equality is the exact tuple; the
+digest is computed on first read, since only a persistent store reads
+it.  A circuit submitted over a permuted qubit register is a different
+structure: it gets its own keys and its own artifact.
 
 Index-sensitive hooks (see :func:`index_sensitive_transpiler`) never get
-a canonical key or a digest: their artifacts depend on the queue
-position, so equivalence-class or cross-process reuse would silently
-change behavior (CNA's precompiled lookup is the canonical example).
+a digest: their artifacts depend on the queue position, so
+cross-process reuse would silently change behavior (CNA's precompiled
+lookup is the canonical example).
 """
 
 from __future__ import annotations
@@ -46,10 +32,10 @@ import hashlib
 import numbers
 import threading
 import weakref
-from collections import Counter, OrderedDict
-from dataclasses import dataclass, field, replace
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.controlflow import (ControlFlowOp, ForLoopOp, IfElseOp,
@@ -60,28 +46,21 @@ from ..transpiler.context import (
     calibration_fingerprint,
     coupling_fingerprint,
 )
-from ..transpiler.layout import Layout
-from ..transpiler.transpile import TranspileResult
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..core.qucp import ProgramAllocation
     from ..hardware.devices import Device
 
 __all__ = [
-    "CanonicalForm",
     "Fingerprint",
     "TranspileKey",
-    "canonical_form",
     "circuit_key",
     "device_digest",
     "fingerprint",
     "index_sensitive_transpiler",
-    "invert_relabel",
     "key_digest",
     "persistent_cache_token",
     "persistent_token",
-    "remap_layout",
-    "remap_result",
     "transpile_key",
 ]
 
@@ -107,8 +86,7 @@ def index_sensitive_transpiler(fn):
     one cache entry.  A hook whose result genuinely depends on the index
     (e.g. CNA's precompiled-lookup adapter) must be wrapped with this
     decorator; its entries are then keyed index-sensitively, never alias
-    across queue positions, and are excluded from equivalence-class and
-    persistent reuse.
+    across queue positions, and are excluded from persistent reuse.
     """
     setattr(fn, _INDEX_SENSITIVE_ATTR, True)
     return fn
@@ -163,18 +141,15 @@ def _condition_key(condition) -> Tuple:
     return (tuple(condition.clbits), condition.value)
 
 
-def _control_flow_payload(op: ControlFlowOp,
-                          relabel: Optional[Dict[int, int]]) -> Tuple:
+def _control_flow_payload(op: ControlFlowOp) -> Tuple:
     """Recursive structural payload of a control-flow op.
 
-    Body instruction sequences are encoded in order (with qubits pushed
-    through *relabel* when canonicalizing); declared body widths are
-    deliberately excluded — they are a labeling artifact (``max touched
-    qubit + 1``), and including them would split relabel-equivalent
-    dynamic circuits into different classes.
+    Body instruction sequences are encoded in order; declared body
+    widths are deliberately excluded — they are a labeling artifact
+    (``max touched qubit + 1``), not structure.
     """
     bodies = tuple(
-        tuple(_body_entry(inst, relabel) for inst in body.instructions)
+        tuple(_body_entry(inst) for inst in body.instructions)
         for body in op.bodies)
     if isinstance(op, IfElseOp):
         extra: Tuple = ("if", _condition_key(op.condition), len(op.bodies))
@@ -189,28 +164,24 @@ def _control_flow_payload(op: ControlFlowOp,
     return extra + (bodies,)
 
 
-def _body_entry(inst, relabel: Optional[Dict[int, int]]) -> Tuple:
-    qubits = inst.qubits if relabel is None \
-        else tuple(relabel[q] for q in inst.qubits)
+def _body_entry(inst) -> Tuple:
     if isinstance(inst.gate, ControlFlowOp):
-        return (inst.name, _control_flow_payload(inst.gate, relabel),
-                qubits, inst.clbits)
+        return (inst.name, _control_flow_payload(inst.gate),
+                inst.qubits, inst.clbits)
     return (inst.name, tuple(_cf_param(p) for p in inst.params),
-            qubits, inst.clbits)
+            inst.qubits, inst.clbits)
 
 
-def _entry(inst, relabel: Optional[Dict[int, int]] = None) -> Tuple:
+def _entry(inst) -> Tuple:
     """One top-level instruction's key entry.
 
     Static instructions keep the historical raw-params form (so existing
     keys are unchanged); control-flow ops get the recursive payload.
     """
-    qubits = inst.qubits if relabel is None \
-        else tuple(relabel[q] for q in inst.qubits)
     if isinstance(inst.gate, ControlFlowOp):
-        return (inst.name, _control_flow_payload(inst.gate, relabel),
-                qubits, inst.clbits)
-    return (inst.name, inst.params, qubits, inst.clbits)
+        return (inst.name, _control_flow_payload(inst.gate),
+                inst.qubits, inst.clbits)
+    return (inst.name, inst.params, inst.qubits, inst.clbits)
 
 
 class _Key:
@@ -313,135 +284,6 @@ def circuit_key(circuit: QuantumCircuit) -> Optional[Tuple]:
 
 
 # ----------------------------------------------------------------------
-# equivalence-class canonicalization
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CanonicalForm:
-    """One circuit's place in the equivalence-class model.
-
-    ``exact_key`` is the label-exact structural key; ``key`` is the
-    canonical representative's structural key (qubits relabeled by first
-    appearance in the gate sequence); ``relabel`` maps each original
-    logical qubit to its canonical label (``None`` when the circuit
-    already is its own representative); ``invariants`` are the cheap
-    label-free invariants sharding the persistent store's class index.
-    """
-
-    exact_key: Tuple
-    key: Tuple
-    relabel: Optional[Tuple[int, ...]]
-    invariants: Tuple
-
-
-def _record_appearance(instructions, order: Dict[int, int]) -> None:
-    """First-appearance qubit order, descending into control-flow bodies.
-
-    A control-flow op's own ``inst.qubits`` is a *sorted* footprint —
-    walking it directly would make the relabeling depend on the original
-    labels and break relabel-equivalence.  Walking the body instruction
-    sequences in program order keeps the canonical form invariant under
-    qubit permutation.
-    """
-    for inst in instructions:
-        if isinstance(inst.gate, ControlFlowOp):
-            for body in inst.gate.bodies:
-                _record_appearance(body.instructions, order)
-        else:
-            for q in inst.qubits:
-                if q not in order:
-                    order[q] = len(order)
-
-
-def canonical_form(circuit: QuantumCircuit,
-                   exact: Optional[Tuple] = None) -> Optional[CanonicalForm]:
-    """Canonicalize *circuit*, or ``None`` when unhashable.
-
-    Qubits are relabeled in order of first appearance in the instruction
-    sequence (unused qubits keep their relative order after the used
-    ones), so any two circuits differing only by a qubit-register
-    permutation share one canonical form.  Clbits are untouched — the
-    measured distribution is therefore invariant across a class, which
-    is what makes representative-artifact reuse execution-identical.
-
-    *exact* is the circuit's :func:`circuit_key` when the caller already
-    has it; an identity relabeling then returns that very tuple as the
-    canonical key, so no second copy of it is built.
-    """
-    if exact is None:
-        exact = circuit_key(circuit)
-        if exact is None:
-            return None
-    order: Dict[int, int] = {}
-    _record_appearance(circuit.instructions, order)
-    nxt = len(order)
-    relabel = [0] * circuit.num_qubits
-    identity = True
-    for q in range(circuit.num_qubits):
-        label = order.get(q)
-        if label is None:
-            label = nxt
-            nxt += 1
-        relabel[q] = label
-        if label != q:
-            identity = False
-    names = Counter(inst.name for inst in circuit)
-    invariants = (
-        circuit.num_qubits,
-        circuit.num_clbits,
-        len(circuit),
-        tuple(sorted(names.items())),
-        sum(1 for inst in circuit if len(inst.qubits) == 2),
-    )
-    if identity:
-        return CanonicalForm(exact, exact, None, invariants)
-    relabel_map = {q: label for q, label in enumerate(relabel)}
-    canon = (
-        circuit.num_qubits,
-        circuit.num_clbits,
-        tuple(_entry(inst, relabel_map) for inst in circuit),
-    )
-    return CanonicalForm(exact, canon, tuple(relabel), invariants)
-
-
-def invert_relabel(relabel: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Inverse permutation: canonical label -> original logical qubit."""
-    inverse = [0] * len(relabel)
-    for orig, canon in enumerate(relabel):
-        inverse[canon] = orig
-    return tuple(inverse)
-
-
-def remap_layout(layout: Layout,
-                 relabel: Optional[Tuple[int, ...]]) -> Layout:
-    """*layout* with each logical qubit ``q`` renamed to ``relabel[q]``.
-
-    ``None`` means the identity relabeling and returns *layout* as is.
-    """
-    if relabel is None:
-        return layout
-    return Layout({relabel[q]: p for q, p in layout.as_dict().items()})
-
-
-def remap_result(result: TranspileResult,
-                 relabel: Optional[Tuple[int, ...]]) -> TranspileResult:
-    """*result* with its layouts' logical labels renamed via *relabel*.
-
-    The transpiled circuit is expressed over *physical* indices and is
-    untouched — relabeling logical qubits only moves which logical name
-    each layout entry carries.  ``None`` (identity) returns *result*
-    itself.
-    """
-    if relabel is None:
-        return result
-    return replace(
-        result,
-        initial_layout=remap_layout(result.initial_layout, relabel),
-        final_layout=remap_layout(result.final_layout, relabel),
-    )
-
-
-# ----------------------------------------------------------------------
 # stable digests
 # ----------------------------------------------------------------------
 
@@ -499,78 +341,36 @@ def device_digest(device: "Device") -> str:
 
 @dataclass(frozen=True, eq=False)
 class TranspileKey:
-    """All three key forms of one transpile request.
+    """Both key forms of one transpile request.
 
     Hash/equality delegate to :attr:`exact`, so in-flight coalescing and
-    the exact L1 behave exactly as the plain tuple key did — two
-    same-class requests with different labelings are distinct keys and
-    never share a future (each gets artifacts in its own labeling).
-
-    Only the exact key is built up front: an exact-L1 hit reads nothing
-    else.  The canonical form (and with it :attr:`canonical`,
-    :attr:`relabel` and the two persistent digests, SHA-256 over the
-    whole canonical key) is computed on first read, from inputs captured
-    when the key was made.
+    the exact L1 behave exactly as the plain tuple key did.  Only the
+    exact key is built up front: an L1 hit reads nothing else.  The
+    persistent :attr:`digest` is computed on first read.
     """
 
     #: Label-exact structural tuple with id-based device/hook identity:
     #: ``(circuit fingerprint, index) + placement + (id(device),
     #: id(hook))``.
     exact: Tuple
-    #: What the lazy forms read besides :attr:`exact`: a snapshot of the
-    #: circuit as keyed, the device and the hook; ``None`` for
-    #: index-sensitive hooks, which get no other form.
+    #: What the digest reads besides :attr:`exact`: the device and the
+    #: hook; ``None`` for index-sensitive hooks, which get no digest.
     sources: Optional[Tuple] = field(default=None, repr=False)
 
     @cached_property
-    def _form(self) -> Optional[CanonicalForm]:
+    def digest(self) -> Optional[str]:
+        """Stable cross-process store key: SHA-256 over the exact
+        structural key, the placement, the device's value digest and the
+        hook's token; ``None`` = not persistable."""
         if self.sources is None:
             return None
-        return canonical_form(self.sources[0], self.exact[0].key)
-
-    @cached_property
-    def canonical(self) -> Optional[Tuple]:
-        """In-memory equivalence-class key; ``None`` for index-sensitive
-        hooks."""
-        if self._form is None:
-            return None
-        return (self._form.key,) + self.exact[2:]
-
-    @property
-    def relabel(self) -> Optional[Tuple[int, ...]]:
-        """Original logical qubit -> canonical label (``None`` =
-        identity)."""
-        return None if self._form is None else self._form.relabel
-
-    @cached_property
-    def digest_parts(self) -> Optional[Tuple[Tuple, Tuple]]:
-        """``(digest parts, invariants parts)``, the inputs of
-        :attr:`digest` and :attr:`invariants`; ``None`` = not
-        persistable."""
-        if self._form is None:
-            return None
-        _, device, transpiler_fn = self.sources
+        device, transpiler_fn = self.sources
         token = persistent_token(transpiler_fn)
         if token is None:
             return None
-        placement = self.exact[2:5]
-        return (("transpile", _DIGEST_SCHEMA, self._form.key) + placement
-                + (device_digest(device), token),
-                ("invariants", _DIGEST_SCHEMA) + self._form.invariants)
-
-    @cached_property
-    def digest(self) -> Optional[str]:
-        """Stable cross-process store key; ``None`` = not persistable."""
-        if self.digest_parts is None:
-            return None
-        return key_digest(self.digest_parts[0])
-
-    @cached_property
-    def invariants(self) -> Optional[str]:
-        """Class-invariants digest, the store's equivalence-class index."""
-        if self.digest_parts is None:
-            return None
-        return key_digest(self.digest_parts[1])
+        return key_digest(("transpile", _DIGEST_SCHEMA, self.exact[0].key)
+                          + self.exact[2:5]
+                          + (device_digest(device), token))
 
     def __hash__(self) -> int:
         return hash(self.exact)
@@ -592,8 +392,8 @@ def transpile_key(circuit: QuantumCircuit, device: "Device",
     different queue positions share one entry across submissions.  Hooks
     that actually observe the index (marked via
     :func:`index_sensitive_transpiler`) get the index folded back in and
-    no canonical/persistent keys at all.  The other forms are computed
-    on first read (see :class:`TranspileKey`).
+    no persistent digest.  The digest is computed on first read (see
+    :class:`TranspileKey`).
     """
     circuit_exact = fingerprint(circuit)
     if circuit_exact is None:
@@ -606,4 +406,4 @@ def transpile_key(circuit: QuantumCircuit, device: "Device",
         id(device), id(transpiler_fn))
     if index_sensitive:
         return TranspileKey(exact)
-    return TranspileKey(exact, (circuit.copy(), device, transpiler_fn))
+    return TranspileKey(exact, (device, transpiler_fn))

@@ -2,10 +2,10 @@
 
 :class:`MemoryCache` is the process-local tier every lookup touches
 first.  It is deliberately dumb — hashable key in, value out — so the
-same class backs the exact-key table, the equivalence-class table, and
-the ideal-distribution table.  ``max_entries`` bounds it LRU-style
-(``None`` = unbounded, ``0`` disables storage entirely, matching the
-historical ``ExecutionCache(max_entries=...)`` semantics).
+same class backs the compile table and the ideal-distribution table.
+``max_entries`` bounds it LRU-style (``None`` = unbounded, ``0``
+disables storage entirely, matching the historical
+``ExecutionCache(max_entries=...)`` semantics).
 """
 
 from __future__ import annotations

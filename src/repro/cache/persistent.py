@@ -2,11 +2,10 @@
 
 :class:`PersistentCache` maps stable string digests (see
 :mod:`repro.cache.keys`) to opaque payload blobs, surviving process
-death and safely shared by concurrent readers/writers.  Rows carry the
-equivalence-class invariants digest alongside the payload (indexed),
-mirroring sat_revsynth's ``invariants_hash -> equivalence class ->
-representative`` database model: one row per class representative, the
-invariants column as the class index.
+death and safely shared by concurrent readers/writers: one row per
+request structure.  The table keeps an ``invariants`` column that this
+build leaves at its default, so store files stay shareable with builds
+that filled it.
 
 Connection handling, validation and the failure policy come from
 :class:`~repro.cache.sqlite.SQLiteStore`, the core it shares with the
@@ -53,8 +52,7 @@ class PersistentCache:
                                  "invariants TEXT NOT NULL DEFAULT '', "
                                  "payload BLOB NOT NULL, "
                                  "created REAL NOT NULL"},
-            indexes=("CREATE INDEX IF NOT EXISTS artifacts_invariants "
-                     "ON artifacts (invariants)",),
+            indexes=(),
             timeout=timeout, label="persistent compile cache",
             fallback="continuing without it — compiles fall back to the "
                      "cold path")
@@ -83,13 +81,12 @@ class PersistentCache:
         self.hits += 1
         return bytes(rows[0][0])
 
-    def put(self, digest: Optional[str], payload: bytes,
-            invariants: str = "") -> None:
+    def put(self, digest: Optional[str], payload: bytes) -> None:
         """Insert/replace *payload* under *digest* (no-op when disabled)."""
         if digest is not None and self._db.execute(
                 "INSERT OR REPLACE INTO artifacts "
-                "(key, invariants, payload, created) VALUES (?, ?, ?, ?)",
-                (digest, invariants, payload, time.time())) is not None:
+                "(key, payload, created) VALUES (?, ?, ?)",
+                (digest, payload, time.time())) is not None:
             self.writes += 1
 
     def delete(self, digest: str) -> None:
@@ -104,13 +101,6 @@ class PersistentCache:
     def __len__(self) -> int:
         rows = self._db.execute("SELECT COUNT(*) FROM artifacts")
         return 0 if rows is None else int(rows[0][0])
-
-    def invariant_classes(self) -> Dict[str, int]:
-        """Representatives per equivalence-class invariants digest."""
-        rows = self._db.execute(
-            "SELECT invariants, COUNT(*) FROM artifacts "
-            "GROUP BY invariants") or []
-        return {str(inv): int(count) for inv, count in rows}
 
     @property
     def stats(self) -> Dict[str, int]:

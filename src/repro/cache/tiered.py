@@ -1,32 +1,22 @@
-"""The compile cache: :class:`ExecutionCache` over three tiers.
+"""The compile cache: :class:`ExecutionCache` over two tiers.
 
-One lookup walks three tiers, cheapest first:
+One lookup walks two tiers, cheapest first, both keyed by the request's
+exact structural key (the circuit's cached
+:func:`~repro.cache.keys.fingerprint` plus placement, device and hook):
 
-1. **exact L1** — label-exact key, artifact already in the caller's
-   labeling;
-2. **equivalence-class L1** — same process, same device/hook, but the
-   request's circuit is a qubit-relabeled twin of an earlier one: the
-   class representative's artifact is remapped into the request's
-   labeling and promoted into the exact L1;
-3. **persistent L2** — the cross-process store: the representative's
-   pickled artifact is deserialized, remapped, and promoted into both
-   L1 tables, so a cold process on a warm store pays one unpickle per
-   class instead of one compile per program.
+1. **L1** — the in-process table, artifact ready to hand out;
+2. **persistent L2** — the cross-process store: the pickled artifact is
+   deserialized and promoted into L1, so a cold process on a warm store
+   pays one unpickle per program structure instead of one compile.
 
-Stores mirror the walk downward: the exact artifact lands in L1, its
-canonical (representative-labeled) form in the class table, and — when
+Stores mirror the walk downward: the artifact lands in L1 and — when
 the request is persistable (default transpiler or a hook with a declared
 :func:`~repro.cache.keys.persistent_cache_token`) — in the L2 store.
 
-Every artifact handed out is in the exact labeling of the request that
-asked, so callers never see a representative's labels; equivalence-class
-reuse is invisible except in the counters (``equivalence_hits``,
-``promotions``).
-
 The same class memoizes ideal (noiseless) distributions, keyed by each
-circuit's exact :func:`~repro.cache.keys.fingerprint`.  Compiles run
-through :class:`~repro.core.compile_service.CompileService`, which keys
-each request once (:func:`~repro.cache.keys.transpile_key`), looks it up
+circuit's :func:`~repro.cache.keys.fingerprint`.  Compiles run through
+:class:`~repro.core.compile_service.CompileService`, which keys each
+request once (:func:`~repro.cache.keys.transpile_key`), looks it up
 here and publishes what it compiles.
 """
 
@@ -40,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Optional
 from ..circuits.circuit import QuantumCircuit
 from ..sim.statevector import ideal_probabilities
 from ..transpiler.transpile import TranspileResult
-from .keys import TranspileKey, fingerprint, invert_relabel, remap_result
+from .keys import TranspileKey, fingerprint
 from .memory import MemoryCache
 from .persistent import PersistentCache
 
@@ -96,12 +86,10 @@ class ExecutionCache:
         # device/transpiler so their id()s cannot be recycled onto
         # different objects while an entry is alive.
         self.l1 = MemoryCache(max_entries)
-        self.l1_classes = MemoryCache(max_entries)
         self.persistent: Optional[PersistentCache] = (
             None if store_path is None else PersistentCache(store_path))
         self._ideal_table = MemoryCache(max_entries)
         self._lock = threading.Lock()
-        self.equivalence_hits = 0
         self.promotions = 0
         self.decode_errors = 0
         self.transpile_hits = 0
@@ -136,7 +124,6 @@ class ExecutionCache:
         with ``persistent.clear()``.
         """
         self.l1.clear()
-        self.l1_classes.clear()
         self._ideal_table.clear()
 
     # ------------------------------------------------------------------
@@ -147,9 +134,8 @@ class ExecutionCache:
         precomputed key, or ``None``; counts hit/miss.
 
         Apply :meth:`_fresh` before handing the result to anything that
-        may mutate it.  The result is always in the request's own qubit
-        labeling, whichever tier served it, and its circuit carries its
-        fingerprint, so every fresh copy of a hit is keyed already.
+        may mutate it.  Its circuit carries its fingerprint, so every
+        fresh copy of a hit is keyed already.
         """
         found = None if key is None else self._walk(key, device,
                                                      transpiler_fn)
@@ -162,7 +148,7 @@ class ExecutionCache:
 
     def _walk(self, key: TranspileKey, device: "Device",
               transpiler_fn) -> Optional[TranspileResult]:
-        """The tier walk: exact L1, class L1, then the L2 store.
+        """The tier walk: L1, then the L2 store.
 
         Device/hook identity is re-checked against the stored strong
         references, so a recycled ``id()`` can never alias a different
@@ -172,44 +158,23 @@ class ExecutionCache:
         if (entry is not None and entry[0] is device
                 and entry[1] is transpiler_fn):
             return entry[2]
-        if key.canonical is None:
-            return None
-        entry = self.l1_classes.get(key.canonical)
-        if (entry is not None and entry[0] is device
-                and entry[1] is transpiler_fn):
-            result = self._to_request_labeling(entry[2], key)
-            self.l1.put(key.exact, (device, transpiler_fn, result))
-            with self._lock:
-                self.equivalence_hits += 1
-            return result
         if self.persistent is None or key.digest is None:
             return None
         payload = self.persistent.get(key.digest)
         if payload is None:
             return None
-        canonical = loads_artifact(payload)
-        if canonical is None:
+        result = loads_artifact(payload)
+        if result is None:
             # Row-level corruption: drop the entry so the next writer
             # replaces it, and treat this request as a plain miss.
             with self._lock:
                 self.decode_errors += 1
             self.persistent.delete(key.digest)
             return None
-        self.l1_classes.put(key.canonical,
-                            (device, transpiler_fn, canonical))
-        result = self._to_request_labeling(canonical, key)
         self.l1.put(key.exact, (device, transpiler_fn, result))
         with self._lock:
             self.promotions += 1
         return result
-
-    @staticmethod
-    def _to_request_labeling(canonical: TranspileResult,
-                             key: TranspileKey) -> TranspileResult:
-        """Representative artifact -> the request's own qubit labels."""
-        if key.relabel is None:
-            return canonical
-        return remap_result(canonical, invert_relabel(key.relabel))
 
     def store_transpile_raw(self, key: Optional[TranspileKey],
                             device: "Device", transpiler_fn,
@@ -219,14 +184,8 @@ class ExecutionCache:
         if key is None or not self._may_write():
             return
         self.l1.put(key.exact, (device, transpiler_fn, result))
-        if key.canonical is None:
-            return
-        canonical = remap_result(result, key.relabel)
-        self.l1_classes.put(key.canonical,
-                            (device, transpiler_fn, canonical))
         if self.persistent is not None and key.digest is not None:
-            self.persistent.put(key.digest, dumps_artifact(canonical),
-                                key.invariants or "")
+            self.persistent.put(key.digest, dumps_artifact(result))
 
     @staticmethod
     def _fresh(result: TranspileResult) -> TranspileResult:
@@ -247,11 +206,10 @@ class ExecutionCache:
         """Ideal (noiseless) output distribution through the cache.
 
         Keyed by the circuit's exact structural key (its
-        :func:`~repro.cache.keys.fingerprint`), so a qubit-relabeled twin
-        computes its own distribution.  Returns a fresh dict each call —
-        outcomes must not alias one shared mutable distribution, or a
-        caller mutating its copy would corrupt the cache and every
-        sibling outcome.
+        :func:`~repro.cache.keys.fingerprint`).  Returns a fresh dict
+        each call — outcomes must not alias one shared mutable
+        distribution, or a caller mutating its copy would corrupt the
+        cache and every sibling outcome.
         """
         key = fingerprint(circuit)
         if key is None:
@@ -271,17 +229,14 @@ class ExecutionCache:
     def stats(self) -> Dict[str, int]:
         """Counter snapshot (plain ints, JSON-safe).
 
-        ``evictions`` sums every in-memory table; ``equivalence_hits``
-        and ``promotions`` (store -> memory) count the deeper tiers'
-        hits; the ``persistent_*`` entries are zero without an attached
-        store; then the transpile/ideal hit-miss counters and
-        ``gated_writes``.
+        ``evictions`` sums both in-memory tables; ``promotions`` counts
+        store hits promoted into memory; the ``persistent_*`` entries
+        are zero without an attached store; then the transpile/ideal
+        hit-miss counters and ``gated_writes``.
         """
         l2 = self.persistent.stats if self.persistent is not None else {}
         return {
-            "evictions": (self.l1.evictions + self.l1_classes.evictions
-                          + self._ideal_table.evictions),
-            "equivalence_hits": self.equivalence_hits,
+            "evictions": self.l1.evictions + self._ideal_table.evictions,
             "promotions": self.promotions,
             "decode_errors": self.decode_errors,
             "persistent_hits": l2.get("hits", 0),

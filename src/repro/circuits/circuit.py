@@ -496,6 +496,11 @@ class QuantumCircuit:
         out._fingerprint = self._fingerprint
         return out
 
+    def __copy__(self) -> "QuantumCircuit":
+        """``copy.copy(circuit)`` is :meth:`copy`: the copy gets its own
+        instruction list."""
+        return self.copy()
+
     def inverse(self) -> "QuantumCircuit":
         """Return the adjoint circuit; fails on measure/reset/control flow."""
         from .controlflow import ControlFlowOp

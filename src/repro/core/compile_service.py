@@ -82,12 +82,13 @@ class CompileService:
         Request side: ``submitted``, ``coalesced`` and
         ``short_circuits`` (see the constructor).  Cache side: see
         :attr:`ExecutionCache.stats` (hits/misses, evictions,
-        equivalence hits, promotions, ``persistent_*``).
+        promotions, ``persistent_*``).
         """
         merged = dict(self._requests)
-        # Always 0 (there is no pool): the end-to-end benchmark still
-        # reads this key.
+        # Always 0 (there is no pool and no equivalence-class tier): the
+        # end-to-end benchmark still reads these keys.
         merged["chunks"] = 0
+        merged["equivalence_hits"] = 0
         merged.update(self.cache.stats)
         return merged
 

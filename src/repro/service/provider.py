@@ -115,9 +115,8 @@ class QuantumProvider:
         tables (default 4096); ``None`` is unbounded.
     cache_path:
         Location of a persistent on-disk compile-artifact store (SQLite
-        WAL, shared across processes): compiled equivalence classes
-        survive provider restarts and dedup across concurrent
-        providers.  When omitted, the ``REPRO_CACHE_PATH`` environment
+        WAL, shared across processes): compiled programs survive
+        provider restarts and dedup across concurrent providers.  When omitted, the ``REPRO_CACHE_PATH`` environment
         variable is consulted; unset means in-memory caching only.
     job_workers:
         Job pool width.  Defaults to 1, which keeps shared-cache

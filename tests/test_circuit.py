@@ -1,5 +1,6 @@
 """Unit tests for QuantumCircuit."""
 
+import copy
 import math
 
 import pytest
@@ -95,6 +96,16 @@ class TestTransforms:
         other.x(1)
         assert len(qc) == 1
         assert len(other) == 2
+
+    def test_copy_module_copy_is_independent(self):
+        qc = QuantumCircuit(2)
+        qc.h(0)
+        shallow = copy.copy(qc)
+        shallow.z(1)
+        qc.x(0)
+        assert [i.name for i in qc] == ["h", "x"]
+        assert [i.name for i in shallow] == ["h", "z"]
+        assert shallow.num_qubits == qc.num_qubits
 
     def test_inverse_reverses_and_inverts(self):
         qc = QuantumCircuit(2)
