@@ -16,9 +16,14 @@ small repeated programs dominate, exactly the cloud profile):
 - **service** — the warm path submitted through
   :class:`~repro.core.CompileService` (inline), same shared caches.
 
-Two cold-path sections ride along: a serial cold-miss compile of unique
-programs on a wide (65q) device — the baseline for cheaper fresh
-compiles, with no gate — and a scheduler-dedup check that schedules
+Two fresh-compile sections ride along, with no gate: a serial
+cold-miss compile of unique programs on a wide (65q) device — the
+baseline for cheaper fresh compiles; every pass draws other programs,
+so no compile plan memoized on a partition context is ever reused —
+and a fresh-angle pass: 16 two-qubit VQE measurement programs with new
+angles each pass, on 16 fixed partitions of the same device through one
+shared context, so each compile replays its skeleton's layout, routing
+and ALAP plans.  A scheduler-dedup check follows: it schedules
 repeated programs at distinct queue indices with
 :class:`~repro.core.CloudScheduler`, compiles every dispatched
 allocation through one compile service, and gates on **zero
@@ -64,6 +69,12 @@ from repro.core import AllocationResult, CloudScheduler, CompileService, \
 from repro.cache import circuit_key
 from repro.hardware import Device, ibm_manhattan, ibm_toronto
 from repro.transpiler import DeviceContext, transpile_for_partition
+from repro.vqe import (
+    group_commuting_terms,
+    h2_hamiltonian,
+    measurement_circuit,
+    ryrz_ansatz,
+)
 from repro.workloads import synthesize_traffic
 
 #: CI override knob (mirrors KERNEL_SPEEDUP_FLOOR/SCHEDULER_SPEEDUP_FLOOR).
@@ -176,10 +187,11 @@ def bench_service(device: Device, traffic) -> float:
     return time.perf_counter() - start
 
 
-def unique_cold_job(device: Device, num_programs: int, seed: int
-                    ) -> AllocationResult:
+def unique_cold_job(device: Device, num_programs: int, seed: int,
+                    draw: int = 0) -> AllocationResult:
     """*Unique* heavy programs on BFS-grown partitions: a pure cold-miss
-    batch (no result-cache dedup possible)."""
+    batch (no result-cache dedup possible).  Each *draw* keeps the
+    sizes and partitions and draws other circuits."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -188,7 +200,7 @@ def unique_cold_job(device: Device, num_programs: int, seed: int
         size = int(rng.integers(5, 8))
         circuit = random_circuit(size - 1,
                                  int(rng.integers(25, 40)),
-                                 seed=seed * 7919 + i)
+                                 seed=seed * 7919 + i + 104729 * draw)
         circuit.measure_all()
         start = int(rng.integers(device.num_qubits))
         partition = connected_subset(device.coupling, start, size)
@@ -198,13 +210,50 @@ def unique_cold_job(device: Device, num_programs: int, seed: int
 
 
 def bench_cold_serial(device: Device, num_programs: int,
-                      seed: int) -> float:
+                      seed: int, draw: int = 0) -> float:
     """Compile a cold-miss batch inline from an empty result cache."""
-    job = unique_cold_job(device, num_programs, seed)
+    job = unique_cold_job(device, num_programs, seed, draw)
     svc = CompileService()
     start = time.perf_counter()
     svc.compile_allocation(job)
     return time.perf_counter() - start
+
+
+def disjoint_pairs(device: Device, count: int) -> List[Tuple[int, int]]:
+    """*count* disjoint device links, lowest qubits first."""
+    pairs: List[Tuple[int, int]] = []
+    used: set = set()
+    for a, b in device.coupling.edges:
+        if a not in used and b not in used:
+            pairs.append((a, b))
+            used.update((a, b))
+    return pairs[:count]
+
+
+def bench_fresh_angles(device: Device, context: DeviceContext,
+                       partitions, seed: int) -> float:
+    """Compile one two-qubit VQE measurement program with new angles
+    onto each of *partitions*, through *context*."""
+    import numpy as np
+
+    groups = group_commuting_terms(h2_hamiltonian())
+    rng = np.random.default_rng(seed)
+    programs = [measurement_circuit(
+                    ryrz_ansatz([float(rng.uniform(0.1, 3.0))]),
+                    groups[i % len(groups)])
+                for i in range(len(partitions))]
+    start = time.perf_counter()
+    for circuit, partition in zip(programs, partitions):
+        transpile_for_partition(circuit, device, partition,
+                                context=context)
+    return time.perf_counter() - start
+
+
+def plan_counts(context: DeviceContext, partitions) -> Tuple[int, int]:
+    """Plan hits and misses summed over *partitions*' contexts."""
+    stats = [context.partition_context(p).stats for p in partitions]
+    return (sum(s["plan_hits"] for s in stats),
+            sum(s["plan_misses"] for s in stats))
 
 
 def _store_compile_pass(store_path: str, num_programs: int, seed: int
@@ -329,14 +378,31 @@ def main(argv: Sequence[str] | None = None) -> int:
     wide = ibm_manhattan()
     n_cold = 12 if args.smoke else 48
     cold_serial_s = min(
-        timed_pass(bench_cold_serial, wide, n_cold, args.seed)
-        for _ in range(REPEATS))
+        timed_pass(bench_cold_serial, wide, n_cold, args.seed, draw)
+        for draw in range(REPEATS))
     cores = os.cpu_count() or 1
     print(f"cold-miss compile of {n_cold} unique programs on {wide.name} "
           f"({wide.num_qubits}q, {cores} cores): "
           f"{cold_serial_s * 1e3:.1f} ms "
           f"({cold_serial_s / n_cold * 1e3:.2f} ms/program, inline, "
           f"best of {REPEATS} GC-off passes)")
+
+    # --- fresh angles on warm partitions -------------------------------
+    pairs = disjoint_pairs(wide, 16)
+    shared = DeviceContext(wide.coupling, wide.calibration)
+    bench_fresh_angles(wide, shared, pairs, args.seed)  # warm-up pass
+    warm_plans = plan_counts(shared, pairs)
+    fresh_s = min(
+        timed_pass(bench_fresh_angles, wide, shared, pairs,
+                   args.seed + 1 + i)
+        for i in range(REPEATS))
+    hits, misses = (now - before for now, before in
+                    zip(plan_counts(shared, pairs), warm_plans))
+    print(f"fresh angles, warm context: {len(pairs)} two-qubit VQE "
+          f"programs per pass on {wide.name}: {fresh_s * 1e3:.2f} ms "
+          f"({fresh_s / len(pairs) * 1e3:.3f} ms/program, best of "
+          f"{REPEATS} GC-off passes; {hits} plan hits and {misses} misses "
+          f"over the {REPEATS} passes)")
 
     # --- cold process on a warm persistent store -----------------------
     with tempfile.TemporaryDirectory(prefix="bench-store-") as store_dir:
@@ -380,6 +446,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             "programs": n_cold,
             "cores": cores,
             "serial_s": cold_serial_s,
+        },
+        "fresh_angles_warm_context": {
+            "device": wide.name,
+            "programs": len(pairs),
+            "pass_s": fresh_s,
+            "plan_hits": hits,
+            "plan_misses": misses,
         },
         "scheduler_dedup": {
             "requests": requests,

@@ -5,7 +5,7 @@
 death and safely shared by concurrent readers/writers: one row per
 request structure.  The table keeps an ``invariants`` column that this
 build leaves at its default, so store files stay shareable with builds
-that filled it.
+that filled it; the index those builds kept on it is dropped on open.
 
 Connection handling, validation and the failure policy come from
 :class:`~repro.cache.sqlite.SQLiteStore`, the core it shares with the
@@ -52,7 +52,10 @@ class PersistentCache:
                                  "invariants TEXT NOT NULL DEFAULT '', "
                                  "payload BLOB NOT NULL, "
                                  "created REAL NOT NULL"},
-            indexes=(),
+            # Earlier builds indexed ``invariants``; nothing reads it, and
+            # SQLite would update it on every write.  They recreate it
+            # with IF NOT EXISTS, so files stay shareable both ways.
+            indexes=("DROP INDEX IF EXISTS artifacts_invariants",),
             timeout=timeout, label="persistent compile cache",
             fallback="continuing without it — compiles fall back to the "
                      "cold path")

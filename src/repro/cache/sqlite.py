@@ -52,7 +52,8 @@ class SQLiteStore:
         ``meta`` and SQLite's internal ``sqlite_*`` tables they are the
         only tables the file may hold.
     indexes:
-        ``CREATE INDEX IF NOT EXISTS`` statements run after the tables.
+        Index statements (``CREATE INDEX IF NOT EXISTS``, ``DROP INDEX
+        IF EXISTS``) run after the tables, in the same transaction.
     timeout:
         SQLite busy timeout in seconds.
     label, fallback:

@@ -8,11 +8,14 @@ implementation rebuilt all of them per call; at fleet scale that is the
 dominant compile cost.
 
 :class:`DeviceContext` computes each structure lazily, caches it, and
-memoizes partition-induced sub-contexts.  :func:`device_context` is a
+memoizes partition-induced sub-contexts and the angle-free compile plans
+of :meth:`DeviceContext.plan`.  :func:`device_context` is a
 fingerprint-keyed registry: two calls with equal coupling/calibration
 *values* share one context, and mutating a calibration in place changes
 its fingerprint, so the next lookup builds a fresh context instead of
-serving stale tables (see the invalidation tests).
+serving stale tables (see the invalidation tests).  Repeat lookups with
+the same objects skip the fingerprint: an identity front serves them
+once the live calibration still equals the context's snapshot.
 
 The reliability edge weight ``-log(1 - cx_error) + 0.01`` used by the
 initial mapper, both routers, and SABRE's distance tables lives here as
@@ -25,7 +28,8 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
+                    Tuple, TypeVar)
 
 import networkx as nx
 import numpy as np
@@ -52,6 +56,12 @@ UNREACHABLE = 1e9
 #: Additive constant in the reliability weight: favours few hops among
 #: equally reliable paths.
 _HOP_PENALTY = 0.01
+
+#: Bound on the compile plans one context keeps (see
+#: :meth:`DeviceContext.plan`); the oldest is evicted first.
+_PLANS_MAX = 64
+
+_Plan = TypeVar("_Plan")
 
 
 def edge_reliability_weight(cx_error: Optional[float]) -> float:
@@ -167,7 +177,13 @@ class DeviceContext:
       :attr:`min_edge_weight` as the admissible lower bound the pruned
       layout search uses to certify optimality;
     - :meth:`partition_context` — memoized induced sub-contexts
-      (induced :class:`CouplingMap` + restricted :class:`Calibration`).
+      (induced :class:`CouplingMap` + restricted :class:`Calibration`);
+    - :meth:`plan` — a bounded LRU table (:data:`_PLANS_MAX` entries,
+      lock-guarded) of the compile decisions ``transpile()`` makes
+      without reading a gate angle: the layout and routing plan of a
+      basis-circuit skeleton and the ALAP plan of an optimized one.
+      Fresh-angle programs of one skeleton then skip the layout search,
+      the path walks and the timing pass on this device view.
 
     Contexts treat their calibration as frozen: mutate a calibration and
     fetch a fresh context through :func:`device_context` instead.
@@ -185,12 +201,16 @@ class DeviceContext:
         self._readout_vector: Optional[np.ndarray] = None
         self._min_edge_weight: Optional[float] = None
         self._subcontexts: Dict[Tuple[int, ...], "DeviceContext"] = {}
-        #: Lazy-table build counts plus partition-subcontext hit/miss
-        #: counters (exposed for tests and benchmark reporting).
+        self._plans: "OrderedDict[Hashable, object]" = OrderedDict()
+        self._plans_lock = threading.Lock()
+        #: Lazy-table build counts plus partition-subcontext and plan
+        #: hit/miss counters (exposed for tests and benchmark reporting).
         self.stats: Dict[str, int] = {
             "tables_built": 0,
             "partition_hits": 0,
             "partition_misses": 0,
+            "plan_hits": 0,
+            "plan_misses": 0,
         }
 
     # ------------------------------------------------------------------
@@ -325,6 +345,31 @@ class DeviceContext:
         self._subcontexts[key] = sub
         return sub
 
+    # ------------------------------------------------------------------
+    # angle-free compile plans
+    # ------------------------------------------------------------------
+    def plan(self, key: Hashable, build: Callable[[], _Plan]) -> _Plan:
+        """The plan stored under *key*; *build* makes it on a miss.
+
+        *key* must cover everything *build* reads besides this context's
+        own coupling and calibration.  Plans are shared between job
+        threads, so they must be immutable.  Two threads missing one key
+        both build it; the plans are equal, so either may be kept.
+        """
+        with self._plans_lock:
+            found = self._plans.get(key)
+            if found is not None:
+                self._plans.move_to_end(key)
+                self.stats["plan_hits"] += 1
+                return found  # type: ignore[return-value]
+            self.stats["plan_misses"] += 1
+        made = build()
+        with self._plans_lock:
+            self._plans[key] = made
+            while len(self._plans) > _PLANS_MAX:
+                self._plans.popitem(last=False)
+        return made
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DeviceContext {self.coupling.num_qubits}q, "
                 f"{len(self._subcontexts)} partition sub-contexts>")
@@ -342,6 +387,12 @@ _registry: "OrderedDict[Hashable, DeviceContext]" = OrderedDict()
 _registry_lock = threading.Lock()
 _registry_stats = {"hits": 0, "misses": 0}
 
+#: Identity front of the registry, bounded like it:
+#: ``(id(coupling), id(calibration))`` -> ``(coupling, calibration,
+#: context)``.  Holding both objects keeps their ids from being reused
+#: while the entry lives.
+_front: "OrderedDict[Tuple[int, int], tuple]" = OrderedDict()
+
 
 def device_context(coupling: CouplingMap,
                    calibration: Optional[Calibration] = None
@@ -352,20 +403,38 @@ def device_context(coupling: CouplingMap,
     (and its cached Dijkstra tables) regardless of object identity,
     while a mutated calibration transparently misses into a fresh one.
     Oldest entries are evicted past ``_REGISTRY_MAX``.
+
+    A repeat call with the same two objects is served by identity
+    instead, without sorting and hashing the tables, as long as the
+    calibration's tables still equal the context's snapshot (coupling
+    maps have no mutation API).
     """
+    ident = (id(coupling), id(calibration))
+    with _registry_lock:
+        entry = _front.get(ident)
+        # Dataclass equality compares the seven tables as dicts, with
+        # no sorting; the fingerprint covers the same tables.
+        if entry is not None and calibration == entry[2].calibration:
+            _registry_stats["hits"] += 1
+            _front.move_to_end(ident)
+            return entry[2]
     key = (coupling_fingerprint(coupling),
            calibration_fingerprint(calibration))
     with _registry_lock:
-        found = _registry.get(key)
-        if found is not None:
+        ctx = _registry.get(key)
+        if ctx is not None:
             _registry_stats["hits"] += 1
             _registry.move_to_end(key)
-            return found
-        _registry_stats["misses"] += 1
-        ctx = DeviceContext(coupling, _snapshot_calibration(calibration))
-        _registry[key] = ctx
-        while len(_registry) > _REGISTRY_MAX:
-            _registry.popitem(last=False)
+        else:
+            _registry_stats["misses"] += 1
+            ctx = DeviceContext(coupling, _snapshot_calibration(calibration))
+            _registry[key] = ctx
+            while len(_registry) > _REGISTRY_MAX:
+                _registry.popitem(last=False)
+        _front[ident] = (coupling, calibration, ctx)
+        _front.move_to_end(ident)
+        while len(_front) > _REGISTRY_MAX:
+            _front.popitem(last=False)
         return ctx
 
 
@@ -376,8 +445,10 @@ def context_cache_stats() -> Dict[str, int]:
 
 
 def reset_context_cache() -> None:
-    """Drop every registered context and zero the counters (tests)."""
+    """Drop every registered context, with its plans, and zero the
+    counters (tests)."""
     with _registry_lock:
         _registry.clear()
+        _front.clear()
         _registry_stats["hits"] = 0
         _registry_stats["misses"] = 0

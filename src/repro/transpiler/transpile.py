@@ -12,7 +12,7 @@ Pipeline (mirroring the passes the paper relies on in Qiskit):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..circuits.controlflow import has_control_flow
@@ -31,8 +31,8 @@ from .dd import insert_dd_sequences_multi
 from .layout import Layout
 from .mapping import noise_aware_layout
 from .optimize import combine_adjacent_delays, optimize_circuit
-from .routing import route_circuit
-from .schedule import schedule_alap
+from .routing import emit_route, plan_route, route_circuit
+from .schedule import emit_alap, plan_alap, schedule_alap
 
 __all__ = ["TranspileResult", "transpile", "transpile_for_partition"]
 
@@ -79,6 +79,12 @@ def transpile(
     ``"cpmg"``, ``"xy4"``) inserted into scheduled idle windows, with
     pulse trains staggered across coupled qubits; it requires
     ``schedule=True`` and a calibration.
+
+    With the basic router and no *initial_layout*, the layout, routing
+    and ALAP decisions come from plans memoized on *context*
+    (:meth:`DeviceContext.plan`), keyed by everything they read but the
+    context itself; none reads a gate angle, so fresh-angle circuits of
+    one skeleton compile bit-identically without repeating them.
     """
     if not 0 <= optimization_level <= 3:
         raise ValueError("optimization_level must be 0..3")
@@ -93,22 +99,38 @@ def transpile(
                 seed=seed, context=context)
         circuit = expanded
     basis = decompose_to_basis(circuit)
-    if initial_layout is None:
-        initial_layout = noise_aware_layout(basis, coupling, calibration,
-                                            seed=seed, context=context)
-    if router == "basic":
-        routed = route_circuit(basis, coupling, initial_layout,
-                               calibration, context=context)
-    elif router == "sabre":
-        from .sabre import sabre_route
-
-        routed = sabre_route(basis, coupling, initial_layout,
-                             calibration, context=context)
+    # The default path memoizes its angle-free decisions on the context.
+    planned = router == "basic" and initial_layout is None
+    if planned:
+        plan = context.plan(_route_key(basis, seed), lambda: plan_route(
+            basis, coupling,
+            noise_aware_layout(basis, coupling, calibration, seed=seed,
+                               context=context),
+            context))
+        routed = emit_route(basis, coupling.num_qubits, plan)
     else:
-        raise ValueError(f"unknown router {router!r}")
+        if initial_layout is None:
+            initial_layout = noise_aware_layout(
+                basis, coupling, calibration, seed=seed, context=context)
+        if router == "basic":
+            routed = route_circuit(basis, coupling, initial_layout,
+                                   calibration, context=context)
+        elif router == "sabre":
+            from .sabre import sabre_route
+
+            routed = sabre_route(basis, coupling, initial_layout,
+                                 calibration, context=context)
+        else:
+            raise ValueError(f"unknown router {router!r}")
     optimized = optimize_circuit(routed.circuit, optimization_level)
     if schedule and calibration is not None:
-        optimized = schedule_alap(optimized, calibration.gate_duration)
+        durations = calibration.gate_duration
+        if planned:
+            delays = context.plan(_alap_key(optimized, durations),
+                                  lambda: plan_alap(optimized, durations))
+            optimized = emit_alap(optimized, delays)
+        else:
+            optimized = schedule_alap(optimized, durations)
         if dd is not None:
             optimized = insert_dd_sequences_multi(
                 optimized, calibration.gate_duration, strategy=dd,
@@ -125,6 +147,27 @@ def transpile(
         final_layout=routed.final_layout,
         num_swaps=routed.num_swaps,
     )
+
+
+def _skeleton(circuit: QuantumCircuit) -> Tuple:
+    """Each instruction's name, qubits and clbits: the circuit without
+    its gate parameters."""
+    return tuple([(i.gate.name, i.qubits, i.clbits) for i in circuit])
+
+
+def _route_key(basis: QuantumCircuit, seed: int) -> Tuple:
+    """What the layout search and the router read of a basis circuit
+    (the greedy layout also reads the seed)."""
+    return ("route", _skeleton(basis), basis.num_qubits, basis.num_clbits,
+            seed)
+
+
+def _alap_key(circuit: QuantumCircuit,
+              durations: Dict[str, float]) -> Tuple:
+    """What the ALAP timing pass reads of a control-flow-free circuit."""
+    delays = tuple([i.gate.params for i in circuit
+                    if i.gate.name == "delay"])
+    return ("alap", _skeleton(circuit), delays, tuple(durations.items()))
 
 
 def partition_coupling(device: Device,

@@ -103,7 +103,8 @@ class TestPersistentCache:
     def test_rows_with_invariants_still_read(self, tmp_path):
         """Earlier builds at schema version 1 filled the ``invariants``
         column and indexed it; their files stay readable and writable,
-        and rows this build writes leave the column at its default."""
+        rows this build writes leave the column at its default, and the
+        index nothing reads any more is dropped on open."""
         path = str(tmp_path / "store.db")
         PersistentCache(path).close()
         conn = sqlite3.connect(path)
@@ -115,8 +116,17 @@ class TestPersistentCache:
         conn.close()
         store = PersistentCache(path)
         assert not store.disabled
+        conn = sqlite3.connect(path)
+        try:
+            indexes = conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "AND name = 'artifacts_invariants'").fetchall()
+        finally:
+            conn.close()
+        assert indexes == []
         assert store.get("old") == b"\x01"
         store.put("new", b"payload")
+        assert store.get("new") == b"payload"
         store.close()
         conn = sqlite3.connect(path)
         try:

@@ -4,6 +4,7 @@ behaviour, caches must count hits/misses, and mutated calibrations must
 invalidate.
 """
 
+import copy
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,7 @@ from repro.transpiler import (
     transpile,
     transpile_for_partition,
 )
+from repro.transpiler import context as context_mod
 from repro.transpiler.context import UNREACHABLE
 
 
@@ -228,6 +230,48 @@ class TestRegistry:
             assert ctx.edge_weights[edge] == edge_reliability_weight(old)
         finally:
             dev.calibration.twoq_error[edge] = old
+
+    @pytest.mark.parametrize("field", [
+        "oneq_error", "twoq_error", "readout_error", "t1", "t2",
+        "detuning", "gate_duration"])
+    def test_mutation_after_a_front_hit_gets_a_fresh_context(self, field):
+        """Repeat lookups with the same objects are served by identity,
+        but only while the calibration still equals the snapshot."""
+        reset_context_cache()
+        dev = linear_device(5, seed=4)
+        ctx1 = device_context(dev.coupling, dev.calibration)
+        assert device_context(dev.coupling, dev.calibration) is ctx1
+        assert context_cache_stats()["hits"] == 1
+        table = getattr(dev.calibration, field)
+        key = next(iter(table))
+        old = table[key]
+        try:
+            table[key] = (0.5, 0.5) if isinstance(old, tuple) \
+                else old * 1.5 + 1.0
+            ctx2 = device_context(dev.coupling, dev.calibration)
+            assert ctx2 is not ctx1
+            assert getattr(ctx2.calibration, field)[key] == table[key]
+            assert getattr(ctx1.calibration, field)[key] == old
+            assert context_cache_stats()["misses"] == 2
+            assert device_context(dev.coupling, dev.calibration) is ctx2
+        finally:
+            table[key] = old
+        # Restored values find the first context again.
+        assert device_context(dev.coupling, dev.calibration) is ctx1
+
+    def test_front_is_bounded_and_reset(self, monkeypatch):
+        """Per-program calibration copies (CNA inflates one per
+        program) must not grow the identity front past the registry's
+        bound."""
+        monkeypatch.setattr(context_mod, "_REGISTRY_MAX", 4)
+        reset_context_cache()
+        dev = linear_device(5, seed=4)
+        for _ in range(10):
+            device_context(dev.coupling, copy.deepcopy(dev.calibration))
+        assert len(context_mod._front) == 4  # noqa: SLF001
+        assert context_cache_stats()["entries"] == 1
+        reset_context_cache()
+        assert len(context_mod._front) == 0  # noqa: SLF001
 
     def test_none_calibration_contexts(self):
         reset_context_cache()

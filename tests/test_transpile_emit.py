@@ -5,12 +5,20 @@ instructions they built from already-validated ones straight onto the
 output circuit, and ``decompose_to_basis`` rewrites each distinct 1q
 gate once per call.  These tests pin both shortcuts to what the
 validating path would have produced, bit for bit.
+
+``transpile()`` also replays layout, routing and ALAP plans memoized on
+the partition context; a compile on a warm context (plan hit) must equal
+one on a fresh context (plan miss), bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import sys
 import threading
+import time
 from collections import OrderedDict, deque
 
 import pytest
@@ -21,11 +29,14 @@ from repro.circuits.controlflow import ControlFlowOp
 from repro.circuits.gates import BASIS_GATES, gate
 from repro.transpiler import basis as basis_mod
 from repro.transpiler import (
+    DeviceContext,
     Layout,
     decompose_to_basis,
     route_circuit,
+    transpile,
     transpile_for_partition,
 )
+from repro.transpiler import context as context_mod
 from repro.transpiler import optimize as opt_mod
 from repro.transpiler.basis import decompose_oneq_gate
 from repro.transpiler.context import device_context
@@ -65,10 +76,10 @@ def _revalidated(circuit: QuantumCircuit) -> QuantumCircuit:
     return out
 
 
-def _vqe_circuits():
+def _vqe_circuits(thetas=(0.0, -0.0, 0.7, -2.9)):
     groups = group_commuting_terms(h2_hamiltonian())
     return [measurement_circuit(ryrz_ansatz([theta]), g)
-            for theta in (0.0, -0.0, 0.7, -2.9) for g in groups]
+            for theta in thetas for g in groups]
 
 
 def _random_circuits():
@@ -236,3 +247,305 @@ class TestFusedRunMemoThreads:
         assert opt_mod._fused_run(run) == first  # a hit, raced
         evictors[0].join()
         assert list(memo) == [other_key]
+
+
+# ----------------------------------------------------------------------
+# Plans memoized on the partition context
+# ----------------------------------------------------------------------
+
+def _shifted(circuit: QuantumCircuit, delta: float) -> QuantumCircuit:
+    """*circuit* with every ``rz`` angle moved by *delta*: the same
+    skeleton with other angles."""
+    out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
+                         circuit.name)
+    for inst in circuit:
+        g = gate("rz", inst.params[0] + delta) if inst.name == "rz" \
+            else inst.gate
+        out.append(g, inst.qubits, inst.clbits)
+    return out
+
+
+def _plan_vqe_circuits():
+    return _vqe_circuits((0.0, -0.0, math.pi / 2, math.pi, 0.7))
+
+
+def _plan_random_circuits():
+    base = _random_circuits()
+    return base + [_shifted(c, 0.25) for c in base]
+
+
+_PLAN_SUITES = {
+    "table2": _SUITES["table2"],
+    "dynamic": _SUITES["dynamic"],
+    "vqe": _plan_vqe_circuits,
+    "random": _plan_random_circuits,
+}
+
+
+def _fresh(device) -> DeviceContext:
+    return DeviceContext(device.coupling, device.calibration)
+
+
+def _same_result(a, b) -> bool:
+    return (_bits(a.circuit) == _bits(b.circuit)
+            and (a.circuit.num_qubits, a.circuit.num_clbits)
+            == (b.circuit.num_qubits, b.circuit.num_clbits)
+            and a.initial_layout == b.initial_layout
+            and a.final_layout == b.final_layout
+            and a.num_swaps == b.num_swaps)
+
+
+def _plan_counts(context: DeviceContext, partition) -> tuple:
+    stats = context.partition_context(partition).stats
+    return stats["plan_hits"], stats["plan_misses"]
+
+
+class TestPlanHitEqualsMiss:
+    @pytest.mark.parametrize("suite", sorted(_PLAN_SUITES))
+    @pytest.mark.parametrize("device_name",
+                             ["toronto", "manhattan", "melbourne"])
+    def test_warm_context_compiles_like_a_fresh_one(self, suite,
+                                                    device_name, request):
+        device = request.getfixturevalue(device_name)
+        warm = _fresh(device)
+        hits = replayed_swaps = 0
+        for circuit in _PLAN_SUITES[suite]():
+            partition = _connected(device, circuit.num_qubits)
+            for level in range(4):
+                for schedule in (False, True):
+                    kwargs = dict(optimization_level=level,
+                                  schedule=schedule)
+                    transpile_for_partition(circuit, device, partition,
+                                            context=warm, **kwargs)
+                    before = _plan_counts(warm, partition)
+                    hit = transpile_for_partition(
+                        circuit, device, partition, context=warm,
+                        **kwargs)
+                    after = _plan_counts(warm, partition)
+                    miss = transpile_for_partition(
+                        circuit, device, partition,
+                        context=_fresh(device), **kwargs)
+                    assert _same_result(hit, miss)
+                    assert _revalidated(hit.circuit) == hit.circuit
+                    if after[1] == before[1] and after[0] > before[0]:
+                        hits += 1
+                        replayed_swaps += hit.num_swaps
+        assert hits > 0
+        if suite == "random":
+            assert replayed_swaps > 0  # hits replay swaps, too
+
+    def test_other_angles_hit_the_same_plans(self, manhattan):
+        circuit = _random_circuits()[0]
+        partition = _connected(manhattan, circuit.num_qubits)
+        warm = _fresh(manhattan)
+        transpile_for_partition(circuit, manhattan, partition,
+                                context=warm)
+        shifted = _shifted(circuit, 0.5)
+        hit = transpile_for_partition(shifted, manhattan, partition,
+                                      context=warm)
+        assert _plan_counts(warm, partition) == (2, 2)
+        assert hit.num_swaps > 0
+        miss = transpile_for_partition(shifted, manhattan, partition,
+                                       context=_fresh(manhattan))
+        assert _same_result(hit, miss)
+
+    def test_handed_out_layouts_are_copies(self, toronto):
+        circuit = _random_circuits()[1]
+        partition = _connected(toronto, circuit.num_qubits)
+        warm = _fresh(toronto)
+        first = transpile_for_partition(circuit, toronto, partition,
+                                        context=warm)
+        first.initial_layout.swap_physical(0, 1)
+        first.final_layout.swap_physical(0, 1)
+        again = transpile_for_partition(circuit, toronto, partition,
+                                        context=warm)
+        miss = transpile_for_partition(circuit, toronto, partition,
+                                       context=_fresh(toronto))
+        assert _same_result(again, miss)
+
+
+class TestPlanKeys:
+    def test_seeds_get_separate_route_plans(self, manhattan):
+        # Past seven physical qubits the greedy layout reads the seed.
+        circuit = random_circuit(8, 12, seed=5)
+        circuit.measure_all()
+        partition = _connected(manhattan, 10)
+        warm = _fresh(manhattan)
+        for seed in (0, 1):
+            transpile_for_partition(circuit, manhattan, partition,
+                                    context=warm, schedule=False,
+                                    seed=seed)
+        assert _plan_counts(warm, partition) == (0, 2)
+        for seed in (0, 1):
+            hit = transpile_for_partition(circuit, manhattan, partition,
+                                          context=warm, schedule=False,
+                                          seed=seed)
+            miss = transpile_for_partition(
+                circuit, manhattan, partition, context=_fresh(manhattan),
+                schedule=False, seed=seed)
+            assert _same_result(hit, miss)
+        assert _plan_counts(warm, partition) == (2, 2)
+
+    def test_degenerate_angle_gets_its_own_plan(self, toronto):
+        generic, degenerate = (
+            measurement_circuit(ryrz_ansatz([theta]),
+                                group_commuting_terms(h2_hamiltonian())[0])
+            for theta in (0.7, 0.0))
+        assert len(decompose_to_basis(degenerate)) < \
+            len(decompose_to_basis(generic))
+        partition = _connected(toronto, 2)
+        warm = _fresh(toronto)
+        transpile_for_partition(generic, toronto, partition, context=warm)
+        hits, misses = _plan_counts(warm, partition)
+        result = transpile_for_partition(degenerate, toronto, partition,
+                                         context=warm)
+        assert _plan_counts(warm, partition) == (hits, misses + 2)
+        assert _same_result(result, transpile_for_partition(
+            degenerate, toronto, partition, context=_fresh(toronto)))
+
+    def test_idle_qubits_get_their_own_route_plan(self, toronto):
+        # The layout places every logical qubit, used or not.
+        narrow, wide = QuantumCircuit(2, 2), QuantumCircuit(3, 2)
+        for qc in (narrow, wide):
+            qc.h(0).cx(0, 1).measure(0, 0).measure(1, 1)
+        partition = _connected(toronto, 3)
+        warm = _fresh(toronto)
+        transpile_for_partition(narrow, toronto, partition, context=warm)
+        result = transpile_for_partition(wide, toronto, partition,
+                                         context=warm)
+        assert len(result.initial_layout) == 3
+        assert _same_result(result, transpile_for_partition(
+            wide, toronto, partition, context=_fresh(toronto)))
+
+    def test_delay_durations_get_their_own_alap_plan(self, toronto):
+        def circuit(duration):
+            qc = QuantumCircuit(2, 2)
+            qc.cx(0, 1).sx(0).sx(1).delay(1, duration).sx(1)
+            return qc.measure(0, 0).measure(1, 1)
+
+        partition = _connected(toronto, 2)
+        warm = _fresh(toronto)
+        transpile_for_partition(circuit(100.0), toronto, partition,
+                                context=warm)
+        result = transpile_for_partition(circuit(400.0), toronto,
+                                         partition, context=warm)
+        assert _plan_counts(warm, partition) == (1, 3)
+        assert _same_result(result, transpile_for_partition(
+            circuit(400.0), toronto, partition, context=_fresh(toronto)))
+
+    def test_changed_durations_get_their_own_alap_plan(self, toronto):
+        circuit = _random_circuits()[2]
+        sub = _fresh(toronto).partition_context(
+            _connected(toronto, circuit.num_qubits))
+        slower = dataclasses.replace(
+            sub.calibration,
+            gate_duration={**sub.calibration.gate_duration, "cx": 410.0})
+        transpile(circuit, sub.coupling, sub.calibration, schedule=True,
+                  context=sub)
+        assert (sub.stats["plan_hits"], sub.stats["plan_misses"]) == (0, 2)
+        # The route plan reads only the context; the ALAP plan reads
+        # the duration table, so it misses.
+        result = transpile(circuit, sub.coupling, slower, schedule=True,
+                           context=sub)
+        assert (sub.stats["plan_hits"], sub.stats["plan_misses"]) == (1, 3)
+        reference = transpile(
+            circuit, sub.coupling, slower, schedule=True,
+            context=DeviceContext(sub.coupling, slower))
+        assert _same_result(result, reference)
+
+
+class TestPlanCounters:
+    def test_fresh_angles_on_warm_partitions_only_hit(self, manhattan):
+        groups = group_commuting_terms(h2_hamiltonian())
+        partitions, used = [], set()
+        for start in range(manhattan.num_qubits):
+            pair = _connected(manhattan, 2, start)
+            if not used & set(pair):
+                partitions.append(pair)
+                used.update(pair)
+        partitions = partitions[:16]
+        assert len(partitions) == 16
+        warm = _fresh(manhattan)
+
+        def compile_all(theta0):
+            for i, partition in enumerate(partitions):
+                circuit = measurement_circuit(
+                    ryrz_ansatz([theta0 + 0.01 * i]), groups[i % 2])
+                transpile_for_partition(circuit, manhattan, partition,
+                                        context=warm)
+
+        def totals():
+            counts = [_plan_counts(warm, p) for p in partitions]
+            return tuple(sum(c[k] for c in counts) for k in (0, 1))
+
+        compile_all(0.4)
+        assert totals() == (0, 32)
+        compile_all(1.1)
+        assert totals() == (32, 32)
+
+
+class TestPlanBound:
+    def test_table_stays_within_its_bound(self, toronto, monkeypatch):
+        monkeypatch.setattr(context_mod, "_PLANS_MAX", 4)
+        circuits = [random_circuit(3, 6, seed=40 + i) for i in range(9)]
+        partition = _connected(toronto, 3)
+        warm = _fresh(toronto)
+        sub = warm.partition_context(partition)
+        for circuit in circuits:
+            hit = transpile_for_partition(circuit, toronto, partition,
+                                          context=warm)
+            assert len(sub._plans) <= 4  # noqa: SLF001
+            assert _same_result(hit, transpile_for_partition(
+                circuit, toronto, partition, context=_fresh(toronto)))
+        assert sub.stats["plan_misses"] == 18
+        # The first skeleton was evicted long ago: it misses again.
+        transpile_for_partition(circuits[0], toronto, partition,
+                                context=warm)
+        assert sub.stats["plan_misses"] == 20
+
+
+class TestPlanThreads:
+    def test_shared_partitions_compile_like_serial(self, toronto,
+                                                   monkeypatch):
+        # A small bound makes threads evict each other's plans, too.
+        monkeypatch.setattr(context_mod, "_PLANS_MAX", 3)
+        circuits = _plan_random_circuits()[:4] + _plan_vqe_circuits()[4:8]
+        partitions = [_connected(toronto, c.num_qubits, start)
+                      for c in circuits for start in (0, 12)]
+        jobs = [(c, p) for c in circuits for p in partitions
+                if len(p) == c.num_qubits]
+        serial = [transpile_for_partition(c, toronto, p,
+                                          context=_fresh(toronto))
+                  for c, p in jobs]
+        shared = _fresh(toronto)
+        failures = []
+        deadline = time.monotonic() + 1.0
+
+        def worker(offset):
+            rounds = 0
+            while rounds < 2 or (rounds < 20
+                                 and time.monotonic() < deadline):
+                for i in range(len(jobs)):
+                    k = (i + offset) % len(jobs)
+                    circuit, partition = jobs[k]
+                    got = transpile_for_partition(circuit, toronto,
+                                                  partition, context=shared)
+                    if not _same_result(got, serial[k]):
+                        failures.append(k)
+                rounds += 1
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(2 * (os.cpu_count() or 1) + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        plan_hits = sum(shared.partition_context(p).stats["plan_hits"]
+                        for p in set(partitions))
+        assert plan_hits > 0
