@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import threading
+import weakref
 from collections import OrderedDict
 from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
                     Tuple, TypeVar)
@@ -57,9 +58,15 @@ UNREACHABLE = 1e9
 #: equally reliable paths.
 _HOP_PENALTY = 0.01
 
-#: Bound on the compile plans one context keeps (see
-#: :meth:`DeviceContext.plan`); the oldest is evicted first.
-_PLANS_MAX = 64
+#: The compile plans of every context (see :meth:`DeviceContext.plan`),
+#: in one table so that their total stays bounded however many
+#: partition sub-contexts a long run builds; the least recently used
+#: plan is evicted first.  Keys hold a weak reference to their context:
+#: a plan does not keep a dropped context alive, and a context built
+#: later can never read it.
+_PLANS: "OrderedDict[Tuple[weakref.ref, Hashable], object]" = OrderedDict()
+_PLANS_MAX = 512
+_PLANS_LOCK = threading.Lock()
 
 _Plan = TypeVar("_Plan")
 
@@ -178,12 +185,13 @@ class DeviceContext:
       layout search uses to certify optimality;
     - :meth:`partition_context` — memoized induced sub-contexts
       (induced :class:`CouplingMap` + restricted :class:`Calibration`);
-    - :meth:`plan` — a bounded LRU table (:data:`_PLANS_MAX` entries,
-      lock-guarded) of the compile decisions ``transpile()`` makes
+    - :meth:`plan` — the compile decisions ``transpile()`` makes
       without reading a gate angle: the layout and routing plan of a
       basis-circuit skeleton and the ALAP plan of an optimized one.
       Fresh-angle programs of one skeleton then skip the layout search,
-      the path walks and the timing pass on this device view.
+      the path walks and the timing pass on this device view.  Plans
+      live in one lock-guarded LRU table shared by all contexts
+      (:data:`_PLANS_MAX` entries in total).
 
     Contexts treat their calibration as frozen: mutate a calibration and
     fetch a fresh context through :func:`device_context` instead.
@@ -201,8 +209,6 @@ class DeviceContext:
         self._readout_vector: Optional[np.ndarray] = None
         self._min_edge_weight: Optional[float] = None
         self._subcontexts: Dict[Tuple[int, ...], "DeviceContext"] = {}
-        self._plans: "OrderedDict[Hashable, object]" = OrderedDict()
-        self._plans_lock = threading.Lock()
         #: Lazy-table build counts plus partition-subcontext and plan
         #: hit/miss counters (exposed for tests and benchmark reporting).
         self.stats: Dict[str, int] = {
@@ -349,25 +355,26 @@ class DeviceContext:
     # angle-free compile plans
     # ------------------------------------------------------------------
     def plan(self, key: Hashable, build: Callable[[], _Plan]) -> _Plan:
-        """The plan stored under *key*; *build* makes it on a miss.
+        """This context's plan under *key*; *build* makes it on a miss.
 
         *key* must cover everything *build* reads besides this context's
         own coupling and calibration.  Plans are shared between job
         threads, so they must be immutable.  Two threads missing one key
         both build it; the plans are equal, so either may be kept.
         """
-        with self._plans_lock:
-            found = self._plans.get(key)
+        entry = (weakref.ref(self), key)
+        with _PLANS_LOCK:
+            found = _PLANS.get(entry)
             if found is not None:
-                self._plans.move_to_end(key)
+                _PLANS.move_to_end(entry)
                 self.stats["plan_hits"] += 1
                 return found  # type: ignore[return-value]
             self.stats["plan_misses"] += 1
         made = build()
-        with self._plans_lock:
-            self._plans[key] = made
-            while len(self._plans) > _PLANS_MAX:
-                self._plans.popitem(last=False)
+        with _PLANS_LOCK:
+            _PLANS[entry] = made
+            while len(_PLANS) > _PLANS_MAX:
+                _PLANS.popitem(last=False)
         return made
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -447,6 +454,8 @@ def context_cache_stats() -> Dict[str, int]:
 def reset_context_cache() -> None:
     """Drop every registered context, with its plans, and zero the
     counters (tests)."""
+    with _PLANS_LOCK:
+        _PLANS.clear()
     with _registry_lock:
         _registry.clear()
         _front.clear()

@@ -32,7 +32,7 @@ from .layout import Layout
 from .mapping import noise_aware_layout
 from .optimize import combine_adjacent_delays, optimize_circuit
 from .routing import emit_route, plan_route, route_circuit
-from .schedule import emit_alap, plan_alap, schedule_alap
+from .schedule import emit_alap, plan_alap
 
 __all__ = ["TranspileResult", "transpile", "transpile_for_partition"]
 
@@ -80,11 +80,12 @@ def transpile(
     pulse trains staggered across coupled qubits; it requires
     ``schedule=True`` and a calibration.
 
-    With the basic router and no *initial_layout*, the layout, routing
-    and ALAP decisions come from plans memoized on *context*
-    (:meth:`DeviceContext.plan`), keyed by everything they read but the
-    context itself; none reads a gate angle, so fresh-angle circuits of
-    one skeleton compile bit-identically without repeating them.
+    The ALAP decisions, and with the basic router and no
+    *initial_layout* the layout and routing decisions too, come from
+    plans memoized on *context* (:meth:`DeviceContext.plan`), keyed by
+    everything they read but the context itself; none reads a gate
+    angle, so fresh-angle circuits of one skeleton compile
+    bit-identically without repeating them.
     """
     if not 0 <= optimization_level <= 3:
         raise ValueError("optimization_level must be 0..3")
@@ -99,15 +100,17 @@ def transpile(
                 seed=seed, context=context)
         circuit = expanded
     basis = decompose_to_basis(circuit)
-    # The default path memoizes its angle-free decisions on the context.
-    planned = router == "basic" and initial_layout is None
-    if planned:
+    if router == "basic" and initial_layout is None:
+        # The default path memoizes its layout and routing on the
+        # context; the plan reads only its key and the context's own
+        # device view.
         plan = context.plan(_route_key(basis, seed), lambda: plan_route(
-            basis, coupling,
-            noise_aware_layout(basis, coupling, calibration, seed=seed,
+            basis, context.coupling,
+            noise_aware_layout(basis, context.coupling,
+                               context.calibration, seed=seed,
                                context=context),
             context))
-        routed = emit_route(basis, coupling.num_qubits, plan)
+        routed = emit_route(basis, context.coupling.num_qubits, plan)
     else:
         if initial_layout is None:
             initial_layout = noise_aware_layout(
@@ -125,12 +128,9 @@ def transpile(
     optimized = optimize_circuit(routed.circuit, optimization_level)
     if schedule and calibration is not None:
         durations = calibration.gate_duration
-        if planned:
-            delays = context.plan(_alap_key(optimized, durations),
-                                  lambda: plan_alap(optimized, durations))
-            optimized = emit_alap(optimized, delays)
-        else:
-            optimized = schedule_alap(optimized, durations)
+        delays = context.plan(_alap_key(optimized, durations),
+                              lambda: plan_alap(optimized, durations))
+        optimized = emit_alap(optimized, delays)
         if dd is not None:
             optimized = insert_dd_sequences_multi(
                 optimized, calibration.gate_duration, strategy=dd,

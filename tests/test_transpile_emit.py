@@ -14,11 +14,13 @@ one on a fresh context (plan miss), bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import os
 import sys
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 
 import pytest
@@ -453,6 +455,46 @@ class TestPlanKeys:
             context=DeviceContext(sub.coupling, slower))
         assert _same_result(result, reference)
 
+    def test_route_plan_reads_the_context_calibration(self, manhattan):
+        # Past seven physical qubits the greedy layout reads error rates.
+        # The plan takes them from the context, so the call that builds
+        # it cannot change what later calls replay.
+        circuit = random_circuit(8, 12, seed=5)
+        circuit.measure_all()
+        partition = _connected(manhattan, 10)
+        sub = _fresh(manhattan).partition_context(partition)
+        cal = sub.calibration
+        ranked = sorted(cal.twoq_error, key=cal.twoq_error.get)
+        reversed_errors = dataclasses.replace(cal, twoq_error={
+            link: cal.twoq_error[ranked[-1 - i]]
+            for i, link in enumerate(ranked)})
+        transpile(circuit, sub.coupling, reversed_errors, context=sub)
+        hit = transpile(circuit, sub.coupling, cal, context=sub)
+        assert (sub.stats["plan_hits"], sub.stats["plan_misses"]) == (1, 1)
+        miss = transpile(circuit, sub.coupling, cal,
+                         context=_fresh(manhattan).partition_context(
+                             partition))
+        assert _same_result(hit, miss)
+
+    @pytest.mark.parametrize("route", ["sabre", "caller_layout"])
+    def test_other_routes_replay_only_the_alap_plan(self, toronto, route):
+        circuit = _random_circuits()[0]
+        partition = _connected(toronto, circuit.num_qubits)
+        kwargs = (dict(router="sabre") if route == "sabre" else
+                  dict(initial_layout=Layout.trivial(circuit.num_qubits)))
+
+        def compile_on(sub):
+            return transpile(circuit, sub.coupling, sub.calibration,
+                             schedule=True, context=sub, **kwargs)
+
+        sub = _fresh(toronto).partition_context(partition)
+        compile_on(sub)
+        hit = compile_on(sub)
+        assert (sub.stats["plan_hits"], sub.stats["plan_misses"]) == (1, 1)
+        assert hit.num_swaps > 0
+        assert _same_result(hit, compile_on(
+            _fresh(toronto).partition_context(partition)))
+
 
 class TestPlanCounters:
     def test_fresh_angles_on_warm_partitions_only_hit(self, manhattan):
@@ -494,7 +536,7 @@ class TestPlanBound:
         for circuit in circuits:
             hit = transpile_for_partition(circuit, toronto, partition,
                                           context=warm)
-            assert len(sub._plans) <= 4  # noqa: SLF001
+            assert len(context_mod._PLANS) <= 4  # noqa: SLF001
             assert _same_result(hit, transpile_for_partition(
                 circuit, toronto, partition, context=_fresh(toronto)))
         assert sub.stats["plan_misses"] == 18
@@ -502,6 +544,20 @@ class TestPlanBound:
         transpile_for_partition(circuits[0], toronto, partition,
                                 context=warm)
         assert sub.stats["plan_misses"] == 20
+
+    def test_plans_do_not_pin_their_context(self, toronto):
+        circuit = _random_circuits()[1]
+        partition = _connected(toronto, circuit.num_qubits)
+        dropped = _fresh(toronto)
+        transpile_for_partition(circuit, toronto, partition,
+                                context=dropped)
+        alive = weakref.ref(dropped)
+        del dropped
+        gc.collect()
+        assert alive() is None
+        later = _fresh(toronto)
+        transpile_for_partition(circuit, toronto, partition, context=later)
+        assert _plan_counts(later, partition) == (0, 2)
 
 
 class TestPlanThreads:
@@ -522,20 +578,20 @@ class TestPlanThreads:
         deadline = time.monotonic() + 1.0
 
         def worker(offset):
-            rounds = 0
-            while rounds < 2 or (rounds < 20
-                                 and time.monotonic() < deadline):
-                for i in range(len(jobs)):
-                    k = (i + offset) % len(jobs)
-                    circuit, partition = jobs[k]
-                    got = transpile_for_partition(circuit, toronto,
-                                                  partition, context=shared)
-                    if not _same_result(got, serial[k]):
-                        failures.append(k)
-                rounds += 1
+            # The deadline, checked per compile, bounds the run however
+            # many threads there are.
+            for n in range(20 * len(jobs)):
+                if time.monotonic() >= deadline:
+                    break
+                k = (n + offset) % len(jobs)
+                circuit, partition = jobs[k]
+                got = transpile_for_partition(circuit, toronto, partition,
+                                              context=shared)
+                if not _same_result(got, serial[k]):
+                    failures.append(k)
 
         threads = [threading.Thread(target=worker, args=(i,))
-                   for i in range(2 * (os.cpu_count() or 1) + 2)]
+                   for i in range((os.cpu_count() or 1) + 2)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
