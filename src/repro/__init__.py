@@ -3,11 +3,12 @@ for NISQ Computing?" (Niu & Todri-Sanial, DATE 2022).
 
 The package implements, from scratch:
 
-- a quantum-circuit IR and OpenQASM 2.0 I/O (:mod:`repro.circuits`)
+- a quantum-circuit IR with control flow (:mod:`repro.circuits`)
 - ideal and noisy (density-matrix) simulators (:mod:`repro.sim`)
 - synthetic IBM-style devices with calibration data and a ground-truth
   crosstalk model (:mod:`repro.hardware`)
-- randomized benchmarking / simultaneous RB (:mod:`repro.characterization`)
+- randomized benchmarking / simultaneous RB and state tomography
+  (:mod:`repro.characterization`)
 - a noise-aware transpiler with ALAP scheduling (:mod:`repro.transpiler`)
 - a layered compile cache: in-memory LRU tiers and a SQLite WAL
   persistent store, keyed by each circuit's structural fingerprint

@@ -57,11 +57,6 @@ class MemoryCache:
             self._data[key] = value
             self._data.move_to_end(key)
 
-    def pop(self, key: Hashable) -> None:
-        """Drop *key* if present (no error, no counter)."""
-        with self._lock:
-            self._data.pop(key, None)
-
     def clear(self) -> None:
         """Drop every entry (counters are kept)."""
         with self._lock:

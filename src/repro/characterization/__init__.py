@@ -1,5 +1,6 @@
 """Device characterization: randomized benchmarking, simultaneous RB
-crosstalk discovery, and SRB overhead accounting (paper Table I / Fig. 2).
+crosstalk discovery, SRB overhead accounting (paper Table I / Fig. 2),
+and state tomography.
 """
 
 from .rb import (
@@ -19,9 +20,7 @@ from .scheduling import (
     srb_overhead_report,
 )
 from .tomography import (
-    ProcessTomographyResult,
     TomographyResult,
-    process_tomography_1q,
     project_to_physical,
     state_tomography,
     tomography_circuits,
@@ -40,7 +39,6 @@ __all__ = [
     "SRBExperiment",
     "SRBOverheadReport",
     "SRBPairResult",
-    "ProcessTomographyResult",
     "TomographyResult",
     "characterize_crosstalk",
     "fit_rb_decay",
@@ -51,7 +49,6 @@ __all__ = [
     "run_srb_experiment",
     "srb_experiments",
     "srb_job_count",
-    "process_tomography_1q",
     "project_to_physical",
     "srb_overhead_report",
     "state_tomography",

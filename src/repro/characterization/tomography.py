@@ -25,8 +25,7 @@ from ..sim.executor import Program, run_parallel
 from ..vqe.pauli import PauliString
 
 __all__ = ["TomographyResult", "state_tomography",
-           "tomography_circuits", "project_to_physical",
-           "ProcessTomographyResult", "process_tomography_1q"]
+           "tomography_circuits", "project_to_physical"]
 
 
 @dataclass
@@ -103,90 +102,6 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     out = eigvecs @ np.diag(vals) @ eigvecs.conj().T
     trace = np.trace(out).real
     return out / trace if trace > 0 else np.eye(d) / d
-
-
-@dataclass
-class ProcessTomographyResult:
-    """A reconstructed single-qubit channel as a Pauli transfer matrix.
-
-    ``ptm[i, j] = 0.5 * Tr(P_i E(P_j))`` over the basis (I, X, Y, Z):
-    the identity channel gives the 4x4 identity; a depolarizing channel
-    with parameter p scales the X/Y/Z diagonal by (1 - p).
-    """
-
-    ptm: np.ndarray
-
-    def average_gate_fidelity(
-            self, reference: Optional[np.ndarray] = None) -> float:
-        """Average gate fidelity to a reference channel's PTM.
-
-        ``F_avg = (Tr(R_ref^T R) / d + 1) / (d + 1)`` with d = 2; the
-        default reference is the identity channel, so for a *gate* pass
-        the ideal gate's PTM (e.g. from a noiseless
-        :func:`process_tomography_1q`).
-        """
-        if reference is None:
-            reference = np.eye(4)
-        overlap = float(np.trace(reference.T @ self.ptm).real)
-        return (overlap / 2.0 + 1.0) / 3.0
-
-    def is_unital(self, tol: float = 1e-6) -> bool:
-        """True when the channel preserves the maximally mixed state."""
-        return bool(np.allclose(self.ptm[1:, 0], 0.0, atol=tol))
-
-
-def process_tomography_1q(
-    gate_name: str,
-    device: Optional[Device] = None,
-    qubit: int = 0,
-    shots: int = 0,
-    seed: Optional[int] = None,
-    params: Tuple[float, ...] = (),
-) -> ProcessTomographyResult:
-    """Pauli-transfer-matrix tomography of one single-qubit gate.
-
-    Prepares the six Pauli eigenstates, applies the gate, runs state
-    tomography on the output, and solves for the PTM columns.  With a
-    device, the reconstruction contains the device's gate and readout
-    noise (readout is mitigated so the PTM isolates the *gate* channel).
-    """
-    from ..circuits.gates import gate as make_gate
-
-    # Input states: eigenstates of +-X, +-Y, +-Z with their Bloch vectors.
-    preparations = {
-        "0": ([], np.array([1.0, 0.0, 0.0, 1.0])),
-        "1": ([("x", ())], np.array([1.0, 0.0, 0.0, -1.0])),
-        "+": ([("h", ())], np.array([1.0, 1.0, 0.0, 0.0])),
-        "-": ([("x", ()), ("h", ())], np.array([1.0, -1.0, 0.0, 0.0])),
-        "+i": ([("h", ()), ("s", ())], np.array([1.0, 0.0, 1.0, 0.0])),
-        "-i": ([("h", ()), ("sdg", ())], np.array([1.0, 0.0, -1.0, 0.0])),
-    }
-
-    in_vectors = []
-    out_vectors = []
-    for steps, bloch_in in preparations.values():
-        prep = QuantumCircuit(1, name="ptm_prep")
-        for name, gate_params in steps:
-            prep.append(make_gate(name, *gate_params), (0,))
-        prep.append(make_gate(gate_name, *params), (0,))
-        state = state_tomography(
-            prep, device=device,
-            partition=(qubit,) if device is not None else None,
-            shots=shots, seed=seed,
-            mitigate_readout=device is not None)
-        out_vectors.append(np.array([
-            1.0,
-            state.expectations["X"],
-            state.expectations["Y"],
-            state.expectations["Z"],
-        ]))
-        in_vectors.append(bloch_in)
-
-    # Solve PTM @ in = out in least squares over the six preparations.
-    in_mat = np.stack(in_vectors, axis=1)     # 4 x 6
-    out_mat = np.stack(out_vectors, axis=1)   # 4 x 6
-    ptm, *_ = np.linalg.lstsq(in_mat.T, out_mat.T, rcond=None)
-    return ProcessTomographyResult(ptm.T)
 
 
 def state_tomography(

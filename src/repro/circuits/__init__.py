@@ -4,8 +4,8 @@ Public surface:
 
 - :class:`~repro.circuits.circuit.QuantumCircuit` / `Instruction`
 - :class:`~repro.circuits.gates.Gate` and the :func:`gate` factory
-- DAG utilities (`asap_layers`, `alap_layers`, `CircuitDag`)
-- OpenQASM 2.0 I/O (`parse_qasm`, `to_qasm`)
+- control-flow ops (`IfElseOp`, `ForLoopOp`, `WhileLoopOp`) and symbolic
+  parameters (`Parameter`)
 - circuit constructors (`ghz_circuit`, `qft_circuit`, `random_circuit`, ...)
 - Clifford groups for randomized benchmarking
 """
@@ -27,8 +27,6 @@ from .clifford import (
     clifford_group_1q,
     clifford_group_2q,
 )
-from .draw import draw
-from .dag import CircuitDag, alap_layers, asap_layers, simultaneous_twoq_pairs
 from .gates import BASIS_GATES, DIRECTIVES, Gate, GateError, gate
 from .parameters import Parameter, ParameterExpression, UnboundParameterError
 from .library import (
@@ -41,12 +39,10 @@ from .library import (
     random_circuit,
     w_state_circuit,
 )
-from .qasm import QasmError, parse_qasm, to_qasm
 
 __all__ = [
     "BASIS_GATES",
     "DIRECTIVES",
-    "CircuitDag",
     "CircuitError",
     "CliffordElement",
     "CliffordGroup",
@@ -63,24 +59,17 @@ __all__ = [
     "Instruction",
     "Parameter",
     "ParameterExpression",
-    "QasmError",
     "QuantumCircuit",
     "UnboundParameterError",
-    "alap_layers",
-    "asap_layers",
     "bell_pair",
     "bernstein_vazirani_circuit",
     "clifford_group_1q",
     "deutsch_jozsa_circuit",
     "clifford_group_2q",
-    "draw",
     "gate",
     "ghz_circuit",
-    "parse_qasm",
     "qft_circuit",
     "quantum_volume_circuit",
     "random_circuit",
-    "simultaneous_twoq_pairs",
-    "to_qasm",
     "w_state_circuit",
 ]

@@ -270,11 +270,6 @@ class Gate:
         return self.name in DIRECTIVES
 
     @property
-    def is_parametric(self) -> bool:
-        """True when the gate carries continuous parameters."""
-        return self.name in _PARAMETRIC
-
-    @property
     def is_parameterized(self) -> bool:
         """True when any parameter is still a symbolic expression."""
         return any(isinstance(p, ParameterExpression)

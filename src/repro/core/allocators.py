@@ -242,13 +242,6 @@ class AllocationEngine:
             "placements": len(self._placements),
         }
 
-    def clear(self) -> None:
-        """Drop all memoized state (e.g. after mutating a calibration)."""
-        self._candidates.clear()
-        self._suspects.clear()
-        self._placements.clear()
-        self.scratch.clear()
-
     # ------------------------------------------------------------------
     def candidates(self, size: int, blocked: FrozenSet[int]
                    ) -> Tuple[PartitionCandidate, ...]:

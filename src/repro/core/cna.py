@@ -250,18 +250,16 @@ def cna_transpile_for_partition(
     """Gate-level mitigation on a fixed partition: transpile with
     inflated suspect links (used by ablations that isolate CNA's mapping
     policy from its placement policy)."""
-    from ..transpiler.transpile import (
-        partition_calibration,
-        partition_coupling,
-        transpile,
-    )
+    from ..transpiler.context import induced_calibration, induced_coupling
+    from ..transpiler.transpile import transpile
 
     # Fresh (not memoized) induced snapshots: the inflation below
     # mutates the calibration, which must never corrupt the shared
     # partition sub-contexts.  The registry still dedupes the Dijkstra
     # tables across calls with identical suspects/inflation.
-    coupling = partition_coupling(device, partition)
-    calibration = partition_calibration(device, partition)
+    coupling = induced_coupling(device.coupling, partition)
+    calibration = induced_calibration(device.coupling, device.calibration,
+                                      partition)
     index_of = {p: i for i, p in enumerate(partition)}
     for a, b in crosstalk_suspects:
         if a not in index_of or b not in index_of:

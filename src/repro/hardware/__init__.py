@@ -1,5 +1,6 @@
 """Hardware substrate: topologies, calibration snapshots, crosstalk
-ground truth, and the synthetic IBM-style devices used by the paper."""
+ground truth, the synthetic IBM-style devices used by the paper, and
+multi-device fleets."""
 
 from .calibration import Calibration, generate_calibration
 from .crosstalk import CrosstalkModel, generate_crosstalk_model
@@ -12,7 +13,6 @@ from .devices import (
 )
 from .fleet import PLACEMENT_POLICIES, DeviceFleet
 from .topology import CouplingMap, Edge
-from .visualize import render_device, render_partitions
 
 __all__ = [
     "Calibration",
@@ -28,6 +28,4 @@ __all__ = [
     "ibm_melbourne",
     "ibm_toronto",
     "linear_device",
-    "render_device",
-    "render_partitions",
 ]

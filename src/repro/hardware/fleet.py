@@ -54,11 +54,6 @@ class DeviceFleet:
     def __getitem__(self, index: int) -> Device:
         return self.devices[index]
 
-    @property
-    def total_qubits(self) -> int:
-        """Sum of qubit counts across the fleet."""
-        return sum(d.num_qubits for d in self.devices)
-
     def resolve_device(self, ref: Union[int, str]) -> int:
         """Resolve a device reference (index or name) to a fleet index.
 

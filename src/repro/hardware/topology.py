@@ -95,10 +95,6 @@ class CouplingMap:
         except KeyError:
             return 10 ** 9
 
-    def shortest_path(self, a: int, b: int) -> List[int]:
-        """One shortest qubit path from *a* to *b*."""
-        return nx.shortest_path(self.graph, a, b)
-
     # ------------------------------------------------------------------
     # pair (link) logic for crosstalk
     # ------------------------------------------------------------------

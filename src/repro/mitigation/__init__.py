@@ -1,15 +1,15 @@
-"""Quantum error mitigation: digital zero-noise extrapolation with
-unitary folding and Mitiq-style extrapolation factories (Sec. IV-D)."""
+"""Quantum error mitigation (Sec. IV-D): digital zero-noise extrapolation
+with random gate folding and the linear, polynomial and Richardson
+extrapolation factories, plus tensored readout-error mitigation."""
 
 from .factories import (
-    ExpFactory,
     LinearFactory,
     PolyFactory,
     RichardsonFactory,
     all_factories,
 )
 from .measurement import ReadoutMitigator, calibrate_readout
-from .folding import fold_gates_at_random, fold_global, folded_scale_factors
+from .folding import fold_gates_at_random, folded_scale_factors
 from .zne import (
     ZNEComparison,
     parity_expectation,
@@ -18,7 +18,6 @@ from .zne import (
 )
 
 __all__ = [
-    "ExpFactory",
     "LinearFactory",
     "PolyFactory",
     "ReadoutMitigator",
@@ -27,7 +26,6 @@ __all__ = [
     "all_factories",
     "calibrate_readout",
     "fold_gates_at_random",
-    "fold_global",
     "folded_scale_factors",
     "parity_expectation",
     "run_zne_comparison",

@@ -15,7 +15,6 @@ __all__ = [
     "LinearFactory",
     "PolyFactory",
     "RichardsonFactory",
-    "ExpFactory",
     "all_factories",
 ]
 
@@ -68,35 +67,6 @@ class RichardsonFactory:
             raise ValueError("scale factors must be distinct")
         coeffs = np.polyfit(scales, values, len(scales) - 1)
         return float(np.polyval(coeffs, 0.0))
-
-
-@dataclass(frozen=True)
-class ExpFactory:
-    """Exponential-decay model ``a + b * exp(-c * scale)``.
-
-    Falls back to linear extrapolation when the nonlinear fit fails —
-    the same pragmatic behaviour Mitiq exposes.
-    """
-
-    name: str = "exp"
-
-    def extrapolate(self, scales: Sequence[float],
-                    values: Sequence[float]) -> float:
-        """Zero-noise estimate."""
-        from scipy.optimize import curve_fit
-
-        s = np.asarray(scales, dtype=float)
-        v = np.asarray(values, dtype=float)
-
-        def model(x: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-            return a + b * np.exp(-c * x)
-
-        try:
-            popt, _ = curve_fit(
-                model, s, v, p0=(v[-1], v[0] - v[-1], 0.5), maxfev=5000)
-            return float(model(0.0, *popt))
-        except (RuntimeError, TypeError):
-            return LinearFactory().extrapolate(scales, values)
 
 
 def all_factories() -> Tuple[object, ...]:

@@ -1,13 +1,10 @@
 """Unitary folding for digital zero-noise extrapolation.
 
 Folding replaces a gate ``G`` by ``G Gdag G`` — logically the identity
-around the original gate, but three times the physical noise.  The two
-Mitiq methods the paper uses are implemented:
-
-- :func:`fold_global`: fold the whole circuit ``C -> C (Cdag C)^k`` with a
-  partial final fold for fractional scale factors;
-- :func:`fold_gates_at_random`: fold randomly-selected individual gates
-  until the gate count reaches ``scale * len(circuit)``.
+around the original gate, but three times the physical noise.
+:func:`fold_gates_at_random` (Mitiq's method of that name) folds
+randomly-selected individual gates until the gate count reaches
+``scale * len(circuit)``.
 
 Only unitary gates participate; measurements/barriers/delays pass through.
 """
@@ -20,7 +17,7 @@ import numpy as np
 
 from ..circuits.circuit import Instruction, QuantumCircuit
 
-__all__ = ["fold_gates_at_random", "fold_global", "folded_scale_factors"]
+__all__ = ["fold_gates_at_random", "folded_scale_factors"]
 
 
 def _split(circuit: QuantumCircuit
@@ -66,40 +63,6 @@ def fold_gates_at_random(
         for _ in range(k):
             out.append(inst.gate.inverse(), inst.qubits)
             out._instructions.append(inst)  # noqa: SLF001
-    for inst in tail:
-        out._instructions.append(inst)  # noqa: SLF001
-    return out
-
-
-def fold_global(circuit: QuantumCircuit, scale: float) -> QuantumCircuit:
-    """Fold the whole circuit: ``C -> C (Cdag C)^k`` plus a partial fold.
-
-    For ``scale = 1 + 2k`` the fold is exact; fractional parts fold the
-    trailing portion of the circuit once more (Mitiq's convention).
-    """
-    if scale < 1.0:
-        raise ValueError("scale factor must be >= 1")
-    body, tail = _split(circuit)
-    n = len(body)
-    out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
-                         f"{circuit.name}_gfold{scale:g}")
-    for inst in body:
-        out._instructions.append(inst)  # noqa: SLF001
-    if n:
-        num_full = int((scale - 1.0) / 2.0)
-        for _ in range(num_full):
-            for inst in reversed(body):
-                out.append(inst.gate.inverse(), inst.qubits)
-            for inst in body:
-                out._instructions.append(inst)  # noqa: SLF001
-        # Partial fold of the last `m` gates for the fractional remainder.
-        remainder = scale - 1.0 - 2.0 * num_full
-        m = int(round(remainder * n / 2.0))
-        if m > 0:
-            for inst in reversed(body[n - m:]):
-                out.append(inst.gate.inverse(), inst.qubits)
-            for inst in body[n - m:]:
-                out._instructions.append(inst)  # noqa: SLF001
     for inst in tail:
         out._instructions.append(inst)  # noqa: SLF001
     return out

@@ -18,7 +18,7 @@ paper) the best result across the extrapolation factories is shown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..core.executor import execute_allocation
@@ -85,14 +85,6 @@ class ZNEComparison:
     qucp_zne_throughput: float
     zne_factory: str
     qucp_factory: str
-
-    def rows(self) -> Dict[str, float]:
-        """The three bars of Fig. 6 for this benchmark."""
-        return {
-            "Baseline": self.baseline_error,
-            "QuCP+ZNE": self.qucp_zne_error,
-            "ZNE": self.zne_error,
-        }
 
 
 def _folded_set(circuit: QuantumCircuit,

@@ -1,5 +1,8 @@
-"""Simulators: ideal statevector, circuit unitaries, and noisy
-density-matrix evolution with calibration-driven Kraus channels.
+"""Simulators: ideal statevector, circuit unitaries, noisy
+density-matrix evolution with calibration-driven Kraus channels, the
+parallel-program executor and per-shot feed-forward for dynamic
+circuits.  Pauli-operator expectations are measured through
+:mod:`repro.vqe` (commuting groups and their measurement circuits).
 
 Performance note
 ----------------
@@ -28,11 +31,6 @@ from .channels import (
     phase_flip_channel,
     thermal_relaxation_channel,
 )
-from .estimator import (
-    EstimationResult,
-    estimate_expectation,
-    estimate_expectation_on_device,
-)
 from .feedforward import dynamic_probabilities, run_dynamic
 from .fidelity import (
     counts_fidelity,
@@ -47,28 +45,22 @@ from .density_matrix import (
     simulate_density_matrix,
 )
 from .kernels import (
-    apply_kraus,
     apply_to_statevector,
-    apply_unitary,
     initial_density_tensor,
     initial_state_tensor,
 )
 from .noise_model import NoiseModel
 from .readout import apply_readout_confusion, counts_to_probs, sample_counts
-from .statevector import ideal_counts, ideal_probabilities, simulate_statevector
-from .unitary import basis_index, bitstring_of, circuit_unitary, embed_gate
+from .statevector import ideal_probabilities, simulate_statevector
+from .unitary import bitstring_of, circuit_unitary, embed_gate
 
 __all__ = [
     "KrausChannel",
     "NoiseModel",
-    "EstimationResult",
     "SimulationResult",
     "amplitude_damping_channel",
-    "apply_kraus",
     "apply_readout_confusion",
     "apply_to_statevector",
-    "apply_unitary",
-    "basis_index",
     "bit_flip_channel",
     "bitstring_of",
     "circuit_unitary",
@@ -77,10 +69,7 @@ __all__ = [
     "depolarizing_channel",
     "dynamic_probabilities",
     "embed_gate",
-    "estimate_expectation",
-    "estimate_expectation_on_device",
     "error_rate_to_depolarizing_param",
-    "ideal_counts",
     "ideal_probabilities",
     "hellinger_fidelity",
     "identity_channel",

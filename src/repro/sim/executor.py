@@ -31,7 +31,7 @@ from .density_matrix import SimulationResult, run_circuit
 from .noise_model import NoiseModel
 from .readout import SeedLike
 
-__all__ = ["Program", "run_parallel", "run_single", "program_duration",
+__all__ = ["Program", "run_parallel", "program_duration",
            "prepare_parallel", "simulate_programs", "spawn_seeds"]
 
 #: One program's simulation, fully determined: ``(circuit, partition,
@@ -379,18 +379,3 @@ def run_parallel(
              for k, prog in enumerate(effective)]
     return simulate_programs(tasks, device.noise_model() if noisy else None,
                              shots)
-
-
-def run_single(
-    circuit: QuantumCircuit,
-    partition: Tuple[int, ...],
-    device: Device,
-    shots: int = 4096,
-    seed: SeedLike = None,
-    noisy: bool = True,
-) -> SimulationResult:
-    """Execute one program alone on its partition (no crosstalk)."""
-    return run_parallel(
-        [Program(circuit, partition)], device, shots=shots, seed=seed,
-        noisy=noisy,
-    )[0]

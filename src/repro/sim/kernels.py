@@ -31,8 +31,6 @@ __all__ = [
     "apply_local",
     "target_axes",
     "apply_to_statevector",
-    "apply_unitary",
-    "apply_kraus",
     "kron",
     "superop_matrix",
     "RESET_KRAUS",
@@ -137,22 +135,3 @@ def superop_matrix(operators: Sequence[np.ndarray]) -> np.ndarray:
     for op in operators:
         s += kron(op, op.conj())
     return s
-
-
-def apply_kraus(rho: np.ndarray, operators: Sequence[np.ndarray],
-                qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Apply ``sum_i K_i rho K_i^dag`` on local axes of a density tensor."""
-    axes = target_axes(tuple(qubits), num_qubits, True)
-    return apply_local(rho, superop_matrix(operators), axes)
-
-
-def apply_unitary(rho: np.ndarray, matrix: np.ndarray,
-                  qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Apply ``U rho U^dag`` on a ``(2,)*2n`` density tensor.
-
-    One application of ``U (x) conj(U)`` to the ket and bra target axes.
-    Cost ``O(4^n * 4^k)`` versus the ``O(8^n)`` of a full-space matrix
-    sandwich.
-    """
-    return apply_kraus(rho, (np.asarray(matrix, dtype=complex),), qubits,
-                       num_qubits)

@@ -18,7 +18,7 @@ from ..circuits.controlflow import has_control_flow
 from .kernels import apply_to_statevector, initial_state_tensor
 from .unitary import bitstring_of
 
-__all__ = ["simulate_statevector", "ideal_probabilities", "ideal_counts"]
+__all__ = ["simulate_statevector", "ideal_probabilities"]
 
 
 def simulate_statevector(circuit: QuantumCircuit,
@@ -89,15 +89,3 @@ def ideal_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
         )
         out[key] = out.get(key, 0.0) + float(p)
     return out
-
-
-def ideal_counts(circuit: QuantumCircuit, shots: int,
-                 seed: Optional[int] = None) -> Dict[str, int]:
-    """Sample *shots* noiseless measurement outcomes."""
-    probs = ideal_probabilities(circuit)
-    keys = sorted(probs)
-    pvals = np.array([probs[k] for k in keys])
-    pvals = pvals / pvals.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, pvals)
-    return {k: int(c) for k, c in zip(keys, draws) if c}

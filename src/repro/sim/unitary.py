@@ -22,15 +22,7 @@ import numpy as np
 
 from ..circuits.circuit import QuantumCircuit
 
-__all__ = ["embed_gate", "circuit_unitary", "basis_index", "bitstring_of"]
-
-
-def basis_index(bits: Sequence[int]) -> int:
-    """Convert a big-endian bit list (qubit 0 first) to a basis index."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
+__all__ = ["embed_gate", "circuit_unitary", "bitstring_of"]
 
 
 def bitstring_of(index: int, num_bits: int) -> str:

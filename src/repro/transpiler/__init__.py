@@ -1,8 +1,10 @@
 """Noise-aware transpiler: basis decomposition, HA-style initial mapping,
-reliability-weighted routing, gate optimization, ALAP scheduling."""
+reliability-weighted (or SABRE) routing, gate optimization, ALAP
+scheduling and one dynamical-decoupling pass (`insert_dd_sequences`),
+with device-invariant tables and compile plans memoized per
+:class:`DeviceContext`."""
 
-from .dd import (DD_STRATEGIES, insert_dd_sequences,
-                 insert_dd_sequences_multi, stagger_offsets)
+from .dd import DD_STRATEGIES, insert_dd_sequences, stagger_offsets
 from .basis import decompose_oneq_gate, decompose_to_basis, zyz_angles
 from .controlflow import (expand_control_flow, is_statically_resolvable,
                           transpile_dynamic)
@@ -22,8 +24,6 @@ from .sabre import sabre_route
 from .schedule import schedule_alap
 from .transpile import (
     TranspileResult,
-    partition_calibration,
-    partition_coupling,
     transpile,
     transpile_for_partition,
 )
@@ -44,14 +44,11 @@ __all__ = [
     "expand_control_flow",
     "fuse_oneq_runs",
     "insert_dd_sequences",
-    "insert_dd_sequences_multi",
     "is_statically_resolvable",
     "interaction_counts",
     "layout_cost",
     "noise_aware_layout",
     "optimize_circuit",
-    "partition_calibration",
-    "partition_coupling",
     "reset_context_cache",
     "route_circuit",
     "sabre_route",

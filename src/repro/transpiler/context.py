@@ -209,6 +209,9 @@ class DeviceContext:
         self._readout_vector: Optional[np.ndarray] = None
         self._min_edge_weight: Optional[float] = None
         self._subcontexts: Dict[Tuple[int, ...], "DeviceContext"] = {}
+        #: Guards ``_subcontexts``: job threads reaching one new
+        #: partition together must build it once.
+        self._lock = threading.Lock()
         #: Lazy-table build counts plus partition-subcontext and plan
         #: hit/miss counters (exposed for tests and benchmark reporting).
         self.stats: Dict[str, int] = {
@@ -340,16 +343,17 @@ class DeviceContext:
         frozen (CNA-style calibration inflation must copy first).
         """
         key = tuple(int(q) for q in partition)
-        found = self._subcontexts.get(key)
-        if found is not None:
-            self.stats["partition_hits"] += 1
-            return found
-        self.stats["partition_misses"] += 1
-        sub = DeviceContext(
-            induced_coupling(self.coupling, key),
-            induced_calibration(self.coupling, self.calibration, key))
-        self._subcontexts[key] = sub
-        return sub
+        with self._lock:
+            found = self._subcontexts.get(key)
+            if found is not None:
+                self.stats["partition_hits"] += 1
+                return found
+            self.stats["partition_misses"] += 1
+            sub = DeviceContext(
+                induced_coupling(self.coupling, key),
+                induced_calibration(self.coupling, self.calibration, key))
+            self._subcontexts[key] = sub
+            return sub
 
     # ------------------------------------------------------------------
     # angle-free compile plans

@@ -14,59 +14,18 @@ error — so DD pays off only on windows long enough that drift dominates.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
-from ..circuits.circuit import Instruction, QuantumCircuit
-from ..circuits.gates import Gate
+from ..circuits.circuit import QuantumCircuit
 from ..hardware.topology import CouplingMap
 
-__all__ = ["insert_dd_sequences", "insert_dd_sequences_multi",
-           "stagger_offsets", "DD_STRATEGIES"]
+__all__ = ["insert_dd_sequences", "stagger_offsets", "DD_STRATEGIES"]
 
 #: Idle windows shorter than this many X-gate durations are left alone —
 #: the two inserted gates would cost more error than the echo saves.
 _MIN_WINDOW_X_DURATIONS = 8.0
 
 
-def insert_dd_sequences(
-    circuit: QuantumCircuit,
-    gate_duration: Optional[Dict[str, float]] = None,
-    min_window: Optional[float] = None,
-) -> QuantumCircuit:
-    """Replace long ``delay`` instructions with XX decoupling sequences.
-
-    *min_window* (ns) overrides the default threshold of
-    ``8 x duration(x)``.  The emitted sequence conserves total duration:
-    the two X gates are carved out of the idle time.
-    """
-    gate_duration = gate_duration or {}
-    x_duration = gate_duration.get("x", 35.0)
-    threshold = min_window if min_window is not None \
-        else _MIN_WINDOW_X_DURATIONS * x_duration
-
-    out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
-                         circuit.name)
-    for inst in circuit:
-        if inst.name != "delay":
-            out._instructions.append(inst)  # noqa: SLF001
-            continue
-        total = float(inst.params[0])
-        q = inst.qubits[0]
-        idle = total - 2.0 * x_duration
-        if total < threshold or idle <= 0:
-            out._instructions.append(inst)  # noqa: SLF001
-            continue
-        out.delay(q, idle / 4.0)
-        out.x(q)
-        out.delay(q, idle / 2.0)
-        out.x(q)
-        out.delay(q, idle / 4.0)
-    return out
-
-
-# ----------------------------------------------------------------------
-# multi-strategy staggered DD
-# ----------------------------------------------------------------------
 #: Supported pulse trains.  ``xx``/``cpmg`` are the 2-pulse echo (CPMG
 #: spacing tau/4, tau/2, tau/4); ``xy4`` alternates X and Y pulses, which
 #: additionally refocuses pulse-axis errors (XYXY = -I, a global phase).
@@ -111,41 +70,37 @@ def stagger_offsets(coupling: Optional[CouplingMap],
     return colors
 
 
-def insert_dd_sequences_multi(
+def insert_dd_sequences(
     circuit: QuantumCircuit,
     gate_duration: Optional[Dict[str, float]] = None,
-    strategy: Union[str, Mapping[int, str]] = "xy4",
+    strategy: str = "xx",
     coupling: Optional[CouplingMap] = None,
     min_window: Optional[float] = None,
-    stagger_unit: Optional[float] = None,
 ) -> QuantumCircuit:
-    """Replace long delays with per-qubit, stagger-offset DD trains.
+    """Replace long delays with stagger-offset DD trains.
 
-    *strategy* is a single name from :data:`DD_STRATEGIES` or a mapping
-    ``qubit -> name`` (unlisted qubits default to ``"xy4"``).  When
-    *coupling* is given, each qubit's pulse train is shifted later by
-    ``color x stagger_unit`` (graph-coloring slot x one pulse duration by
-    default) so pulses on coupled qubits don't collide; the shift moves
-    idle time from the trailing segment to the leading one, which keeps
-    both the total duration and the echo cancellation exact.  Delays
-    inside control-flow bodies are untouched (their windows are
+    *strategy* names one of :data:`DD_STRATEGIES`.  Windows shorter
+    than *min_window* (ns; default ``8 x duration(x)``) are left alone,
+    and each train is carved out of its window's idle time, so the total
+    duration is conserved.  When *coupling* is given, each qubit's pulse
+    train is shifted later by its graph-coloring slot x one X duration
+    so pulses on coupled qubits don't collide; the shift moves idle time
+    from the trailing segment to the leading one, which keeps both the
+    total duration and the echo cancellation exact.  Delays inside
+    control-flow bodies are untouched (their windows are
     data-dependent).
     """
+    if strategy not in DD_STRATEGIES:
+        raise ValueError(
+            f"unknown DD strategy {strategy!r}; choose from "
+            f"{DD_STRATEGIES}")
     gate_duration = gate_duration or {}
     x_duration = gate_duration.get("x", 35.0)
     threshold = min_window if min_window is not None \
         else _MIN_WINDOW_X_DURATIONS * x_duration
-    unit = stagger_unit if stagger_unit is not None else x_duration
     offsets = stagger_offsets(coupling, circuit.num_qubits)
-
-    def strategy_for(q: int) -> str:
-        name = strategy if isinstance(strategy, str) \
-            else strategy.get(q, "xy4")
-        if name not in DD_STRATEGIES:
-            raise ValueError(
-                f"unknown DD strategy {name!r}; choose from "
-                f"{DD_STRATEGIES}")
-        return name
+    pulses = _PULSES[strategy]
+    pulse_time = sum(gate_duration.get(p, 35.0) for p in pulses)
 
     out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
                          circuit.name)
@@ -155,15 +110,13 @@ def insert_dd_sequences_multi(
             continue
         total = float(inst.params[0])
         q = inst.qubits[0]
-        name = strategy_for(q)
-        pulses = _PULSES[name]
-        pulse_time = sum(gate_duration.get(p, 35.0) for p in pulses)
         idle = total - pulse_time
         if total < threshold or idle <= 0:
             out._instructions.append(inst)  # noqa: SLF001
             continue
-        segments = [frac * idle for frac in _SEGMENTS[name]]
-        shift = min(offsets.get(q, 0) * unit, max(segments[-1], 0.0))
+        segments = [frac * idle for frac in _SEGMENTS[strategy]]
+        shift = min(offsets.get(q, 0) * x_duration,
+                    max(segments[-1], 0.0))
         segments[0] += shift
         segments[-1] -= shift
         for k, pulse in enumerate(pulses):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = ["Layout"]
 
@@ -50,10 +50,6 @@ class Layout:
     def as_dict(self) -> Dict[int, int]:
         """Logical -> physical mapping as a plain dict."""
         return dict(self._l2p)
-
-    def physical_qubits(self) -> Tuple[int, ...]:
-        """Physical qubits in logical order."""
-        return tuple(self._l2p[l] for l in sorted(self._l2p))
 
     def __len__(self) -> int:
         return len(self._l2p)

@@ -20,14 +20,9 @@ from ..hardware.calibration import Calibration
 from ..hardware.devices import Device
 from ..hardware.topology import CouplingMap
 from .basis import decompose_to_basis
-from .context import (
-    DeviceContext,
-    device_context,
-    induced_calibration,
-    induced_coupling,
-)
+from .context import DeviceContext, device_context
 from .controlflow import expand_control_flow, transpile_dynamic
-from .dd import insert_dd_sequences_multi
+from .dd import insert_dd_sequences
 from .layout import Layout
 from .mapping import noise_aware_layout
 from .optimize import combine_adjacent_delays, optimize_circuit
@@ -132,7 +127,7 @@ def transpile(
                               lambda: plan_alap(optimized, durations))
         optimized = emit_alap(optimized, delays)
         if dd is not None:
-            optimized = insert_dd_sequences_multi(
+            optimized = insert_dd_sequences(
                 optimized, calibration.gate_duration, strategy=dd,
                 coupling=coupling)
         if optimization_level >= 1:
@@ -168,30 +163,6 @@ def _alap_key(circuit: QuantumCircuit,
     delays = tuple([i.gate.params for i in circuit
                     if i.gate.name == "delay"])
     return ("alap", _skeleton(circuit), delays, tuple(durations.items()))
-
-
-def partition_coupling(device: Device,
-                       partition: Sequence[int]) -> CouplingMap:
-    """Induced coupling map of a partition, using local indices.
-
-    Local index ``i`` corresponds to physical qubit ``partition[i]``.
-    Returns a fresh object; the memoized equivalent lives on
-    :meth:`DeviceContext.partition_context`.
-    """
-    return induced_coupling(device.coupling, partition)
-
-
-def partition_calibration(device: Device,
-                          partition: Sequence[int]) -> Calibration:
-    """Calibration snapshot restricted to a partition (local indices).
-
-    Returns a fresh, caller-mutable copy; the memoized equivalent lives
-    on :meth:`DeviceContext.partition_context`.
-    """
-    cal = induced_calibration(device.coupling, device.calibration,
-                              partition)
-    assert cal is not None
-    return cal
 
 
 def transpile_for_partition(

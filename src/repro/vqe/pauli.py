@@ -119,11 +119,6 @@ class PauliOperator:
         }
         self.num_qubits = lengths.pop()
 
-    @property
-    def terms(self) -> Dict[PauliString, float]:
-        """String -> coefficient mapping (copy)."""
-        return dict(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..circuits.circuit import QuantumCircuit
 from ..core.qucp import DEFAULT_SIGMA, qucp_allocate
 from ..core.executor import execute_allocation
@@ -51,11 +49,6 @@ class VQEScanResult:
     def minimum_energy(self) -> float:
         """Ground-state estimate: the scan minimum."""
         return min(self.energies)
-
-    @property
-    def best_theta(self) -> float:
-        """Parameter achieving the scan minimum."""
-        return self.thetas[int(np.argmin(self.energies))]
 
 
 def relative_error_percent(estimate: float, reference: float) -> float:

@@ -13,7 +13,6 @@ from .suite import (
     TABLE_II,
     Workload,
     all_workloads,
-    dump_qasm,
     workload,
     workload_names,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "Workload",
     "all_workloads",
     "bursty_arrival_times",
-    "dump_qasm",
     "dynamic_circuit",
     "dynamic_workload",
     "dynamic_workload_names",

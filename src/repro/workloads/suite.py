@@ -294,26 +294,6 @@ ALIASES: Dict[str, str] = {
 }
 
 
-def dump_qasm(directory: str) -> List[str]:
-    """Write every benchmark as an OpenQASM 2.0 file; returns the paths.
-
-    Useful for feeding the suite to external toolchains.
-    """
-    import os
-
-    from ..circuits.qasm import to_qasm
-
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for w in all_workloads():
-        safe = w.name.replace("-", "_")
-        path = os.path.join(directory, f"{safe}.qasm")
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(to_qasm(w.circuit()))
-        paths.append(path)
-    return paths
-
-
 def workload(name: str) -> Workload:
     """Look up a workload by name or paper alias."""
     name = ALIASES.get(name, name)

@@ -6,6 +6,7 @@ invalidate.
 
 import copy
 import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -173,6 +174,35 @@ class TestTranspileEquivalence:
         with pytest.raises(ValueError, match="score_mode"):
             sabre_route(basis, dev.coupling, layout, dev.calibration,
                         score_mode="fast")
+
+
+class TestPartitionContextThreads:
+    def test_racing_threads_build_each_partition_once(self):
+        dev = ibm_toronto()
+        ctx = DeviceContext(dev.coupling, dev.calibration)
+        partitions = [(0, 1, 2), (3, 5, 8), (11, 14, 16), (19, 20, 22)]
+        barrier = threading.Barrier(6, timeout=30)
+        got = [None] * 6
+
+        def worker(i):
+            barrier.wait()
+            got[i] = [ctx.partition_context(p) for p in partitions]
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert ctx.stats["partition_misses"] == 4
+        for k in range(len(partitions)):
+            assert len({id(subs[k]) for subs in got}) == 1
 
 
 class TestRegistry:

@@ -14,8 +14,6 @@ from repro.circuits.controlflow import (
     is_control_flow,
     written_clbits_of,
 )
-from repro.circuits.qasm import QasmError, to_qasm
-from repro.circuits.draw import draw
 from repro.transpiler import expand_control_flow, is_statically_resolvable
 
 
@@ -169,22 +167,6 @@ class TestTypedErrors:
         op = ForLoopOp(range(2), _body())
         with pytest.raises(CircuitError, match="no unitary matrix"):
             op.matrix()
-
-    def test_to_qasm_raises_typed(self):
-        with pytest.raises(QasmError, match="expand_control_flow"):
-            to_qasm(_teleport_like())
-
-    def test_expanded_circuit_exports_fine(self):
-        qc = QuantumCircuit(2, 2)
-        qc.h(0)
-        qc.for_loop(range(2), _body(gates=(("x", 0), ("x", 0))))
-        qc.measure(0, 0)
-        text = to_qasm(expand_control_flow(qc))
-        assert "OPENQASM 2.0" in text
-
-    def test_draw_renders_control_flow(self):
-        art = draw(_teleport_like())
-        assert "if" in art
 
 
 class TestMidcircuitPredicate:

@@ -122,45 +122,28 @@ class TestMultiStrategyDD:
         return qc
 
     def test_xy4_pulse_train(self):
-        from repro.transpiler import insert_dd_sequences_multi
-
-        out = insert_dd_sequences_multi(self._window(), DURATIONS,
-                                        strategy="xy4")
+        out = insert_dd_sequences(self._window(), DURATIONS,
+                                  strategy="xy4")
         ops = out.count_ops()
         assert ops["x"] == 2 and ops["y"] == 2
         names = [i.name for i in out if i.name in ("x", "y")]
         assert names == ["x", "y", "x", "y"]
 
     def test_duration_conserved_per_strategy(self):
-        from repro.transpiler import DD_STRATEGIES, insert_dd_sequences_multi
+        from repro.transpiler import DD_STRATEGIES
 
         for strategy in DD_STRATEGIES:
-            out = insert_dd_sequences_multi(
+            out = insert_dd_sequences(
                 self._window(), {"x": X_DUR, "y": X_DUR},
                 strategy=strategy)
             total = sum(i.params[0] for i in out if i.name == "delay")
             pulses = sum(X_DUR for i in out if i.name in ("x", "y"))
             assert total + pulses == pytest.approx(15_000.0), strategy
 
-    def test_per_qubit_strategy_map(self):
-        from repro.transpiler import insert_dd_sequences_multi
-
-        out = insert_dd_sequences_multi(
-            self._window(num_qubits=2), DURATIONS,
-            strategy={0: "xx", 1: "xy4"})
-        by_qubit = {0: [], 1: []}
-        for inst in out:
-            if inst.name in ("x", "y"):
-                by_qubit[inst.qubits[0]].append(inst.name)
-        assert by_qubit[0] == ["x", "x"]
-        assert by_qubit[1] == ["x", "y", "x", "y"]
-
     def test_unknown_strategy_rejected(self):
-        from repro.transpiler import insert_dd_sequences_multi
-
         with pytest.raises(ValueError, match="unknown DD strategy"):
-            insert_dd_sequences_multi(self._window(), DURATIONS,
-                                      strategy="udd")
+            insert_dd_sequences(self._window(), DURATIONS,
+                                strategy="udd")
 
     def test_stagger_offsets_color_coupled_qubits(self):
         from repro.hardware.topology import CouplingMap
@@ -173,10 +156,9 @@ class TestMultiStrategyDD:
 
     def test_stagger_shifts_coupled_trains(self):
         from repro.hardware.topology import CouplingMap
-        from repro.transpiler import insert_dd_sequences_multi
 
         line = CouplingMap(2, [(0, 1)])
-        out = insert_dd_sequences_multi(
+        out = insert_dd_sequences(
             self._window(num_qubits=2), DURATIONS, strategy="xx",
             coupling=line)
         leading = {}
@@ -191,7 +173,6 @@ class TestMultiStrategyDD:
 
     def test_stagger_conserves_duration_and_echo(self):
         from repro.hardware.topology import CouplingMap
-        from repro.transpiler import insert_dd_sequences_multi
 
         line = CouplingMap(2, [(0, 1)])
         nm = NoiseModel(t1={q: 200_000.0 for q in range(2)},
@@ -200,9 +181,8 @@ class TestMultiStrategyDD:
                         oneq_error={q: 3e-4 for q in range(2)},
                         gate_duration=dict(DURATIONS))
         circuit = self._window(num_qubits=2)
-        decoupled = insert_dd_sequences_multi(circuit, DURATIONS,
-                                              strategy="xy4",
-                                              coupling=line)
+        decoupled = insert_dd_sequences(circuit, DURATIONS,
+                                        strategy="xy4", coupling=line)
         for q in range(2):
             total = sum(i.params[0] for i in decoupled
                         if i.name == "delay" and i.qubits[0] == q)
@@ -214,21 +194,17 @@ class TestMultiStrategyDD:
         assert res.probabilities.get("00", 0.0) > 0.85
 
     def test_short_windows_untouched(self):
-        from repro.transpiler import insert_dd_sequences_multi
-
-        out = insert_dd_sequences_multi(self._window(idle_ns=100.0),
-                                        DURATIONS, strategy="xy4")
+        out = insert_dd_sequences(self._window(idle_ns=100.0),
+                                  DURATIONS, strategy="xy4")
         assert out.count_ops().get("x", 0) == 0
 
     def test_control_flow_bodies_untouched(self):
-        from repro.transpiler import insert_dd_sequences_multi
-
         qc = QuantumCircuit(1, 1)
         body = QuantumCircuit(1, 1)
         body.delay(0, 15_000.0)
         qc.h(0)
         qc.measure(0, 0)
         qc.if_test(([0], 1), body)
-        out = insert_dd_sequences_multi(qc, DURATIONS)
+        out = insert_dd_sequences(qc, DURATIONS, strategy="xy4")
         op = out.instructions[-1].gate
         assert [i.name for i in op.bodies[0]] == ["delay"]

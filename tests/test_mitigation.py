@@ -9,7 +9,6 @@ from repro.mitigation import (
     PolyFactory,
     RichardsonFactory,
     fold_gates_at_random,
-    fold_global,
     folded_scale_factors,
     parity_expectation,
     zero_noise_estimate,
@@ -56,18 +55,6 @@ class TestFolding:
     def test_scale_below_one_rejected(self):
         with pytest.raises(ValueError):
             fold_gates_at_random(ghz_circuit(2), 0.5)
-
-    def test_global_fold_exact_odd_scales(self):
-        qc = ghz_circuit(3)
-        folded = fold_global(qc, 3.0)
-        assert folded.size() == 3 * qc.size()
-        assert _equiv_phase(circuit_unitary(qc), circuit_unitary(folded))
-
-    def test_global_fold_fractional(self):
-        qc = ghz_circuit(4)
-        folded = fold_global(qc, 2.0)
-        assert _equiv_phase(circuit_unitary(qc), circuit_unitary(folded))
-        assert folded.size() > qc.size()
 
     def test_scale_factor_grid(self):
         assert folded_scale_factors() == (1.0, 1.5, 2.0, 2.5)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits import QuantumCircuit, gate, parse_qasm, random_circuit, to_qasm
+from repro.circuits import random_circuit
 from repro.circuits.gates import standard_gate_names
 from repro.core import jensen_shannon_divergence, normalize_distribution, pst
 from repro.mitigation import LinearFactory, RichardsonFactory, fold_gates_at_random
@@ -77,13 +77,6 @@ class TestCircuitProperties:
         u = circuit_unitary(qc)
         u_inv = circuit_unitary(qc.inverse())
         assert np.allclose(u_inv @ u, np.eye(u.shape[0]), atol=1e-8)
-
-    @given(small_circuits())
-    @settings(max_examples=25, deadline=None)
-    def test_qasm_round_trip(self, qc):
-        back = parse_qasm(to_qasm(qc))
-        assert np.allclose(circuit_unitary(qc), circuit_unitary(back),
-                           atol=1e-8)
 
     @given(small_circuits())
     @settings(max_examples=25, deadline=None)

@@ -11,7 +11,6 @@ from repro.sim.executor import (
     prepare_parallel,
     program_duration,
     run_parallel,
-    run_single,
     spawn_seeds,
     timed_intervals,
 )
@@ -94,7 +93,7 @@ class TestRunParallel:
 
     def test_noisy_single_program(self, toronto):
         qc = ghz_circuit(3).measure_all()
-        res = run_single(qc, (0, 1, 2), toronto, shots=0)
+        res = run_parallel([Program(qc, (0, 1, 2))], toronto, shots=0)[0]
         assert 0.5 < _fidelity(res) < 1.0
 
     def test_crosstalk_degrades_neighbours(self, toronto):
@@ -113,7 +112,8 @@ class TestRunParallel:
             deep.cx(0, 1)
         deep.measure(0, 0)
         deep.measure(1, 1)
-        solo = run_single(deep, (a1, a2), toronto, shots=0)
+        solo = run_parallel([Program(deep, (a1, a2))], toronto,
+                            shots=0)[0]
         together = run_parallel(
             [Program(deep, (a1, a2)), Program(deep.copy(), (b1, b2))],
             toronto, shots=0)[0]
@@ -122,7 +122,7 @@ class TestRunParallel:
 
     def test_distant_programs_unaffected(self, manhattan):
         qc = ghz_circuit(2).measure_all()
-        solo = run_single(qc, (0, 1), manhattan, shots=0)
+        solo = run_parallel([Program(qc, (0, 1))], manhattan, shots=0)[0]
         far = run_parallel(
             [Program(qc, (0, 1)), Program(qc.copy(), (63, 64))],
             manhattan, shots=0)[0]

@@ -8,8 +8,8 @@ import pytest
 from repro.circuits import QuantumCircuit, ghz_circuit, random_circuit
 from repro.sim import (
     circuit_unitary,
-    ideal_counts,
     ideal_probabilities,
+    sample_counts,
     simulate_statevector,
 )
 
@@ -81,10 +81,11 @@ class TestIdealProbabilities:
 class TestIdealCounts:
     def test_counts_sum_to_shots(self):
         qc = ghz_circuit(2).measure_all()
-        counts = ideal_counts(qc, shots=1000, seed=1)
+        counts = sample_counts(ideal_probabilities(qc), 1000, seed=1)
         assert sum(counts.values()) == 1000
         assert set(counts) <= {"00", "11"}
 
     def test_deterministic_for_seed(self):
-        qc = ghz_circuit(2).measure_all()
-        assert ideal_counts(qc, 100, seed=5) == ideal_counts(qc, 100, seed=5)
+        probs = ideal_probabilities(ghz_circuit(2).measure_all())
+        assert (sample_counts(probs, 100, seed=5)
+                == sample_counts(probs, 100, seed=5))

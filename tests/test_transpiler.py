@@ -22,13 +22,13 @@ from repro.transpiler import (
     fuse_oneq_runs,
     noise_aware_layout,
     optimize_circuit,
-    partition_coupling,
     route_circuit,
     schedule_alap,
     transpile,
     transpile_for_partition,
     zyz_angles,
 )
+from repro.transpiler.context import induced_coupling
 
 
 def _equiv_phase(u, v, tol=1e-8):
@@ -313,7 +313,7 @@ class TestTranspileEndToEnd:
         partition = (0, 1, 4, 7)
         result = transpile_for_partition(
             qft_circuit(4).measure_all(), toronto, partition)
-        local_coupling = partition_coupling(toronto, partition)
+        local_coupling = induced_coupling(toronto.coupling, partition)
         for inst in result.circuit:
             if len(inst.qubits) == 2:
                 assert local_coupling.is_edge(*inst.qubits)

@@ -5,11 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from repro.circuits import bell_pair
+from repro.core import qucp_allocate
+from repro.core.executor import execute_allocation
+from repro.sim import ideal_probabilities
 from repro.vqe import (
     NUM_ANSATZ_PARAMETERS,
     PauliOperator,
     PauliString,
     group_commuting_terms,
+    group_energy,
     h2_hamiltonian,
     measurement_circuit,
     relative_error_percent,
@@ -149,6 +154,22 @@ class TestMeasurement:
             measurement_circuit(ryrz_ansatz([0.1], num_qubits=3,
                                             reps=2), groups[0])
 
+    @pytest.mark.parametrize("label", ["ZZ", "XX"])
+    def test_bell_state_parity_is_one(self, label):
+        group, = group_commuting_terms(PauliOperator({label: 1.0}))
+        circuit = measurement_circuit(bell_pair(), group)
+        assert group_energy(ideal_probabilities(circuit),
+                            group) == pytest.approx(1.0)
+
+    def test_noisy_estimate_attenuated(self, toronto):
+        """Depolarizing noise pulls |<ZZ>| toward zero, never past it."""
+        group, = group_commuting_terms(PauliOperator({"ZZ": 1.0}))
+        circuit = measurement_circuit(bell_pair(), group)
+        outcome, = execute_allocation(qucp_allocate([circuit], toronto),
+                                      shots=0)
+        assert 0.5 < group_energy(outcome.result.probabilities,
+                                  group) < 1.0
+
 
 class TestDrivers:
     def test_ideal_scan_consistent_with_direct_expectation(self):
@@ -167,6 +188,16 @@ class TestDrivers:
         assert result.num_simultaneous == 8  # 4 thetas x 2 groups
         assert result.throughput == pytest.approx(16 / 65)
         assert len(result.energies) == 4
+
+    def test_independent_close_to_parallel(self, manhattan):
+        from repro.vqe import run_vqe_scan_independent, run_vqe_scan_parallel
+
+        independent = run_vqe_scan_independent([0.4], manhattan, shots=0,
+                                               seed=1)
+        parallel = run_vqe_scan_parallel([0.4], manhattan, shots=0, seed=1)
+        assert parallel.num_simultaneous == 2
+        assert abs(parallel.energies[0] - vqe_energy_ideal(0.4)) < 0.35
+        assert abs(independent.energies[0] - parallel.energies[0]) < 0.2
 
     def test_relative_error(self):
         assert relative_error_percent(-1.8, -2.0) == pytest.approx(10.0)

@@ -60,19 +60,3 @@ class TestTableII:
         key = next(iter(probs))
         assert probs[key] == pytest.approx(1.0)
 
-
-class TestQasmExport:
-    def test_dump_and_reparse(self, tmp_path):
-        from repro.circuits import parse_qasm
-        from repro.sim import ideal_probabilities
-        from repro.workloads import dump_qasm
-
-        paths = dump_qasm(str(tmp_path))
-        assert len(paths) == 8
-        for path, w in zip(paths, all_workloads()):
-            with open(path, encoding="utf-8") as handle:
-                reparsed = parse_qasm(handle.read())
-            original = w.circuit()
-            assert reparsed.num_qubits == original.num_qubits
-            assert ideal_probabilities(reparsed) == pytest.approx(
-                ideal_probabilities(original))
