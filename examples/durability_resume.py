@@ -39,10 +39,8 @@ from repro.workloads import synthesize_traffic
 FAST = bool(os.environ.get("REPRO_FAST"))
 
 
-def main() -> None:
+def run(store_path: str) -> None:
     summary = {}
-    workdir = tempfile.mkdtemp(prefix="repro-durability-")
-    store_path = os.path.join(workdir, "jobs.sqlite")
     shots = 256 if FAST else 1024
 
     # ------------------------------------------------------------------
@@ -142,6 +140,13 @@ def main() -> None:
     print("durability demo:", "OK" if ok else "FAILED")
     if not ok:
         raise SystemExit(1)
+
+
+def main() -> None:
+    # The job store lives only as long as the demo: every provider on it
+    # has shut down when run() returns or raises.
+    with tempfile.TemporaryDirectory(prefix="repro-durability-") as workdir:
+        run(os.path.join(workdir, "jobs.sqlite"))
 
 
 if __name__ == "__main__":

@@ -41,7 +41,6 @@ from ..circuits.circuit import QuantumCircuit
 from ..circuits.controlflow import (ControlFlowOp, ForLoopOp, IfElseOp,
                                     WhileLoopOp)
 from ..circuits.gates import DIRECTIVES
-from ..circuits.parameters import Parameter, ParameterExpression
 from ..transpiler.context import (
     calibration_fingerprint,
     coupling_fingerprint,
@@ -118,25 +117,6 @@ def persistent_token(fn) -> Optional[str]:
     return None if token is None else str(token)
 
 
-def _cf_param(p):
-    """Value-encode a body parameter so loop-parameterized bodies hash.
-
-    A for-loop body's instructions carry the symbolic loop parameter; two
-    freshly-built copies of the same workload hold *different* Parameter
-    objects (identity-hashed), which would defeat dedup.  Inside a
-    control-flow payload the parameter is op-local — the op itself
-    records the binding (indexset + parameter name) — so encoding by
-    name is sound there.
-    """
-    if isinstance(p, Parameter):
-        return ("param", p.name)
-    if isinstance(p, ParameterExpression):
-        terms = tuple(sorted(
-            (t.name, float(c)) for t, c in p._terms.items()))  # noqa: SLF001
-        return ("expr", terms, float(p._constant))  # noqa: SLF001
-    return p
-
-
 def _condition_key(condition) -> Tuple:
     return (tuple(condition.clbits), condition.value)
 
@@ -149,14 +129,14 @@ def _control_flow_payload(op: ControlFlowOp) -> Tuple:
     (``max touched qubit + 1``), not structure.
     """
     bodies = tuple(
-        tuple(_body_entry(inst) for inst in body.instructions)
+        tuple(_entry(inst) for inst in body.instructions)
         for body in op.bodies)
     if isinstance(op, IfElseOp):
         extra: Tuple = ("if", _condition_key(op.condition), len(op.bodies))
     elif isinstance(op, ForLoopOp):
-        extra = ("for", tuple(op.indexset),
-                 None if op.loop_parameter is None
-                 else op.loop_parameter.name)
+        # The ``None`` stands where loops once named a loop parameter:
+        # keeping it leaves every persistent digest unchanged.
+        extra = ("for", tuple(op.indexset), None)
     elif isinstance(op, WhileLoopOp):
         extra = ("while", _condition_key(op.condition), op.max_iterations)
     else:  # pragma: no cover - future op kinds fall back to the name
@@ -164,20 +144,9 @@ def _control_flow_payload(op: ControlFlowOp) -> Tuple:
     return extra + (bodies,)
 
 
-def _body_entry(inst) -> Tuple:
-    if isinstance(inst.gate, ControlFlowOp):
-        return (inst.name, _control_flow_payload(inst.gate),
-                inst.qubits, inst.clbits)
-    return (inst.name, tuple(_cf_param(p) for p in inst.params),
-            inst.qubits, inst.clbits)
-
-
 def _entry(inst) -> Tuple:
-    """One top-level instruction's key entry.
-
-    Static instructions keep the historical raw-params form (so existing
-    keys are unchanged); control-flow ops get the recursive payload.
-    """
+    """One instruction's key entry: static instructions by name, params
+    and bits; control-flow ops by their recursive payload."""
     if isinstance(inst.gate, ControlFlowOp):
         return (inst.name, _control_flow_payload(inst.gate),
                 inst.qubits, inst.clbits)
@@ -230,9 +199,8 @@ _FINGERPRINTS: "weakref.WeakValueDictionary[_Key, Fingerprint]" = \
 _fingerprint_lock = threading.Lock()
 
 
-def fingerprint(circuit: QuantumCircuit) -> Optional[Fingerprint]:
-    """The circuit's interned :class:`Fingerprint`, or ``None`` when
-    unhashable (unbound symbolic parameters may be).
+def fingerprint(circuit: QuantumCircuit) -> Fingerprint:
+    """The circuit's interned :class:`Fingerprint`.
 
     Cached on the circuit and reused while its instruction count and
     register sizes are unchanged, which is sound because instructions
@@ -263,10 +231,7 @@ def fingerprint(circuit: QuantumCircuit) -> Optional[Fingerprint]:
             size += 1
             if len(inst.qubits) >= 2:
                 twoq += 1
-    try:
-        key = _Key((circuit.num_qubits, circuit.num_clbits, tuple(entries)))
-    except TypeError:
-        return None
+    key = _Key((circuit.num_qubits, circuit.num_clbits, tuple(entries)))
     with _fingerprint_lock:
         fp = _FINGERPRINTS.get(key)
         if fp is None:
@@ -276,11 +241,9 @@ def fingerprint(circuit: QuantumCircuit) -> Optional[Fingerprint]:
     return fp
 
 
-def circuit_key(circuit: QuantumCircuit) -> Optional[Tuple]:
-    """Structural key of a circuit (its :func:`fingerprint`'s key), or
-    ``None`` when unhashable."""
-    fp = fingerprint(circuit)
-    return None if fp is None else fp.key
+def circuit_key(circuit: QuantumCircuit) -> Tuple:
+    """Structural key of a circuit (its :func:`fingerprint`'s key)."""
+    return fingerprint(circuit).key
 
 
 # ----------------------------------------------------------------------
@@ -383,8 +346,8 @@ class TranspileKey:
 
 def transpile_key(circuit: QuantumCircuit, device: "Device",
                   allocation: "ProgramAllocation",
-                  transpiler_fn) -> Optional[TranspileKey]:
-    """Key one request, or ``None`` (unhashable).
+                  transpiler_fn) -> TranspileKey:
+    """Key one request.
 
     The exact key is *structural*: circuit structure, placement
     (partition, EFS, crosstalk pairs), the device, and the hook — but
@@ -396,8 +359,6 @@ def transpile_key(circuit: QuantumCircuit, device: "Device",
     :class:`TranspileKey`).
     """
     circuit_exact = fingerprint(circuit)
-    if circuit_exact is None:
-        return None
     index_sensitive = getattr(transpiler_fn, _INDEX_SENSITIVE_ATTR, False)
     index = allocation.index if index_sensitive else None
     placement = (allocation.partition, allocation.efs,

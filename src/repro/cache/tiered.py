@@ -127,7 +127,7 @@ class ExecutionCache:
         self._ideal_table.clear()
 
     # ------------------------------------------------------------------
-    def lookup_transpile_raw(self, key: Optional[TranspileKey],
+    def lookup_transpile_raw(self, key: TranspileKey,
                              device: "Device", transpiler_fn
                              ) -> Optional[TranspileResult]:
         """Cached *raw* (shared, do-not-mutate) result for a
@@ -137,8 +137,7 @@ class ExecutionCache:
         may mutate it.  Its circuit carries its fingerprint, so every
         fresh copy of a hit is keyed already.
         """
-        found = None if key is None else self._walk(key, device,
-                                                     transpiler_fn)
+        found = self._walk(key, device, transpiler_fn)
         if found is None:
             self.transpile_misses += 1
         else:
@@ -176,12 +175,12 @@ class ExecutionCache:
             self.promotions += 1
         return result
 
-    def store_transpile_raw(self, key: Optional[TranspileKey],
+    def store_transpile_raw(self, key: TranspileKey,
                             device: "Device", transpiler_fn,
                             result: TranspileResult) -> None:
         """Publish one computed artifact into every applicable tier
-        (no-op for ``None`` keys and gated writes)."""
-        if key is None or not self._may_write():
+        (no-op for gated writes)."""
+        if not self._may_write():
             return
         self.l1.put(key.exact, (device, transpiler_fn, result))
         if self.persistent is not None and key.digest is not None:
@@ -212,9 +211,6 @@ class ExecutionCache:
         cache and every sibling outcome.
         """
         key = fingerprint(circuit)
-        if key is None:
-            self.ideal_misses += 1
-            return ideal_probabilities(circuit)
         cached = self._ideal_table.get(key)
         if cached is not None:
             self.ideal_hits += 1

@@ -75,7 +75,8 @@ def group_experiments(
     best).  Note: under this *strict* separation criterion the Toronto
     conflict graph contains a 13-clique, so fewer than 13 groups is
     impossible — the paper's reported 9/11 groups must rest on a weaker
-    (unpublished) criterion; see EXPERIMENTS.md.
+    (unpublished) criterion; see ``benchmarks/bench_table1_srb_overhead.py``,
+    which prints our groups beside the paper's.
     """
     if not experiments:
         experiments = srb_experiments(coupling)

@@ -4,8 +4,7 @@ Public surface:
 
 - :class:`~repro.circuits.circuit.QuantumCircuit` / `Instruction`
 - :class:`~repro.circuits.gates.Gate` and the :func:`gate` factory
-- control-flow ops (`IfElseOp`, `ForLoopOp`, `WhileLoopOp`) and symbolic
-  parameters (`Parameter`)
+- control-flow ops (`IfElseOp`, `ForLoopOp`, `WhileLoopOp`)
 - circuit constructors (`ghz_circuit`, `qft_circuit`, `random_circuit`, ...)
 - Clifford groups for randomized benchmarking
 """
@@ -28,7 +27,6 @@ from .clifford import (
     clifford_group_2q,
 )
 from .gates import BASIS_GATES, DIRECTIVES, Gate, GateError, gate
-from .parameters import Parameter, ParameterExpression, UnboundParameterError
 from .library import (
     bell_pair,
     bernstein_vazirani_circuit,
@@ -57,10 +55,7 @@ __all__ = [
     "Gate",
     "GateError",
     "Instruction",
-    "Parameter",
-    "ParameterExpression",
     "QuantumCircuit",
-    "UnboundParameterError",
     "bell_pair",
     "bernstein_vazirani_circuit",
     "clifford_group_1q",

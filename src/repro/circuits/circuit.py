@@ -9,9 +9,9 @@ queries (depth, gate counts), and transformations (compose, inverse, remap).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .gates import Gate, GateError, gate
+from .gates import Gate, gate
 
 __all__ = ["Instruction", "QuantumCircuit", "CircuitError"]
 
@@ -349,13 +349,11 @@ class QuantumCircuit:
         return self._append_control_flow(
             IfElseOp(condition, true_body, false_body))
 
-    def for_loop(self, indexset, body: "QuantumCircuit",
-                 loop_parameter=None) -> "QuantumCircuit":
+    def for_loop(self, indexset, body: "QuantumCircuit") -> "QuantumCircuit":
         """Append a statically-bounded loop running *body* per index."""
         from .controlflow import ForLoopOp
 
-        return self._append_control_flow(
-            ForLoopOp(indexset, body, loop_parameter))
+        return self._append_control_flow(ForLoopOp(indexset, body))
 
     def while_loop(self, condition, body: "QuantumCircuit",
                    max_iterations: Optional[int] = None) -> "QuantumCircuit":
@@ -593,58 +591,6 @@ class QuantumCircuit:
                              f"{self.name}_x{reps}")
         for _ in range(reps):
             out = out.compose(body)
-        return out
-
-    # ------------------------------------------------------------------
-    # symbolic parameters
-    # ------------------------------------------------------------------
-    @property
-    def parameters(self) -> set:
-        """Free symbolic parameters of the circuit."""
-        from .controlflow import ControlFlowOp
-        from .parameters import ParameterExpression
-
-        out: set = set()
-        for inst in self:
-            if isinstance(inst.gate, ControlFlowOp):
-                out.update(inst.gate.free_parameters)
-                continue
-            for p in inst.params:
-                if isinstance(p, ParameterExpression):
-                    out.update(p.parameters)
-        return out
-
-    def is_parameterized(self) -> bool:
-        """True when any gate carries an unbound parameter.
-
-        A ``for`` loop's own loop variable does not count — it is bound
-        internally at each iteration.
-        """
-        return any(inst.gate.is_parameterized for inst in self
-                   if not inst.gate.is_directive)
-
-    def bind_parameters(self, values: Dict) -> "QuantumCircuit":
-        """Return a copy with symbolic parameters substituted.
-
-        *values* maps :class:`~repro.circuits.parameters.Parameter` to
-        numbers.  Binding may be partial; unbound parameters remain
-        symbolic.  Control-flow bodies are bound recursively.
-        """
-        from .controlflow import ControlFlowOp
-
-        out = QuantumCircuit(self.num_qubits, self.num_clbits, self.name)
-        for inst in self:
-            if isinstance(inst.gate, ControlFlowOp):
-                out._instructions.append(
-                    Instruction(inst.gate.bound(values), inst.qubits,
-                                inst.clbits))
-                continue
-            if inst.gate.is_directive or not inst.gate.is_parameterized:
-                out._instructions.append(inst)
-                continue
-            out._instructions.append(
-                Instruction(inst.gate.bound(values), inst.qubits,
-                            inst.clbits))
         return out
 
     # ------------------------------------------------------------------

@@ -192,23 +192,6 @@ class ControlFlowOp(Gate):
             f"cannot invert control-flow op {self.name!r}; expand it "
             "first with expand_control_flow")
 
-    @property
-    def is_parameterized(self) -> bool:
-        return bool(self.free_parameters)
-
-    @property
-    def free_parameters(self) -> frozenset:
-        """Unbound parameters of the bodies (loop variables excluded)."""
-        out = set()
-        for body in self.bodies:
-            out.update(body.parameters)
-        return frozenset(out)
-
-    def bound(self, values) -> "ControlFlowOp":
-        """Return a copy with body parameters substituted."""
-        return self.with_bodies(
-            tuple(body.bind_parameters(values) for body in self.bodies))
-
     # -- subclass API --------------------------------------------------
     def with_bodies(self, bodies) -> "ControlFlowOp":
         """Rebuild the op around replacement *bodies* (same shape)."""
@@ -306,43 +289,25 @@ class IfElseOp(ControlFlowOp):
 
 
 class ForLoopOp(ControlFlowOp):
-    """Run ``body`` once per value in ``indexset`` (statically bounded).
+    """Run ``body`` once per value in ``indexset`` (statically bounded)."""
 
-    When ``loop_parameter`` is given, each iteration binds it to the
-    current index value inside the body.
-    """
-
-    def __init__(self, indexset: Iterable[int], body: "QuantumCircuit",
-                 loop_parameter=None) -> None:
+    def __init__(self, indexset: Iterable[int],
+                 body: "QuantumCircuit") -> None:
         indexset = tuple(int(v) for v in indexset)
         super().__init__("for_loop", (body,), None)
         object.__setattr__(self, "indexset", indexset)
-        object.__setattr__(self, "loop_parameter", loop_parameter)
 
     @property
     def body(self) -> "QuantumCircuit":
         return self.bodies[0]
 
-    @property
-    def free_parameters(self) -> frozenset:
-        params = set(self.body.parameters)
-        params.discard(self.loop_parameter)
-        return frozenset(params)
-
-    def iteration_body(self, value: int) -> "QuantumCircuit":
-        """The body for one loop-index *value* (loop parameter bound)."""
-        if self.loop_parameter is None:
-            return self.body
-        return self.body.bind_parameters({self.loop_parameter: value})
-
     def with_bodies(self, bodies) -> "ForLoopOp":
         (body,) = tuple(bodies)
-        return ForLoopOp(self.indexset, body, self.loop_parameter)
+        return ForLoopOp(self.indexset, body)
 
     def remapped(self, qubit_map, clbit_map=None) -> "ForLoopOp":
         return ForLoopOp(self.indexset,
-                         self._remap_body(self.body, qubit_map, clbit_map),
-                         self.loop_parameter)
+                         self._remap_body(self.body, qubit_map, clbit_map))
 
     def depth_bound(self, include_directives: bool = False) -> int:
         return len(self.indexset) * self.body.depth(include_directives)
@@ -351,7 +316,7 @@ class ForLoopOp(ControlFlowOp):
         return len(self.indexset) * body_duration(self.body)
 
     def _payload(self) -> tuple:
-        return (self.indexset, self.loop_parameter, self.bodies)
+        return (self.indexset, self.bodies)
 
 
 class WhileLoopOp(ControlFlowOp):

@@ -14,11 +14,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
-
-from .parameters import ParameterExpression, UnboundParameterError
 
 __all__ = [
     "Gate",
@@ -269,34 +267,14 @@ class Gate:
         """True for measure/barrier/reset/delay pseudo-gates."""
         return self.name in DIRECTIVES
 
-    @property
-    def is_parameterized(self) -> bool:
-        """True when any parameter is still a symbolic expression."""
-        return any(isinstance(p, ParameterExpression)
-                   for p in self.params)
-
     def matrix(self) -> np.ndarray:
         """Return the unitary matrix of the gate (big-endian qubit order)."""
         if self.name in _FIXED:
             return _FIXED[self.name].copy()
         if self.name in _PARAMETRIC:
-            if self.is_parameterized:
-                raise UnboundParameterError(
-                    f"gate {self.name!r} has unbound parameters; bind "
-                    "the circuit first")
             _, _, builder = _PARAMETRIC[self.name]
             return builder(*self.params)
         raise GateError(f"directive {self.name!r} has no matrix")
-
-    def bound(self, values) -> "Gate":
-        """Return a copy with symbolic parameters substituted."""
-        new_params = []
-        for p in self.params:
-            if isinstance(p, ParameterExpression):
-                new_params.append(p.bind(values))
-            else:
-                new_params.append(p)
-        return Gate(self.name, self.num_qubits, tuple(new_params))
 
     def inverse(self) -> "Gate":
         """Return the gate implementing the inverse unitary."""
@@ -334,18 +312,10 @@ class Gate:
         return f"Gate({self.name})"
 
 
-def _coerce_param(p):
-    """Floats pass through; symbolic parameter expressions are kept."""
-    if isinstance(p, ParameterExpression):
-        return p
-    return float(p)
-
-
-def gate(name: str, *params) -> Gate:
+def gate(name: str, *params: float) -> Gate:
     """Construct a :class:`Gate` by name, inferring its qubit count.
 
-    Parameters may be numbers or symbolic
-    :class:`~repro.circuits.parameters.Parameter` expressions.
+    Each parameter is coerced with ``float``.
 
     >>> gate("cx").num_qubits
     2
@@ -355,8 +325,8 @@ def gate(name: str, *params) -> Gate:
     name = name.lower()
     if name in _FIXED:
         nq = int(math.log2(_FIXED[name].shape[0]))
-        return Gate(name, nq, tuple(_coerce_param(p) for p in params))
+        return Gate(name, nq, tuple(float(p) for p in params))
     if name in _PARAMETRIC:
         nq, _, _ = _PARAMETRIC[name]
-        return Gate(name, nq, tuple(_coerce_param(p) for p in params))
+        return Gate(name, nq, tuple(float(p) for p in params))
     raise GateError(f"unknown gate {name!r}")

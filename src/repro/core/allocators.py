@@ -29,7 +29,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -127,11 +126,7 @@ def circuit_structure_key(circuit: QuantumCircuit) -> CircuitKey:
     """``(num_qubits, n2q, n1q)`` — all the structure the EFS sees,
     read from the circuit's cached fingerprint."""
     fp = fingerprint(circuit)
-    if fp is None:  # unhashable parameters: count directly
-        n2q, size = circuit.num_twoq_gates(), circuit.size()
-    else:
-        n2q, size = fp.twoq, fp.size
-    return (circuit.num_qubits, n2q, size - n2q)
+    return (circuit.num_qubits, fp.twoq, fp.size - fp.twoq)
 
 
 @dataclass(frozen=True)

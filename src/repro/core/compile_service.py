@@ -116,13 +116,12 @@ class CompileService:
                 done: Future = Future()
                 done.set_result(found)
                 return done
-            inflight = None if key is None else self._inflight.get(key)
+            inflight = self._inflight.get(key)
             if inflight is not None:
                 self._requests["coalesced"] += 1
                 return inflight
             out: Future = Future()
-            if key is not None:
-                self._inflight[key] = out
+            self._inflight[key] = out
             self._requests["submitted"] += 1
         try:
             result = fn(circuit, device, allocation)

@@ -21,7 +21,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional
 
 __all__ = ["EventKind", "Event", "EventQueue"]
 

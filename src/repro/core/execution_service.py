@@ -63,13 +63,10 @@ _DEVICE_KEY_ENTRIES = 16
 # ----------------------------------------------------------------------
 
 def _program_key(circuit: QuantumCircuit) -> Optional[Fingerprint]:
-    """Value key of one program's circuit: its fingerprint, or ``None``.
-
-    Control-flow programs and unhashable circuits get ``None``, which
-    keeps them out of both memos.
-    """
+    """Value key of one program's circuit: its fingerprint, or ``None``
+    for a control-flow program, which keeps it out of both memos."""
     fp = fingerprint(circuit)
-    return None if fp is None or fp.dynamic else fp
+    return None if fp.dynamic else fp
 
 
 def _device_key(device: Device) -> _Key:
@@ -165,7 +162,7 @@ class ExecutionService:
           :func:`~repro.sim.density_matrix.run_circuit` samples, so its
           counts are bit-identical to a fresh simulation; every hit gets
           fresh dicts.  Feed-forward programs (control flow or
-          mid-circuit measurement) and unhashable circuits bypass it.
+          mid-circuit measurement) bypass it.
 
         The device values are read per batch, so an in-place calibration
         edit misses instead of serving a stale distribution.  Memo writes

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence
 
 from ..hardware.calibration import Calibration
 from ..hardware.topology import CouplingMap, Edge

@@ -40,7 +40,7 @@ class MultiqcAllocator(Allocator):
     name = "multiqc"
 
     def cache_token(self) -> Hashable:
-        # Parameter-free scoring: all instances share the cache.
+        # The scoring takes no knobs: all instances share the cache.
         return "multiqc"
 
     def score(self, engine: AllocationEngine, ctx: PlacementContext,

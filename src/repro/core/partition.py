@@ -5,7 +5,7 @@ heuristic) and crosstalk-pair detection against already-allocated regions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..hardware.calibration import Calibration
 from ..hardware.topology import CouplingMap, Edge

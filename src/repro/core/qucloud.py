@@ -47,7 +47,7 @@ class QucloudAllocator(Allocator):
     name = "qucloud"
 
     def cache_token(self) -> str:
-        # Parameter-free scoring: all instances share the cache.
+        # The scoring takes no knobs: all instances share the cache.
         return "qucloud"
 
     @staticmethod

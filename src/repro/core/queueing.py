@@ -19,8 +19,8 @@ device), which the scheduler tests assert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 __all__ = ["JobSpec", "QueueReport", "simulate_fifo_queue",
            "batched_speedup"]

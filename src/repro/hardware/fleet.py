@@ -18,7 +18,7 @@ any dependency on the allocation layer above it.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Sequence, Tuple, Union
 
 from .devices import Device
 

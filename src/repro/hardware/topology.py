@@ -10,12 +10,10 @@ from __future__ import annotations
 
 from typing import (
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 

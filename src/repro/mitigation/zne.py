@@ -18,7 +18,7 @@ paper) the best result across the extrapolation factories is shown.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits.circuit import QuantumCircuit
 from ..core.executor import execute_allocation

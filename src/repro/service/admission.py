@@ -230,16 +230,14 @@ class CostModel:
         so a circuit mutated after its first estimate is priced afresh,
         no other circuit can ever read its entry, and a long-lived
         gateway pricing fresh-angle circuits holds at most
-        ``_MEMO_MAX_ENTRIES`` estimates.  Circuits without a key
-        (unhashable symbolic parameters) are priced without memoizing.
+        ``_MEMO_MAX_ENTRIES`` estimates.
         """
         key = fingerprint(circuit)
-        hit = None if key is None else self._memo.get(key)
+        hit = self._memo.get(key)
         if hit is None:
             hit = sum(program_duration(circuit, d)
                       for d in self._durations) / len(self._durations)
-            if key is not None:
-                self._memo.put(key, hit)
+            self._memo.put(key, hit)
         return hit
 
     def job_ns(self, circuits: Sequence[QuantumCircuit]) -> float:

@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 

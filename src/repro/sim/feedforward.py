@@ -105,10 +105,6 @@ class _TrajectoryRunner:
         self.noise_model = noise_model
         self.error_scales = error_scales
         self.rng = rng
-        # for_loop bodies with a loop parameter are rebound per index
-        # value; memoize per (op, value) so the binding cost is paid
-        # once per program, not once per shot.
-        self._bound_bodies: Dict[Tuple[int, int], QuantumCircuit] = {}
 
     def _measure(self, rho: np.ndarray, qubit: int, clbit: int,
                  bits: Dict[int, int]) -> np.ndarray:
@@ -127,16 +123,6 @@ class _TrajectoryRunner:
         bits[clbit] = recorded
         return rho
 
-    def _iteration_body(self, op: ForLoopOp, value: int) -> QuantumCircuit:
-        if op.loop_parameter is None:
-            return op.body
-        key = (id(op), value)
-        body = self._bound_bodies.get(key)
-        if body is None:
-            body = op.iteration_body(value)
-            self._bound_bodies[key] = body
-        return body
-
     def _run_sequence(self, rho: np.ndarray, instructions,
                       bits: Dict[int, int], top_level: bool) -> np.ndarray:
         for idx, inst in enumerate(instructions):
@@ -148,10 +134,9 @@ class _TrajectoryRunner:
                                              False)
                 continue
             if isinstance(op, ForLoopOp):
-                for value in op.indexset:
-                    rho = self._run_sequence(
-                        rho, self._iteration_body(op, value).instructions,
-                        bits, False)
+                for _ in op.indexset:
+                    rho = self._run_sequence(rho, op.body.instructions,
+                                             bits, False)
                 continue
             if isinstance(op, WhileLoopOp):
                 iterations = 0
@@ -315,11 +300,9 @@ def dynamic_probabilities(circuit: QuantumCircuit) -> Dict[str, float]:
                     lambda s, b, w, i=i: run_seq(instructions, i + 1, s,
                                                  b, w, cont))
             if isinstance(op, ForLoopOp):
-                unrolled: List = []
-                for value in op.indexset:
-                    unrolled.extend(op.iteration_body(value).instructions)
+                unrolled = op.body.instructions * len(op.indexset)
                 return run_seq(
-                    tuple(unrolled), 0, state, bits, weight,
+                    unrolled, 0, state, bits, weight,
                     lambda s, b, w, i=i: run_seq(instructions, i + 1, s,
                                                  b, w, cont))
             if isinstance(op, WhileLoopOp):

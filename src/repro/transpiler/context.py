@@ -29,8 +29,8 @@ import math
 import threading
 import weakref
 from collections import OrderedDict
-from typing import (Callable, Dict, Hashable, List, Optional, Sequence,
-                    Tuple, TypeVar)
+from typing import (Callable, Dict, Hashable, Optional, Sequence, Tuple,
+                    TypeVar)
 
 import networkx as nx
 import numpy as np

@@ -102,9 +102,8 @@ def _expand_into(out: QuantumCircuit, instructions, written: Set[int],
         if isinstance(op, ForLoopOp):
             # The indexset is static: always unrollable, even when the
             # body itself contains data-dependent ops (those recurse).
-            for value in op.indexset:
-                _expand_into(out, op.iteration_body(value).instructions,
-                             written, strict)
+            for _ in op.indexset:
+                _expand_into(out, op.body.instructions, written, strict)
             continue
         condition = op.condition
         resolvable = not (set(condition.clbits) & written)

@@ -89,29 +89,23 @@ def _fused_run(run: List[Instruction]) -> Optional[Tuple]:
     """Fused replacement of one 1q run, or ``None`` to keep it as-is.
 
     Served from :data:`_FUSED_RUNS` when the run's ``(name, params)``
-    signature has been fused before; symbolic (unhashable) parameters
-    fall through to an uncached fuse.
+    signature has been fused before.
     """
-    try:
-        key = tuple((inst.name, inst.params) for inst in run)
-        with _FUSED_RUNS_LOCK:
-            cached = _FUSED_RUNS.get(key, _UNCACHED)
-            if cached is not _UNCACHED:
-                _FUSED_RUNS.move_to_end(key)
-    except TypeError:
-        key, cached = None, _UNCACHED
-    if cached is not _UNCACHED:
-        return cached
+    key = tuple((inst.name, inst.params) for inst in run)
+    with _FUSED_RUNS_LOCK:
+        cached = _FUSED_RUNS.get(key, _UNCACHED)
+        if cached is not _UNCACHED:
+            _FUSED_RUNS.move_to_end(key)
+            return cached
     mat = np.eye(2, dtype=complex)
     for inst in run:
         mat = inst.gate.matrix() @ mat
     decomposed = decompose_oneq_gate(_matrix_gate(mat))
     fused = tuple(decomposed) if len(decomposed) <= len(run) else None
-    if key is not None:
-        with _FUSED_RUNS_LOCK:
-            _FUSED_RUNS[key] = fused
-            while len(_FUSED_RUNS) > _FUSED_RUNS_MAX:
-                _FUSED_RUNS.popitem(last=False)
+    with _FUSED_RUNS_LOCK:
+        _FUSED_RUNS[key] = fused
+        while len(_FUSED_RUNS) > _FUSED_RUNS_MAX:
+            _FUSED_RUNS.popitem(last=False)
     return fused
 
 

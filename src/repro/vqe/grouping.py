@@ -9,7 +9,7 @@ the 5 terms collapse into two groups: {II, IZ, ZI, ZZ} and {XX}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .pauli import PauliOperator, PauliString
 

@@ -8,7 +8,7 @@ its support bits under the measured distribution.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence
 
 from ..circuits.circuit import QuantumCircuit
 from .grouping import MeasurementGroup

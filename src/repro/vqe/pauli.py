@@ -9,7 +9,7 @@ shot — lives here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+from typing import Dict, Iterator, List, Mapping, Tuple
 
 import numpy as np
 

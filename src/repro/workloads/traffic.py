@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.scheduler import SubmittedProgram
 from .dynamic import dynamic_workloads
-from .suite import Workload, all_workloads, workload
+from .suite import Workload, all_workloads
 
 __all__ = [
     "poisson_arrival_times",

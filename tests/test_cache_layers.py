@@ -251,6 +251,19 @@ class TestCrossProcessStore:
         store.close()
 
 
+#: Store digests of the dynamic suite's circuits, placed on Toronto.
+_DYNAMIC_DIGESTS = {
+    "teleportation": "120b7f7f7fa19e6ce4004d343b19facd"
+                     "0d78848d6045596b1c9a7015d9362428",
+    "repeat_until_success": "3413ffcd1a9989898ea31761cdaec766"
+                            "5ba2071ddf16e46907905f0d7e1c5424",
+    "echo_loop": "8316b897fe6c2a68be459bf8bf643f13"
+                 "061fd62e6b329591178c0d2d5a8a381f",
+    "conditional_fixup": "c9213513b8397999dc7587f377b20c1d"
+                         "911b343181af436b8bea73f85b042c0a",
+}
+
+
 class TestTieredExecutionCache:
     @staticmethod
     def _key(alloc, device):
@@ -282,6 +295,18 @@ class TestTieredExecutionCache:
                                       ((1, 2), (5, 8)))
             key = transpile_key(circuit, device, alloc, _default_transpiler)
             assert key.digest == digest
+
+    @pytest.mark.parametrize("name", sorted(_DYNAMIC_DIGESTS))
+    def test_dynamic_circuit_digests_are_pinned(self, name):
+        # Control-flow payloads (conditions, indexsets, nested bodies)
+        # are part of the on-disk key format too.
+        from repro.workloads import dynamic_circuit
+
+        c = dynamic_circuit(name)
+        alloc = ProgramAllocation(0, c, (3, 5, 8, 11, 14)[:c.num_qubits],
+                                  0.5)
+        key = transpile_key(c, ibm_toronto(), alloc, _default_transpiler)
+        assert key.digest == _DYNAMIC_DIGESTS[name]
 
     def test_storeless_compiles_hash_no_digests(self, toronto,
                                                 monkeypatch, tmp_path):
@@ -667,20 +692,6 @@ class TestDynamicCircuitKeys:
         # structural keys must still collide (cache hits across jobs).
         assert circuit_key(self._teleport()) == circuit_key(
             self._teleport())
-
-    def test_fresh_loop_parameter_builds_share_keys(self):
-        from repro.circuits import Parameter
-
-        def build():
-            theta = Parameter("theta")  # fresh object every call
-            body = QuantumCircuit(1, 1)
-            body.rz(theta, 0)
-            qc = QuantumCircuit(1, 1)
-            qc.for_loop(range(3), body, loop_parameter=theta)
-            qc.measure(0, 0)
-            return qc
-
-        assert circuit_key(build()) == circuit_key(build())
 
     def test_permuted_dynamic_twins_key_apart(self, toronto):
         qc = self._teleport()

@@ -16,7 +16,6 @@ import pytest
 from repro.cache import transpile_key
 from repro.circuits import QuantumCircuit, qft_circuit, random_circuit
 from repro.core import CompileService, ExecutionCache, get_allocator
-from repro.core import compile_service as compile_service_mod
 from repro.core.compile_service import _default_transpiler
 from repro.core.executor import execute_allocation
 from repro.hardware import CouplingMap, ibm_melbourne, ibm_toronto, linear_device
@@ -496,18 +495,6 @@ class TestCompileService:
         # ... and the waiter is failed with it instead of hanging.
         with pytest.raises(Interrupt):
             joined.result(timeout=30)
-
-    def test_unkeyable_requests_compile_every_time(self, job, monkeypatch):
-        svc = CompileService(cache=ExecutionCache())
-        monkeypatch.setattr(compile_service_mod, "transpile_key",
-                            lambda *args: None)
-        alloc = job.allocations[0]
-        first = svc.transpile(alloc.circuit, job.device, alloc)
-        second = svc.transpile(alloc.circuit, job.device, alloc)
-        assert first.circuit == second.circuit
-        assert svc.stats["submitted"] == 2
-        assert svc.stats["short_circuits"] == 0
-        assert svc.stats["coalesced"] == 0
 
     def test_default_transpiler_key_stable(self, job):
         """The default hook is module-level, so its cache key is stable

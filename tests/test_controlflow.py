@@ -119,6 +119,45 @@ class TestBuilders:
             hash(op)
 
 
+class TestLoopOps:
+    """Relabeling, body replacement and equality of the loop ops."""
+
+    def test_for_loop_remaps_like_if_else(self):
+        body = _body(3, 3, (("x", 0), ("h", 2)))
+        body.measure(2, 1)
+        qmap, cmap = {0: 4, 1: 3, 2: 1}, {0: 2, 1: 0, 2: 1}
+        loop = ForLoopOp(range(1, 4), body).remapped(qmap, cmap)
+        branch = IfElseOp(([2], 1), body).remapped(qmap, cmap)
+        assert isinstance(loop, ForLoopOp)
+        assert loop.indexset == (1, 2, 3)
+        assert loop.body == branch.true_body
+        assert [(i.name, i.qubits, i.clbits) for i in loop.body] == [
+            ("x", (4,), ()), ("h", (1,), ()), ("measure", (1,), (0,))]
+        assert loop.touched_qubits == (1, 4)
+        assert loop.touched_clbits == (0,)
+
+    def test_with_bodies_keeps_indexset(self):
+        other = _body(gates=(("z", 1),))
+        rebuilt = ForLoopOp((2, 0, 5), _body()).with_bodies((other,))
+        assert isinstance(rebuilt, ForLoopOp)
+        assert rebuilt.indexset == (2, 0, 5)
+        assert rebuilt.body is other
+
+    def test_for_loop_equality(self):
+        loop = ForLoopOp(range(3), _body())
+        assert loop == ForLoopOp(range(3), _body())
+        assert loop != ForLoopOp(range(4), _body())
+        assert loop != ForLoopOp(range(3), _body(gates=(("z", 0),)))
+
+    def test_while_loop_equality(self):
+        loop = WhileLoopOp(([0], 1), _body(), 5)
+        assert loop == WhileLoopOp(([0], 1), _body(), 5)
+        assert loop != WhileLoopOp(([0], 0), _body(), 5)
+        assert loop != WhileLoopOp(([1], 1), _body(), 5)
+        assert loop != WhileLoopOp(([0], 1), _body(), 6)
+        assert loop != WhileLoopOp(([0], 1), _body(gates=(("z", 0),)), 5)
+
+
 class TestDepthBounds:
     def test_for_loop_multiplies(self):
         qc = QuantumCircuit(1, 1)
@@ -282,19 +321,6 @@ class TestExpandControlFlow:
         qc.if_test(([0], 1), fix)
         flat = expand_control_flow(qc)
         assert has_control_flow(flat)
-
-    def test_loop_parameter_binds_per_iteration(self):
-        from repro.circuits import Parameter
-
-        theta = Parameter("theta")
-        body = QuantumCircuit(1, 1)
-        body.rz(theta, 0)
-        qc = QuantumCircuit(1, 1)
-        qc.for_loop(range(3), body, loop_parameter=theta)
-        flat = expand_control_flow(qc)
-        angles = [float(inst.params[0]) for inst in flat
-                  if inst.name == "rz"]
-        assert angles == [0.0, 1.0, 2.0]
 
     def test_written_clbits_descend_into_bodies(self):
         qc = QuantumCircuit(2, 3)

@@ -50,13 +50,8 @@ from repro.workloads import all_workloads, dynamic_workloads
 def _former_circuit_key(circuit):
     """The structural key as built before fingerprints: every entry
     from scratch on every call (the oracle)."""
-    key = (circuit.num_qubits, circuit.num_clbits,
-           tuple(keys_mod._entry(inst) for inst in circuit))  # noqa: SLF001
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
+    return (circuit.num_qubits, circuit.num_clbits,
+            tuple(keys_mod._entry(inst) for inst in circuit))  # noqa: SLF001
 
 
 def _families():
@@ -185,12 +180,13 @@ def test_mutating_an_if_body_after_appending_changes_the_outer_key():
     assert after == _former_circuit_key(qc)
 
 
-def test_unhashable_parameters_get_no_fingerprint():
+def test_unhashable_parameters_fail_when_keyed():
+    # Gate angles are floats: a gate built directly around an array is
+    # malformed, and keying its circuit says so at once.
     qc = QuantumCircuit(1)
     qc.append(Gate("rz", 1, (np.array([0.5]),)), [0])
-    assert fingerprint(qc) is None
-    assert circuit_key(qc) is None
-    assert circuit_structure_key(qc) == (1, 0, 1)
+    with pytest.raises(TypeError, match="unhashable"):
+        fingerprint(qc)
 
 
 def test_pickles_and_deep_copies_carry_no_fingerprint():

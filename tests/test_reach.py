@@ -5,6 +5,7 @@ included."""
 
 import ast
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -43,3 +44,12 @@ def test_profiled_subprocess_maps_to_decorated_definitions(tmp_path):
     names = {universe[key][0] for key in reached & set(universe)}
     assert {"repro.hardware.devices:ibm_toronto",
             "repro.hardware.devices:Device.num_qubits"} <= names
+
+
+def test_every_listed_function_still_exists():
+    # ``--check`` only reports a listed function that left src/; a stale
+    # map would hide what a later deletion removed, so fail on it here.
+    listed = json.loads((ROOT / "benchmarks" / "REACH.json").read_text(
+        encoding="utf-8"))["functions"]
+    names = {name for name, _ in reach.functions().values()}
+    assert sorted(set(listed) - names) == []
