@@ -4,12 +4,14 @@ The service facade persists every submission, status transition, and
 completed result into a SQLite job store (``store_path=`` /
 ``REPRO_JOB_STORE``), so the provider process is disposable:
 
-Part 1 runs a job with a store attached, throws the provider away, and
-shows a *fresh* provider on the same store re-serving the completed
-result bit-identically — served from the store on demand, with no
-handle rebuilt at restart — then simulates a crash (a job killed while
-RUNNING) and shows the restart re-queueing it from its stored replay
-spec and driving it to DONE.
+Part 1 runs two jobs on one backend with a store attached (the first
+job's replay spec carries the device, which the store then keeps in
+one row; the second spec references that row), throws the provider
+away, and shows a *fresh* provider on the same store re-serving the
+completed result bit-identically — served from the store on demand,
+with no handle rebuilt at restart — then simulates a crash (both jobs
+killed while RUNNING) and shows the restart re-queueing them from their
+stored replay specs and driving them to DONE.
 
 Part 2 injects a deterministic device outage into a two-device fleet
 with a committed :class:`~repro.core.FaultPlan`: the dead device's
@@ -55,6 +57,13 @@ def run(store_path: str) -> None:
           f"with store {store_path}")
     trail = [t.status for t in provider.store.transitions(job_id)]
     print(f"stored audit trail: {' -> '.join(trail)}")
+    second = backend.run(circuits[:1], shots=shots, seed=8)
+    payloads = {job_id: payload, second.job_id: second.result().to_dict()}
+    sizes = [len(provider.store.get(jid).spec) for jid in payloads]
+    print(f"replay specs: {sizes[0]} B for {job_id} (device inline), "
+          f"{sizes[1]} B for {second.job_id} (device stored once, "
+          "referenced)")
+    summary["spec_bytes"] = sizes
     provider.shutdown()
     print("provider shut down (the process could die here)\n")
 
@@ -71,20 +80,25 @@ def run(store_path: str) -> None:
     summary["rehydrated_identical"] = identical
     restarted.shutdown()
 
-    # Simulate a crash: rewind the stored status to RUNNING, as if the
+    # Simulate a crash: rewind the stored statuses to RUNNING, as if the
     # process had been killed mid-attempt.
     with JobStore(store_path) as store:
-        store.record_transition(job_id, "running", attempt=1)
-    print(f"simulated crash: {job_id} marked RUNNING in the store")
+        for jid in payloads:
+            store.record_transition(jid, "running", attempt=1)
+    print(f"simulated crash: {', '.join(payloads)} marked RUNNING in "
+          "the store")
     resumed_provider = QuantumProvider(store_path=store_path)
-    resumed = resumed_provider.job(job_id)
-    replayed = resumed.result().to_dict()
-    print(f"restart re-queued it from its replay spec: "
-          f"status={resumed.status().value}, programs identical = "
-          f"{replayed['programs'] == payload['programs']}")
-    summary["resumed_status"] = resumed.status().value
-    summary["resumed_programs_identical"] = (
-        replayed["programs"] == payload["programs"])
+    statuses, identical = [], []
+    for jid, original in payloads.items():
+        resumed = resumed_provider.job(jid)
+        replayed = resumed.result().to_dict()
+        statuses.append(resumed.status().value)
+        identical.append(replayed["programs"] == original["programs"])
+        print(f"restart re-queued {jid} from its replay spec: "
+              f"status={statuses[-1]}, programs identical = "
+              f"{identical[-1]}")
+    summary["resumed_status"] = statuses
+    summary["resumed_programs_identical"] = all(identical)
     resumed_provider.shutdown()
 
     # ------------------------------------------------------------------
@@ -133,7 +147,8 @@ def run(store_path: str) -> None:
 
     ok = (summary["rehydrated_identical"]
           and summary["restarted_handles"] == 0
-          and summary["resumed_status"] == "done"
+          and summary["spec_bytes"][1] < summary["spec_bytes"][0]
+          and summary["resumed_status"] == ["done", "done"]
           and summary["resumed_programs_identical"]
           and summary["replay_identical"]
           and summary["completed"] == len(traffic))

@@ -280,7 +280,14 @@ _device_digest_lock = threading.Lock()
 
 
 def device_digest(device: "Device") -> str:
-    """Stable value digest of what compilation observes of a device."""
+    """Stable value digest of what compilation observes of a device.
+
+    It covers the coupling map and the calibration tables, not the
+    device's name or crosstalk model, so two devices that differ only
+    there share it.  It keys compile artifacts; it does not identify a
+    stored device (the job store keys those by a digest of the whole
+    device's pickle).
+    """
     with _device_digest_lock:
         entry = _DEVICE_DIGESTS.get(id(device))
         if entry is not None and entry[0] is device:

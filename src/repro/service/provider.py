@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 import difflib
 import os
-import pickle
 import threading
 import time
 from collections import OrderedDict
@@ -368,20 +367,22 @@ class QuantumProvider:
 
     def _resume_record(self, record: StoredJob) -> None:
         """Re-queue one interrupted job from its stored replay spec.  A
-        spec that is missing, does not unpickle or fails to re-run marks
-        the job ``error`` instead: one bad record never stops a provider."""
+        spec that is missing, does not load or fails to re-run marks the
+        job ``error`` instead: one bad record never stops a provider."""
+        assert self._store is not None
         self._resume_id = record.job_id
         self._resume_number = record.job_number
         try:
-            spec = pickle.loads(record.spec)  # a missing spec raises too
+            spec = self._store.load_spec(record)  # a missing spec raises
             cfg = spec["configuration"]
             if spec["kind"] == "simulator":
                 backend: BaseBackend = SimulatorBackend(
                     spec["backend_name"], self, spec["device"], cfg)
                 payload = spec["payload"]
                 if isinstance(payload, AllocationResult):
-                    # The backend wraps the unpickled allocation's own
-                    # device instance, satisfying run()'s identity check.
+                    # The backend wraps the loaded allocation's own
+                    # device instance (one object per stored device),
+                    # satisfying run()'s identity check.
                     backend.run(payload, seed=spec["seed"])
                 else:
                     backend.run(payload, seed=spec["seed"],
@@ -393,7 +394,6 @@ class QuantumProvider:
                             allocator=spec["allocator"],
                             execute=spec["execute"])
         except Exception:  # noqa: BLE001 - an unusable spec = no replay
-            assert self._store is not None
             self._store.record_transition(
                 record.job_id, "error",
                 error="interrupted before completion and not replayable "
@@ -426,7 +426,7 @@ class QuantumProvider:
                     spec: Optional[dict] = None) -> Job:
         """Allocate an id, queue *fn* on the pool, return the handle.
 
-        *spec* is the submission's replay recipe — pickled into the
+        *spec* is the submission's replay recipe — encoded into the
         durable store (when one is attached) so a restarted provider
         can re-run the job; ``None`` marks it non-replayable.
         """
@@ -441,13 +441,7 @@ class QuantumProvider:
                 number = self._job_counter
                 job_id = f"job-{number:06d}"
         if store is not None:
-            blob = None
-            if spec is not None:
-                try:
-                    blob = pickle.dumps(spec)
-                except Exception:  # noqa: BLE001 - best-effort durability
-                    blob = None
-            store.record_submission(job_id, number, backend.name, blob)
+            store.record_submission(job_id, number, backend.name, spec)
         state = _JobState()
         future = self._pool.submit(self._run_job, fn, job_id, state)
         on_cancel = None

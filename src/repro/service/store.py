@@ -10,6 +10,15 @@ the final :meth:`~repro.service.Result.to_dict` payload, which is what
 only copy: every read is a query, so the store holds no per-job state
 in memory and two handles on one file see each other's writes.
 
+The store encodes replay specs (:meth:`JobStore.record_submission`)
+and decodes them (:meth:`JobStore.load_spec`): circuits as plain tuples
+(:meth:`~repro.circuits.QuantumCircuit.compact`), and each device once,
+in the ``devices`` table.  A handle's first spec for a device carries it
+inline and the device row lands after the job row; later specs
+reference the row, so every statement stays a boundary a restart
+resumes from.  Devices count as frozen (see :class:`JobStore`).  The
+table joined schema version 1 (see ``_SCHEMA_VERSION``).
+
 The ledger runs on :class:`~repro.cache.sqlite.SQLiteStore`, the core
 it shares with the persistent compile cache, and never takes a job
 down.  A file refused at open (corrupt, foreign — a compile cache
@@ -25,14 +34,20 @@ restart never sees one without the other.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import pickle
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional,
-                    Sequence, Union)
+                    Sequence, Tuple, Union)
 
 from ..cache.sqlite import SQLiteStore
+from ..circuits.circuit import QuantumCircuit
+from ..hardware.devices import Device
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .job import JobStatus
@@ -40,8 +55,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["JobStore", "StoredJob", "StoredTransition"]
 
 #: Bump when the table layout changes; newer-schema stores are left
-#: untouched (disabled with a warning) instead of being misread.
+#: untouched (disabled with a warning) instead of being misread.  The
+#: ``devices`` table joined version 1 without a bump: this build creates
+#: it when it opens an older file (inside the open transaction) and
+#: still resumes that file's inline specs, and an older build refuses a
+#: file holding it as foreign, leaving the file untouched.  A bump
+#: would make this build refuse every existing store.
 _SCHEMA_VERSION = 1
+
+#: Devices one handle remembers as stored: an LRU bound, because
+#: benchmarks mint short-lived devices.  A device it forgot is pickled
+#: inline once more, and its row is not written twice.
+_STORED_DEVICES_MAX = 64
 
 #: Statuses that survive a restart as work-to-redo.  Admission
 #: refusals ("shed"/"rejected") are terminal by construction — a
@@ -56,6 +81,8 @@ _JOB_COLUMNS = ("job_id, job_number, backend, status, attempts, error, "
 _TRAIL_COLUMNS = "job_id, status, attempt, error, time"
 _SELECT_JOBS = f"SELECT {_JOB_COLUMNS} FROM jobs"
 _SELECT_TRAIL = f"SELECT {_TRAIL_COLUMNS} FROM transitions"
+_INSERT_DEVICE = ("INSERT OR IGNORE INTO devices (digest, device) "
+                  "VALUES (?, ?)")
 
 #: Rows the open-time check reads per statement: it holds one page of
 #: replay specs and result payloads at a time, not the whole table.
@@ -82,7 +109,8 @@ def _ledger(path: str, timeout: float = 0.0) -> SQLiteStore:
                            "job_id TEXT NOT NULL, "
                            "status TEXT NOT NULL, "
                            "attempt INTEGER NOT NULL, error TEXT, "
-                           "time REAL NOT NULL"},
+                           "time REAL NOT NULL",
+            "devices": "digest TEXT PRIMARY KEY, device BLOB NOT NULL"},
         indexes=("CREATE INDEX IF NOT EXISTS transitions_job "
                  "ON transitions (job_id, seq)",),
         timeout=timeout, label="job store",
@@ -100,8 +128,9 @@ class StoredJob:
     status: str
     attempts: int = 0
     error: Optional[str] = None
-    #: Pickled replay spec (how to re-run the job), or ``None`` when the
-    #: submission is not replayable (e.g. carried a live callable).
+    #: Encoded replay spec (how to re-run the job; decode it with
+    #: :meth:`JobStore.load_spec`), or ``None`` when the submission is
+    #: not replayable (e.g. carried a live callable).
     spec: Optional[bytes] = None
     #: ``Result.to_dict()`` payload once the job completed.
     result: Optional[Dict[str, object]] = None
@@ -166,6 +195,57 @@ def _check_rows(db: SQLiteStore, table: str, columns: str,
         del rows  # one page alive at a time
 
 
+class _SpecPickler(pickle.Pickler):
+    """Pickles one replay spec for *store*: circuits as plain tuples,
+    each device the store holds as a reference to its row, and every
+    other device inline, listed in :attr:`sightings`."""
+
+    def __init__(self, file: io.BytesIO, store: "JobStore") -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self._store = store
+        self.sightings: List[Device] = []
+
+    def reducer_override(self, obj: object) -> object:
+        # Called once per object the pickle memo has not seen, so each
+        # device is either referenced or inline throughout one spec.
+        if isinstance(obj, QuantumCircuit):
+            form = obj.compact()
+            if form is not None:
+                return QuantumCircuit.from_compact, (form,)
+        elif isinstance(obj, Device):
+            digest = self._store._stored_digest(obj)
+            if digest is not None:
+                return _SpecUnpickler.device, (digest,)
+            self.sightings.append(obj)
+        return NotImplemented
+
+
+class _SpecUnpickler(pickle.Unpickler):
+    """Loads one replay spec from *store*, resolving each device
+    reference to one object per row."""
+
+    def __init__(self, blob: bytes, store: "JobStore") -> None:
+        super().__init__(io.BytesIO(blob))
+        self._store = store
+        self._devices: Dict[str, Device] = {}
+
+    def find_class(self, module: str, name: str) -> object:
+        if module == __name__ and name == "_SpecUnpickler.device":
+            return self.device  # references resolve against this load
+        return super().find_class(module, name)
+
+    def device(self, digest: str) -> Device:
+        """The device stored under *digest*: one object however often
+        the spec references it (LookupError when the row is missing)."""
+        if digest not in self._devices:
+            rows = self._store._run(
+                "SELECT device FROM devices WHERE digest = ?", (digest,))
+            if not rows:
+                raise LookupError(f"no stored device {digest}")
+            self._devices[digest] = pickle.loads(rows[0][0])
+        return self._devices[digest]
+
+
 class JobStore:
     """Durable job ledger: every read and write is a SQLite statement.
 
@@ -181,6 +261,15 @@ class JobStore:
         cache's: a wedged job store should degrade fast, not stall
         submissions.
 
+    Each device a replay spec holds is stored once, in the ``devices``
+    table, keyed by the SHA-256 of its pickle (equal devices pickle
+    alike).  A handle's first spec for a device carries it inline, and
+    the device row follows the job row; later specs reference the row.
+    The handle remembers the devices it stored by identity, as
+    :func:`~repro.cache.keys.device_digest` does, so devices count as
+    frozen: one mutated in place after its first durable submission
+    resumes with its stored values.  Build a new device instead.
+
     Known edge: a file that fails mid-life and cannot be read at that
     moment either leaves the in-memory ledger empty, so jobs recorded
     before the failure can no longer be read from the store (their
@@ -190,7 +279,12 @@ class JobStore:
     def __init__(self, path: str, timeout: float = 5.0) -> None:
         self.writes = 0
         self.loaded = 0
-        self._lock = threading.Lock()  # the memory switch and counter
+        # The memory switch, the counter and the stored-device memo:
+        # client threads submit concurrently.
+        self._lock = threading.Lock()
+        #: id(device) -> (device, digest) for each device this handle
+        #: wrote a row for, least recently used first.
+        self._devices: "OrderedDict[int, Tuple[Device, str]]" = OrderedDict()
         self._db = _ledger(path, timeout)  # the file's statements
         self.path = self._db.path
         try:  # a row that does not parse makes the file unusable
@@ -218,6 +312,11 @@ class JobStore:
                 if self._memory is None:
                     memory = _ledger(":memory:")
                     memory.copy_from(self.path)
+                    # The copy may lack device rows: restore each one
+                    # this handle's specs reference.
+                    for device, digest in self._devices.values():
+                        blob = pickle.dumps(device, pickle.HIGHEST_PROTOCOL)
+                        memory.execute(_INSERT_DEVICE, (digest, blob))
                     self._memory = memory
         return self._memory.execute(statement, params) or []
 
@@ -235,10 +334,57 @@ class JobStore:
     # ------------------------------------------------------------------
     def record_submission(self, job_id: str, job_number: int,
                           backend_name: str,
-                          spec: Optional[bytes] = None) -> None:
-        """Persist a new submission (status ``queued``, attempt 0)."""
+                          spec: object = None) -> None:
+        """Persist a new submission (status ``queued``, attempt 0).
+
+        *spec* is the job's replay spec, encoded here, or bytes stored
+        as they are (a spec an earlier build encoded).  A spec that does
+        not pickle is stored as none: the job runs but is not
+        replayable.  Devices the spec carries inline get their rows
+        after the job row.
+        """
+        sightings: List[Device] = []
+        if spec is not None and not isinstance(spec, bytes):
+            buffer = io.BytesIO()
+            pickler = _SpecPickler(buffer, self)
+            try:
+                pickler.dump(spec)
+                spec, sightings = buffer.getvalue(), pickler.sightings
+            except Exception:  # noqa: BLE001 - best-effort durability
+                spec = None
         self._insert(job_id, job_number, backend_name, "queued", None,
                      spec)
+        for device in sightings:
+            self._store_device(device)
+
+    def _stored_digest(self, device: Device) -> Optional[str]:
+        """The row digest of *device*, when this handle stored it."""
+        with self._lock:
+            entry = self._devices.get(id(device))
+            if entry is None:
+                return None
+            self._devices.move_to_end(id(device))
+            return entry[1]
+
+    def _store_device(self, device: Device) -> None:
+        """Write *device*'s row (once per distinct pickle) and remember
+        it, so later specs reference the row."""
+        blob = pickle.dumps(device, pickle.HIGHEST_PROTOCOL)
+        digest = hashlib.sha256(blob).hexdigest()
+        self._run(_INSERT_DEVICE, (digest, blob))
+        with self._lock:
+            self.writes += 1
+            self._devices[id(device)] = (device, digest)
+            while len(self._devices) > _STORED_DEVICES_MAX:
+                self._devices.popitem(last=False)
+
+    def load_spec(self, record: StoredJob) -> object:
+        """The replay spec *record* was submitted with.  Raises when it
+        has none, or when the spec or a device row it references does
+        not load."""
+        if record.spec is None:
+            raise ValueError(f"job {record.job_id} has no replay spec")
+        return _SpecUnpickler(record.spec, self).load()
 
     def record_refusal(self, job_id: str, job_number: int,
                        backend_name: str,

@@ -334,24 +334,52 @@ class TestKillAndResume:
         os._exit(1)
     """)
 
+    @staticmethod
+    def _record_statements(prov):
+        """Every statement *prov*'s store runs on its file, in order."""
+        db = prov.store._db
+        execute = db.execute
+        statements = []
+
+        def recording(statement, params=()):
+            statements.append((statement, params))
+            return execute(statement, params)
+
+        db.execute = recording
+        return statements
+
+    @staticmethod
+    def _resume_every_cut(tmp_path, statements, start, job_id, counts):
+        """Replay *statements* up to each cut after *start* into a fresh
+        store: a provider reopened on it drives *job_id* to DONE with
+        *counts*."""
+        from repro.service import JobStatus, JobStore
+
+        for k in range(start + 1, len(statements) + 1):
+            path = str(tmp_path / f"prefix-{k}.sqlite")
+            with JobStore(path) as replay:
+                for statement, params in statements[:k]:
+                    assert replay._db.execute(statement,
+                                              params) is not None
+            resumed = QuantumProvider(devices=[linear_device(5, seed=7)],
+                                      store_path=path)
+            try:
+                again = resumed.job(job_id)
+                cut = statements[k - 1][0]
+                assert again.wait(timeout=120) is JobStatus.DONE, cut
+                result = again.result()
+                assert [result.counts(i) for i in range(2)] == counts, cut
+            finally:
+                resumed.shutdown()
+
     def test_every_write_boundary_resumes(self, tmp_path):
         """Cut one job's store writes after any statement: a provider
         reopened on that prefix drives the job to DONE with the
         original counts (never to a finished-but-failed job)."""
-        from repro.service import JobStatus, JobStore
-
         dev = linear_device(5, seed=7)
         prov = QuantumProvider(devices=[dev],
                                store_path=str(tmp_path / "jobs.sqlite"))
-        db = prov.store._db
-        execute = db.execute
-        writes = []
-
-        def recording(statement, params=()):
-            writes.append((statement, params))
-            return execute(statement, params)
-
-        db.execute = recording
+        writes = self._record_statements(prov)
         try:
             job = prov.simulator(dev).run(
                 [ghz_circuit(2).measure_all()] * 2, shots=64, seed=3)
@@ -359,22 +387,36 @@ class TestKillAndResume:
         finally:
             prov.shutdown()
         assert writes
-        for k in range(1, len(writes) + 1):
-            path = str(tmp_path / f"prefix-{k}.sqlite")
-            with JobStore(path) as replay:
-                for statement, params in writes[:k]:
-                    assert replay._db.execute(statement,
-                                              params) is not None
-            resumed = QuantumProvider(devices=[linear_device(5, seed=7)],
-                                      store_path=path)
-            try:
-                again = resumed.job(job.job_id)
-                cut = writes[k - 1][0]
-                assert again.wait(timeout=120) is JobStatus.DONE, cut
-                result = again.result()
-                assert [result.counts(i) for i in range(2)] == counts, cut
-            finally:
-                resumed.shutdown()
+        self._resume_every_cut(tmp_path, writes, 0, job.job_id, counts)
+
+    def test_every_write_boundary_of_a_referencing_job_resumes(
+            self, tmp_path):
+        """Job 1 stores the device; cut job 2, whose spec references
+        that row, after any of its statements: a provider reopened on
+        that prefix drives job 2 to DONE with the original counts."""
+        from repro.service.store import _SpecUnpickler
+
+        dev = linear_device(5, seed=7)
+        prov = QuantumProvider(devices=[dev],
+                               store_path=str(tmp_path / "jobs.sqlite"))
+        writes = self._record_statements(prov)
+        try:
+            sim = prov.simulator(dev)
+            sim.run([ghz_circuit(3).measure_all()], shots=32,
+                    seed=2).result()
+            first = len(writes)
+            job = sim.run([ghz_circuit(2).measure_all()] * 2, shots=64,
+                          seed=3)
+            counts = [job.result().counts(i) for i in range(2)]
+        finally:
+            prov.shutdown()
+        own = writes[first:]
+        assert any("INTO devices" in s for s, _ in writes[:first])
+        assert not any("INTO devices" in s for s, _ in own)
+        spec = own[0][1][5]  # the jobs insert's spec parameter
+        assert _SpecUnpickler.device.__qualname__.encode() in spec
+        self._resume_every_cut(tmp_path, writes, first, job.job_id,
+                               counts)
 
     def test_kill_and_resume(self, tmp_path):
         from repro.service import JobStatus, JobStore

@@ -2,7 +2,9 @@
 contracts, Result round-trips, retry-policy determinism, and the
 provider's resume-on-restart path."""
 
+import copyreg
 import gc
+import io
 import json
 import math
 import pickle
@@ -13,9 +15,12 @@ import time
 import tracemalloc
 import warnings
 
+import networkx as nx
 import pytest
 
-from repro.circuits import ghz_circuit
+from repro.cache.tiered import dumps_artifact
+from repro.circuits import Gate, Instruction, QuantumCircuit, ghz_circuit
+from repro.core import CompileService, ExecutionCache, qucp_allocate
 from repro.core.faults import (
     corrupt_file,
     locked_database,
@@ -37,7 +42,9 @@ from repro.service import (
     StoredJob,
     StoredTransition,
 )
-from repro.service.store import _CHECK_PAGE
+from repro.service.store import _CHECK_PAGE, _SpecUnpickler
+from repro.vqe import qaoa_circuit, ryrz_ansatz
+from repro.workloads import all_workloads, dynamic_workloads
 
 
 def make_provider(tmp_path=None, **kwargs):
@@ -894,6 +901,328 @@ class TestProviderDurability:
             assert prov.store.get(job.job_id).status == "done"
         finally:
             prov.shutdown()
+
+
+# ----------------------------------------------------------------------
+# Replay specs: stored devices and compact circuits
+# ----------------------------------------------------------------------
+
+def references_device(spec):
+    """Whether encoded *spec* references a stored device row."""
+    return _SpecUnpickler.device.__qualname__.encode() in spec
+
+
+class TaggedCircuit(QuantumCircuit):
+    """A circuit subclass: it has no compact form."""
+
+
+def circuit_signature(circuit):
+    """Value-level form of a plain circuit: types and float bits too."""
+    return (type(circuit), circuit.name, circuit.num_qubits,
+            circuit.num_clbits,
+            [(type(inst.gate), inst.name, inst.gate.num_qubits,
+              type(inst.params),
+              [(type(p), p.hex() if isinstance(p, float) else repr(p))
+               for p in inst.params],
+              inst.qubits, inst.clbits) for inst in circuit])
+
+
+def spec_round_trip(tmp_path, spec):
+    with JobStore(str(tmp_path / "codec.sqlite")) as store:
+        store.record_submission("job-000001", 1, "dev", spec)
+        return store.load_spec(store.get("job-000001"))
+
+
+def table_ii_circuits():
+    return [w.circuit()
+            for w in sorted(all_workloads(), key=lambda w: w.name)]
+
+
+def vqe_circuits():
+    angles = [0.3, -0.0, -1.25, 2.0, 0.0, 1e-300, -7.5, 0.1, 3.0, -2.0,
+              0.5, 5e-324]
+    return [ryrz_ansatz([0.7]), ryrz_ansatz(angles)]
+
+
+def qaoa_circuits():
+    return [qaoa_circuit(nx.cycle_graph(4), [0.4, -0.0], [1.1, 0.2])]
+
+
+class TestSpecCodec:
+    @pytest.mark.parametrize("family", [table_ii_circuits, vqe_circuits,
+                                        qaoa_circuits])
+    def test_plain_circuits_round_trip_as_tuples(self, tmp_path, family):
+        circuits = family()
+        assert all(c.compact() is not None for c in circuits)
+        loaded = spec_round_trip(tmp_path, {"circuits": circuits})
+        assert loaded["circuits"] == circuits
+        assert ([circuit_signature(c) for c in loaded["circuits"]]
+                == [circuit_signature(c) for c in circuits])
+
+    def test_parameter_types_and_bits_survive(self, tmp_path):
+        qc = QuantumCircuit(2, 1, name="odd-params")
+        qc.rz(-0.0, 0)
+        qc.append(Gate("rz", 1, (3,)), [1])  # an int, as built
+        qc.append(Gate("u", 1, (float("inf"), 5e-324, -1e308)), [0])
+        qc.measure(1, 0)
+        loaded = spec_round_trip(tmp_path, {"circuits": [qc]})
+        assert circuit_signature(loaded["circuits"][0]) \
+            == circuit_signature(qc)
+        assert math.copysign(1.0, loaded["circuits"][0][0].params[0]) < 0
+
+    def test_directive_wider_than_its_operands_survives(self, tmp_path):
+        qc = QuantumCircuit(3)
+        qc.append(Gate("barrier", 3), [0, 1])  # accepted by append
+        qc.h(2)
+        loaded = spec_round_trip(tmp_path, {"circuits": [qc]})["circuits"]
+        assert loaded[0][0].gate.num_qubits == 3
+        assert loaded[0][0].qubits == (0, 1)
+        assert circuit_signature(loaded[0]) == circuit_signature(qc)
+
+    def test_control_flow_circuits_keep_the_default_pickle(self, tmp_path):
+        circuits = [w.circuit() for w in dynamic_workloads()]
+        assert circuits and all(c.compact() is None for c in circuits)
+        loaded = spec_round_trip(tmp_path, {"circuits": circuits})
+        assert loaded["circuits"] == circuits
+
+    def test_extra_state_keeps_the_default_pickle(self, tmp_path):
+        labelled = ghz_circuit(2)
+        labelled.metadata = {"owner": "alice"}
+        tagged = TaggedCircuit(1)
+        tagged.h(0)
+        assert labelled.compact() is None and tagged.compact() is None
+        loaded = spec_round_trip(tmp_path, {"circuits": [labelled,
+                                                         tagged]})
+        assert loaded["circuits"][0].metadata == {"owner": "alice"}
+        assert type(loaded["circuits"][1]) is TaggedCircuit
+
+    def test_compile_store_payloads_keep_the_default_reduction(
+            self, toronto):
+        """The compact form is for replay specs only: a compile-store
+        artifact pickles its circuits, instructions and gates by the
+        default reduction, byte for byte what earlier builds wrote."""
+
+        class DefaultReduction(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is QuantumCircuit:
+                    return copyreg.__newobj__, (QuantumCircuit,), \
+                        obj.__getstate__()
+                if type(obj) in (Instruction, Gate):
+                    return copyreg.__newobj__, (type(obj),), obj.__dict__
+                return NotImplemented
+
+        service = CompileService(ExecutionCache())
+        for circuit in table_ii_circuits():
+            (artifact,) = service.compile_allocation(
+                qucp_allocate([circuit], toronto))
+            reference = io.BytesIO()
+            DefaultReduction(reference, pickle.HIGHEST_PROTOCOL).dump(
+                artifact)
+            assert dumps_artifact(artifact) == reference.getvalue()
+
+    def test_one_object_per_stored_device_per_load(self, tmp_path):
+        device, twin = linear_device(4, seed=1), linear_device(4, seed=1)
+        with JobStore(str(tmp_path / "s.sqlite")) as store:
+            store.record_submission("job-000001", 1, "dev",
+                                    {"a": device, "b": twin})
+            store.record_submission("job-000002", 2, "dev",
+                                    {"a": device, "b": [twin, device],
+                                     "c": twin})
+            record = store.get("job-000002")
+            assert references_device(record.spec)
+            spec = store.load_spec(record)
+        assert spec["a"] is spec["b"][0] is spec["b"][1] is spec["c"]
+        assert pickle.dumps(spec["a"]) == pickle.dumps(device)
+
+    def test_one_row_per_distinct_device(self, tmp_path):
+        """Each distinct device value gets one row however many jobs,
+        objects or handles carry it; a handle pickles the first spec of
+        each device object it sees inline."""
+        path = str(tmp_path / "s.sqlite")
+        device, twin = linear_device(4, seed=1), linear_device(4, seed=1)
+        other = linear_device(4, seed=2)
+        specs = [(1, device), (2, device), (3, device), (4, twin),
+                 (5, other), (6, other)]
+        with JobStore(path) as store, JobStore(path) as second:
+            for number, dev in specs:
+                store.record_submission(f"job-{number:06d}", number,
+                                        "dev", {"device": dev})
+            second.record_submission("job-000007", 7, "dev",
+                                     {"device": device})
+            inline = [n for n in range(1, 8)
+                      if not references_device(
+                          store.get(f"job-{n:06d}").spec)]
+        assert inline == [1, 4, 5, 7]
+        with sqlite3.connect(path) as conn:
+            rows = conn.execute("SELECT digest, device FROM devices "
+                                "ORDER BY rowid").fetchall()
+        assert [bytes(blob) for _, blob in rows] == [
+            pickle.dumps(device, pickle.HIGHEST_PROTOCOL),
+            pickle.dumps(other, pickle.HIGHEST_PROTOCOL)]
+
+    def test_concurrent_submissions_store_each_device_once(self,
+                                                           tmp_path):
+        """Client threads racing first sightings: every spec loads its
+        own device, and each device value has one row."""
+        devices = [linear_device(4, seed=s) for s in range(3)]
+        threads, per_thread = 8, 12
+        start = threading.Barrier(threads)
+        with JobStore(str(tmp_path / "s.sqlite")) as store:
+
+            def submit(t):
+                start.wait(timeout=30)
+                for i in range(per_thread):
+                    number = t * per_thread + i + 1
+                    store.record_submission(
+                        f"job-{number:06d}", number, "dev",
+                        {"device": devices[number % 3]})
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            workers = [threading.Thread(target=submit, args=(t,))
+                       for t in range(threads)]
+            try:
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(worker.is_alive() for worker in workers)
+            for number in range(1, threads * per_thread + 1):
+                spec = store.load_spec(store.get(f"job-{number:06d}"))
+                assert pickle.dumps(spec["device"]) \
+                    == pickle.dumps(devices[number % 3])
+            assert store._run("SELECT COUNT(*) FROM devices") == [(3,)]
+
+    def test_bytes_are_stored_as_they_are(self, tmp_path):
+        with JobStore(str(tmp_path / "s.sqlite")) as store:
+            blob = pickle.dumps({"kind": "simulator"})
+            store.record_submission("job-000001", 1, "dev", blob)
+            assert store.get("job-000001").spec == blob
+            assert store.load_spec(store.get("job-000001")) == {
+                "kind": "simulator"}
+
+    def test_unpicklable_spec_is_stored_as_none(self, tmp_path):
+        with JobStore(str(tmp_path / "s.sqlite")) as store:
+            store.record_submission("job-000001", 1, "dev",
+                                    {"hook": lambda: None})
+            record = store.get("job-000001")
+            assert record.spec is None and record.status == "queued"
+            with pytest.raises(ValueError, match="no replay spec"):
+                store.load_spec(record)
+
+    def test_missing_device_row_is_not_replayable(self, tmp_path, line5):
+        path = str(tmp_path / "jobs.sqlite")
+        with JobStore(path) as store:
+            store.record_submission("job-000001", 1, "x", {"d": line5})
+            store.record_submission("job-000002", 2, "x", {"d": line5})
+        with sqlite3.connect(path) as conn:
+            conn.execute("DELETE FROM devices")
+        with JobStore(path) as store:
+            assert store.load_spec(store.get("job-000001"))["d"].name \
+                == line5.name
+            with pytest.raises(LookupError):
+                store.load_spec(store.get("job-000002"))
+
+    def test_memory_ledger_keeps_referenced_devices(self, tmp_path,
+                                                    line5):
+        """A file that fails mid-life and cannot be copied leaves an
+        in-memory ledger that still holds every device row the handle's
+        specs reference, a spec encoded before the switch included."""
+        path = str(tmp_path / "s.sqlite")
+        store = JobStore(path)
+        store.record_submission("job-000001", 1, "dev", {"d": line5})
+        store._db._conn.close()
+        corrupt_file(path)
+        with pytest.warns(RuntimeWarning, match="unusable"):
+            store.record_submission("job-000002", 2, "dev", {"d": line5})
+        assert store.disabled and store.get("job-000001") is None
+        record = store.get("job-000002")
+        assert references_device(record.spec)
+        assert pickle.dumps(store.load_spec(record)["d"]) \
+            == pickle.dumps(line5)
+        store.close()
+
+    def test_parent_format_spec_resumes(self, tmp_path, line5):
+        """A spec pickled whole (inline device, dataclass circuits), as
+        earlier builds wrote it, still resumes to DONE."""
+        prov = make_provider(tmp_path, devices=[line5])
+        try:
+            job = prov.simulator(line5).run(
+                [ghz_circuit(2).measure_all()] * 2, shots=64, seed=8)
+            counts = [job.result().counts(i) for i in range(2)]
+            spec = prov.store.load_spec(prov.store.get(job.job_id))
+        finally:
+            prov.shutdown()
+        legacy = pickle.dumps(spec)
+        assert not references_device(legacy)
+        path = str(tmp_path / "legacy.sqlite")
+        with JobStore(path) as store:
+            store.record_submission(job.job_id, 1, "legacy", legacy)
+        fresh = QuantumProvider(devices=[line5], store_path=path)
+        try:
+            handle = fresh.job(job.job_id)
+            assert handle.wait(timeout=120) is JobStatus.DONE
+            result = handle.result()
+            assert [result.counts(i) for i in range(2)] == counts
+        finally:
+            fresh.shutdown()
+
+    def test_prebuilt_allocation_resumes_from_a_device_reference(
+            self, tmp_path, line5):
+        """The loaded allocation and the backend share one device
+        object, as ``SimulatorBackend.run`` requires."""
+        prov = make_provider(tmp_path, devices=[line5])
+        try:
+            sim = prov.simulator(line5)
+            sim.run([ghz_circuit(2).measure_all()], shots=16,
+                    seed=1).result()  # stores the device
+            allocation = qucp_allocate(
+                [ghz_circuit(2).measure_all()] * 2, line5)
+            job = sim.run(allocation, shots=64, seed=6)
+            payload = job.result().to_dict()
+        finally:
+            prov.shutdown()
+        with JobStore(str(tmp_path / "jobs.sqlite")) as store:
+            assert references_device(store.get(job.job_id).spec)
+            store.record_transition(job.job_id, "running", attempt=1)
+        fresh = make_provider(tmp_path, devices=[line5])
+        try:
+            handle = fresh.job(job.job_id)
+            assert handle.wait(timeout=120) is JobStatus.DONE
+            assert handle.result().to_dict()["programs"] \
+                == payload["programs"]
+        finally:
+            fresh.shutdown()
+
+    def test_cloud_job_on_a_two_device_fleet_resumes(self, tmp_path):
+        first, second = linear_device(5, seed=7), linear_device(4, seed=3)
+        prov = make_provider(tmp_path)
+        try:
+            fleet = prov.fleet_backend([first, second])
+            circuits = [ghz_circuit(2).measure_all()] * 3
+            fleet.run(circuits, shots=16, seed=1).result()  # stores both
+            job = fleet.run(circuits, shots=64, seed=9)
+            payload = job.result().to_dict()
+        finally:
+            prov.shutdown()
+        path = str(tmp_path / "jobs.sqlite")
+        with sqlite3.connect(path) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM devices"
+                                ).fetchone()[0] == 2
+        with JobStore(path) as store:
+            assert references_device(store.get(job.job_id).spec)
+            store.record_transition(job.job_id, "running", attempt=1)
+        fresh = make_provider(tmp_path)
+        try:
+            handle = fresh.job(job.job_id)
+            assert handle.wait(timeout=120) is JobStatus.DONE
+            replayed = handle.result().to_dict()
+            assert replayed["programs"] == payload["programs"]
+            assert replayed["schedule"] == payload["schedule"]
+        finally:
+            fresh.shutdown()
 
 
 # ----------------------------------------------------------------------
