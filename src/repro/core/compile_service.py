@@ -43,7 +43,7 @@ TranspilerFn = Callable[[QuantumCircuit, Device, ProgramAllocation],
 # The token versions the persistent store's entries for this pipeline:
 # bump it whenever the default pipeline's output would change, so stale
 # artifacts from older builds miss instead of being reused.
-@persistent_cache_token("default-O3-alap-sched/v2")
+@persistent_cache_token("default-O3-alap-sched/v3")
 def _default_transpiler(circuit: QuantumCircuit, device: Device,
                         allocation: ProgramAllocation) -> TranspileResult:
     return transpile_for_partition(circuit, device, allocation.partition,

@@ -428,20 +428,26 @@ class QuantumProvider:
 
         *spec* is the submission's replay recipe — encoded into the
         durable store (when one is attached) so a restarted provider
-        can re-run the job; ``None`` marks it non-replayable.
+        can re-run the job; ``None`` marks it non-replayable.  A job
+        being resumed is only returned to ``queued`` in the store.
         """
         store = self._store
         with self._lock:
             if self._closed:
                 raise RuntimeError("provider is shut down")
-            if self._resume_id is not None:
+            resumed = self._resume_id is not None
+            if resumed:
                 job_id, number = self._resume_id, self._resume_number
             else:
                 self._job_counter += 1
                 number = self._job_counter
                 job_id = f"job-{number:06d}"
         if store is not None:
-            store.record_submission(job_id, number, backend.name, spec)
+            if resumed:  # its stored submission time and spec stay
+                store.record_transition(job_id, "queued")
+            else:
+                store.record_submission(job_id, number, backend.name,
+                                        spec)
         state = _JobState()
         future = self._pool.submit(self._run_job, fn, job_id, state)
         on_cancel = None

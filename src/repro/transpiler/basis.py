@@ -60,6 +60,16 @@ def _wrap(angle: float) -> float:
     return wrapped - math.pi
 
 
+#: The one ``sx`` gate the rewrites emit (gates are frozen, safe to share).
+_SX = gate("sx")
+
+
+def _rz(angle: float) -> Gate:
+    """An ``rz`` gate around a float angle (what :func:`gate` would build,
+    without its name lookup and coercion)."""
+    return Gate("rz", 1, (angle,))
+
+
 def decompose_oneq_gate(g: Gate) -> List[Gate]:
     """Rewrite a 1q gate as ZXZXZ basis gates (degenerate forms pruned).
 
@@ -74,20 +84,12 @@ def decompose_oneq_gate(g: Gate) -> List[Gate]:
         total = _wrap(phi + lam)
         if abs(total) < _TOL:
             return []
-        return [gate("rz", total)]
+        return [_rz(total)]
     if abs(theta - math.pi / 2) < _TOL:
-        return [
-            gate("rz", _wrap(lam - math.pi / 2)),
-            gate("sx"),
-            gate("rz", _wrap(phi + math.pi / 2)),
-        ]
-    return [
-        gate("rz", lam),
-        gate("sx"),
-        gate("rz", _wrap(theta + math.pi)),
-        gate("sx"),
-        gate("rz", _wrap(phi + 3 * math.pi)),
-    ]
+        return [_rz(_wrap(lam - math.pi / 2)), _SX,
+                _rz(_wrap(phi + math.pi / 2))]
+    return [_rz(lam), _SX, _rz(_wrap(theta + math.pi)), _SX,
+            _rz(_wrap(phi + 3 * math.pi))]
 
 
 def _emit(qc: QuantumCircuit, name: str, qubits: Tuple[int, ...],

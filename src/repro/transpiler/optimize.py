@@ -2,23 +2,25 @@
 
 - :func:`cancel_adjacent_pairs` removes back-to-back self-inverse gates
   (CX-CX, H-H, X-X, ...);
-- :func:`fuse_oneq_runs` collapses every maximal run of 1q gates on a
-  qubit into at most one ZXZXZ sequence (subsumes RZ merging);
-- :func:`optimize_circuit` iterates the passes to a fixpoint, gated by the
-  optimization level.
+- :func:`fuse_oneq_runs` replaces each maximal run of 1q gates on a
+  qubit by its fused ZXZXZ form (subsumes RZ merging) when that form is
+  better: fewer gates, or as many with fewer pulses.  A run it emitted
+  fuses to the same shape, so the pass is idempotent;
+- :func:`optimize_circuit` runs the passes by optimization level; level
+  3 fuses again only after a cancellation removed gates, and its output
+  is a fixpoint of level 3.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import Instruction, QuantumCircuit
 from ..circuits.controlflow import ControlFlowOp
-from ..circuits.gates import Gate
+from ..circuits.gates import DIRECTIVES, Gate, gate
 from .basis import decompose_oneq_gate
 
 __all__ = ["cancel_adjacent_pairs", "combine_adjacent_delays",
@@ -26,16 +28,20 @@ __all__ = ["cancel_adjacent_pairs", "combine_adjacent_delays",
 
 #: Fused-run memo: (gate name, params) sequence of a 1q run -> its fused
 #: replacement (``None`` = "keep the original run").  The fused form is a
-#: pure function of the run's gates, and service traffic repeats the
-#: same few circuits endlessly (and level 3 re-fuses each circuit to a
-#: fixpoint), so the matrix-product + ZYZ extraction of a repeated run
-#: is paid once.  Gates are frozen dataclasses, safe to share.  Job
-#: threads compile concurrently, so every read and write of the memo
-#: holds :data:`_FUSED_RUNS_LOCK` (a hit's ``move_to_end`` must not race
-#: another thread's eviction).
+#: pure function of the run's gates (keys equate 0.0 with -0.0; every
+#: angle the rewrite emits passes through ``_wrap``, so either sign
+#: gives the same bits), and service traffic repeats the same few
+#: circuits endlessly, so the matrix product and ZYZ extraction of a
+#: repeated run is paid once.  Gates are frozen dataclasses, safe to
+#: share.  Job threads compile concurrently, so every read and write of
+#: the memo holds :data:`_FUSED_RUNS_LOCK` (a hit's ``move_to_end`` must
+#: not race another thread's eviction).
 _FUSED_RUNS: "OrderedDict[Tuple, Optional[Tuple]]" = OrderedDict()
 _FUSED_RUNS_MAX = 4096
 _FUSED_RUNS_LOCK = threading.Lock()
+
+#: The fixed 1q basis gates as rows of Python complex numbers.
+_ROWS = {name: gate(name).matrix().tolist() for name in ("sx", "x")}
 
 _SELF_INVERSE = {"x", "y", "z", "h", "cx", "cz", "swap", "ccx", "cswap",
                  "id"}
@@ -47,9 +53,10 @@ def cancel_adjacent_pairs(circuit: QuantumCircuit) -> QuantumCircuit:
     "Adjacent" means no intervening instruction touches any of the gate's
     qubits.
     """
-    kept: List[Optional[Instruction]] = list(circuit.instructions)
+    instructions = circuit._instructions  # noqa: SLF001
+    kept: List[Optional[Instruction]] = list(instructions)
     last_on_qubit: Dict[int, int] = {}
-    for idx, inst in enumerate(circuit.instructions):
+    for idx, inst in enumerate(instructions):
         cancel_with: Optional[int] = None
         if inst.name in _SELF_INVERSE:
             prev_idxs = {last_on_qubit.get(q) for q in inst.qubits}
@@ -76,13 +83,37 @@ def cancel_adjacent_pairs(circuit: QuantumCircuit) -> QuantumCircuit:
             last_on_qubit[-1 - c] = idx
     out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
                          circuit.name)
-    for inst in kept:
-        if inst is not None:
-            out._instructions.append(inst)  # noqa: SLF001
+    out._instructions.extend(  # noqa: SLF001
+        [inst for inst in kept if inst is not None])
     return out
 
 
 _UNCACHED = object()
+
+
+def _run_matrix(run: List[Instruction]) -> Tuple[Tuple[complex, complex],
+                                                 Tuple[complex, complex]]:
+    """The 2x2 unitary of *run* (its first gate applied first),
+    multiplied out in Python complex numbers: cheaper than numpy at this
+    size."""
+    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
+    for inst in run:
+        if inst.name == "rz":  # diag(e^{-i t/2}, e^{i t/2})
+            half = 0.5 * inst.params[0]
+            cos, sin = math.cos(half), math.sin(half)
+            low, high = complex(cos, -sin), complex(cos, sin)
+            a, b, c, d = low * a, low * b, high * c, high * d
+            continue
+        rows = _ROWS.get(inst.name) or inst.gate.matrix().tolist()
+        (m00, m01), (m10, m11) = rows
+        a, b, c, d = (m00 * a + m01 * c, m00 * b + m01 * d,
+                      m10 * a + m11 * c, m10 * b + m11 * d)
+    return (a, b), (c, d)
+
+
+def _cost(gates: Sequence) -> Tuple[int, int]:
+    """Gates, then pulses (every gate but ``rz`` drives the qubit)."""
+    return len(gates), sum(1 for g in gates if g.name != "rz")
 
 
 def _fused_run(run: List[Instruction]) -> Optional[Tuple]:
@@ -97,11 +128,8 @@ def _fused_run(run: List[Instruction]) -> Optional[Tuple]:
         if cached is not _UNCACHED:
             _FUSED_RUNS.move_to_end(key)
             return cached
-    mat = np.eye(2, dtype=complex)
-    for inst in run:
-        mat = inst.gate.matrix() @ mat
-    decomposed = decompose_oneq_gate(_matrix_gate(mat))
-    fused = tuple(decomposed) if len(decomposed) <= len(run) else None
+    decomposed = decompose_oneq_gate(_MatrixGateShim(_run_matrix(run)))
+    fused = tuple(decomposed) if _cost(decomposed) < _cost(run) else None
     with _FUSED_RUNS_LOCK:
         _FUSED_RUNS[key] = fused
         while len(_FUSED_RUNS) > _FUSED_RUNS_MAX:
@@ -112,9 +140,11 @@ def _fused_run(run: List[Instruction]) -> Optional[Tuple]:
 def fuse_oneq_runs(circuit: QuantumCircuit) -> QuantumCircuit:
     """Collapse maximal 1q-gate runs per qubit into minimal basis gates.
 
-    A run is replaced by its fused ZXZXZ form only when that form is not
-    longer than the run itself (a 2-gate run can fuse into 5 basis gates,
-    which would be a pessimization).
+    A run is replaced by its fused ZXZXZ form only when that form is
+    better: fewer gates, or as many gates with fewer pulses (``sx`` or
+    ``x``; a 2-gate run can fuse into 5 basis gates, and ``rz x sx``
+    into ``rz sx rz``).  A run this pass emitted fuses to the same
+    shape and is kept as it is, so fusing an output again returns it.
     """
     out = QuantumCircuit(circuit.num_qubits, circuit.num_clbits,
                          circuit.name)
@@ -134,10 +164,10 @@ def fuse_oneq_runs(circuit: QuantumCircuit) -> QuantumCircuit:
         for g in fused:
             emitted.append(Instruction(g, qubits))
 
-    for inst in circuit:
-        if (not inst.gate.is_directive and len(inst.qubits) == 1
-                and inst.name != "delay"
-                and not isinstance(inst.gate, ControlFlowOp)):
+    for inst in circuit._instructions:  # noqa: SLF001
+        g = inst.gate
+        if (len(inst.qubits) == 1 and g.name not in DIRECTIVES
+                and not isinstance(g, ControlFlowOp)):
             pending.setdefault(inst.qubits[0], []).append(inst)
             continue
         for q in inst.qubits:
@@ -191,26 +221,33 @@ def combine_adjacent_delays(circuit: QuantumCircuit) -> QuantumCircuit:
 class _MatrixGateShim:
     """Minimal duck-typed gate carrying an explicit matrix."""
 
-    def __init__(self, mat: np.ndarray) -> None:
+    name = "_fused"
+
+    def __init__(self, mat) -> None:
         self._mat = mat
-        self.name = "_fused"
-        self.num_qubits = 1
-        self.params = ()
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self):
         return self._mat
-
-
-def _matrix_gate(mat: np.ndarray) -> "_MatrixGateShim":
-    return _MatrixGateShim(mat)
 
 
 def optimize_circuit(circuit: QuantumCircuit,
                      optimization_level: int = 3) -> QuantumCircuit:
     """Run the optimization pipeline for the given level.
 
-    Level 0: nothing. Level 1: pair cancellation. Level 2: + 1q-run
-    fusion. Level 3: iterate both to a fixpoint.
+    ====== ==========================================================
+    Level  Passes
+    ====== ==========================================================
+    0      nothing
+    1      pair cancellation
+    2      pair cancellation, then 1q-run fusion
+    3      level 2, then cancel again; each cancellation that removed
+           gates is followed by another fusion and cancellation
+    ====== ==========================================================
+
+    Level 3 stops when a cancellation removes nothing.  Fusing an output
+    of :func:`fuse_oneq_runs` again changes nothing, so the result is a
+    fixpoint of level 3.  A level-2 output may still hold a pair that
+    its fusion (or its cancellation) left adjacent.
     """
     if optimization_level <= 0:
         return circuit
@@ -220,9 +257,8 @@ def optimize_circuit(circuit: QuantumCircuit,
     current = fuse_oneq_runs(current)
     if optimization_level == 2:
         return current
-    for _ in range(10):
-        nxt = fuse_oneq_runs(cancel_adjacent_pairs(current))
-        if len(nxt) == len(current):
-            return nxt
-        current = nxt
-    return current
+    while True:  # each round removes gates, so the loop ends
+        pruned = cancel_adjacent_pairs(current)
+        if len(pruned) == len(current):
+            return current
+        current = fuse_oneq_runs(pruned)

@@ -253,14 +253,14 @@ class TestCrossProcessStore:
 
 #: Store digests of the dynamic suite's circuits, placed on Toronto.
 _DYNAMIC_DIGESTS = {
-    "teleportation": "120b7f7f7fa19e6ce4004d343b19facd"
-                     "0d78848d6045596b1c9a7015d9362428",
-    "repeat_until_success": "3413ffcd1a9989898ea31761cdaec766"
-                            "5ba2071ddf16e46907905f0d7e1c5424",
-    "echo_loop": "8316b897fe6c2a68be459bf8bf643f13"
-                 "061fd62e6b329591178c0d2d5a8a381f",
-    "conditional_fixup": "c9213513b8397999dc7587f377b20c1d"
-                         "911b343181af436b8bea73f85b042c0a",
+    "teleportation": "2dfe2faa2ac9cd9f49c42aedf0891d0c"
+                     "5b370f02a27dfd147772833534b9f97e",
+    "repeat_until_success": "57e76873fef710929956f7c641cff924"
+                            "8a5e01a620bafb21156bba74186528e1",
+    "echo_loop": "4d62080df6f134a1e04d72f0c391a0b4"
+                 "e9db3a49659901e23e3c877c8adbe785",
+    "conditional_fixup": "d817c6f6809f120dd55866371d879c29"
+                         "aeb5d22ccba38877732eed8a97e1efb7",
 }
 
 
@@ -287,10 +287,10 @@ class TestTieredExecutionCache:
         relabeled.h(1).cx(1, 0).rz(0.25, 2).cx(1, 2).measure_all()
         assert keys_mod._DIGEST_SCHEMA == 1  # noqa: SLF001
         for circuit, digest in (
-                (identity, "f6b6271ec261e6230aaa0f906f90edee"
-                           "d3decadf7dfc040dbd0a59a96c8fe1f0"),
-                (relabeled, "e7bf78acc7cc7d05729871843c82b030"
-                            "a28c1f539c562f2db21ce7f7bb34c1de")):
+                (identity, "3bcb6702e88d209bf1d76bbec59252bc"
+                           "233a04701a5d344553884f445c30276d"),
+                (relabeled, "07d42b36cee1531ddcefd68e51ac6f23"
+                            "0799f4746f5b0dabaa2780648ba31f67")):
             alloc = ProgramAllocation(0, circuit, (3, 5, 8), 0.875,
                                       ((1, 2), (5, 8)))
             key = transpile_key(circuit, device, alloc, _default_transpiler)

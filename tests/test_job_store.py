@@ -703,6 +703,34 @@ class TestProviderDurability:
         finally:
             fresh.shutdown()
 
+    def test_resumed_job_keeps_its_submission(self, tmp_path, line5):
+        """A restart returns an interrupted job to ``queued``: its stored
+        submission time and replay spec stay as they were."""
+        prov = make_provider(tmp_path, devices=[line5])
+        job = prov.simulator(line5).run(
+            [ghz_circuit(2).measure_all()], shots=32, seed=4)
+        job.result()
+        job_id = job.job_id
+        prov.shutdown()
+        with JobStore(str(tmp_path / "jobs.sqlite")) as store:
+            submitted = store.get(job_id)
+            store.record_transition(job_id, "running", attempt=1)
+        time.sleep(1.0)
+
+        fresh = make_provider(tmp_path, devices=[line5])
+        try:
+            fresh.job(job_id).result(timeout=120)
+            rec = fresh.store.get(job_id)
+            trail = [t.status for t in fresh.store.transitions(job_id)]
+        finally:
+            fresh.shutdown()
+        assert rec.status == "done"
+        assert rec.submitted == submitted.submitted
+        assert rec.spec == submitted.spec
+        assert rec.updated >= submitted.updated + 1.0
+        assert trail == ["queued", "running", "done", "running", "queued",
+                         "running", "done"]
+
     def test_unreplayable_interrupted_job_errors(self, tmp_path, line5):
         prov = make_provider(tmp_path, devices=[line5])
         job = prov._submit_job(prov.simulator(line5),

@@ -18,7 +18,8 @@ from repro.sim import (
     simulate_statevector,
 )
 from repro.sim.noise_model import NoiseModel
-from repro.transpiler import decompose_to_basis, optimize_circuit
+from repro.transpiler import (decompose_to_basis, fuse_oneq_runs,
+                              optimize_circuit)
 from repro.vqe import PauliString
 
 # ----------------------------------------------------------------------
@@ -92,6 +93,21 @@ class TestCircuitProperties:
         opt = optimize_circuit(dec, level)
         assert opt.size() <= dec.size()
         assert _equiv_phase(circuit_unitary(dec), circuit_unitary(opt))
+
+    @given(small_circuits(), st.integers(2, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_optimized_output_is_a_fixpoint(self, qc, level):
+        # Level 3 returns a fixpoint of itself; a level-2 output is one
+        # of fusion (optimizing it again at level 2 may still cancel a
+        # pair its fusion or cancellation left adjacent).
+        def bits(circuit):
+            return [(i.name, i.qubits, tuple(map(repr, i.params)))
+                    for i in circuit]
+
+        opt = optimize_circuit(decompose_to_basis(qc), level)
+        again = (fuse_oneq_runs(opt) if level == 2
+                 else optimize_circuit(opt, 3))
+        assert bits(again) == bits(opt)
 
     @given(small_circuits())
     @settings(max_examples=20, deadline=None)

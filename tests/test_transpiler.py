@@ -1,6 +1,7 @@
 """Unit tests for the transpiler passes."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.circuits import (
     qft_circuit,
     random_circuit,
 )
+from repro.circuits.controlflow import ControlFlowOp
 from repro.circuits.gates import gate
 from repro.sim import circuit_unitary, simulate_statevector
 from repro.sim.executor import program_duration
@@ -28,7 +30,12 @@ from repro.transpiler import (
     transpile_for_partition,
     zyz_angles,
 )
+from repro.transpiler import optimize as opt_mod
 from repro.transpiler.context import induced_coupling
+from repro.vqe import (group_commuting_terms, h2_hamiltonian,
+                       measurement_circuit, ryrz_ansatz)
+from repro.workloads import (all_workloads, dynamic_circuit,
+                             dynamic_workload_names)
 
 
 def _equiv_phase(u, v, tol=1e-8):
@@ -38,6 +45,19 @@ def _equiv_phase(u, v, tol=1e-8):
         return False
     phase = v[idx] / u[idx]
     return np.allclose(u * phase, v, atol=tol)
+
+
+def _bits(circuit):
+    """Each instruction's name, qubits, clbits and exact parameter bits
+    (control-flow bodies recursively)."""
+    out = []
+    for inst in circuit:
+        if isinstance(inst.gate, ControlFlowOp):
+            payload = tuple(_bits(body) for body in inst.gate.bodies)
+        else:
+            payload = tuple(repr(p) for p in inst.params)
+        out.append((inst.name, inst.qubits, inst.clbits, payload))
+    return out
 
 
 class TestZyzAngles:
@@ -270,6 +290,44 @@ class TestOptimize:
             opt_mod._FUSED_RUNS.clear()
             opt_mod._FUSED_RUNS.update(saved)
 
+    def test_fewer_pulses_win_a_tie(self):
+        # rz x sx fuses to rz sx rz: as many gates, one pulse fewer.
+        qc = QuantumCircuit(1)
+        qc.rz(0.4, 0).x(0).sx(0)
+        fused = fuse_oneq_runs(qc)
+        assert [i.name for i in fused] == ["rz", "sx", "rz"]
+        assert _equiv_phase(circuit_unitary(qc), circuit_unitary(fused))
+
+    def test_zxzxz_run_is_kept(self):
+        qc = QuantumCircuit(1)
+        qc.rz(0.3, 0).sx(0).rz(1.1, 0).sx(0).rz(-0.4, 0)
+        assert list(fuse_oneq_runs(qc)) == list(qc)
+
+    def test_signed_zero_runs_fuse_to_the_same_bits(self, monkeypatch):
+        # Memo keys equate 0.0 with -0.0, so whichever run is fused
+        # first serves both: both must fuse to the same bits.
+        def run(zero):
+            qc = QuantumCircuit(1)
+            qc.sx(0).rz(zero, 0).x(0).rz(0.7, 0).sx(0).rz(zero, 0)
+            return qc.sx(0)
+
+        outputs = []
+        for order in ((-0.0, 0.0), (0.0, -0.0)):
+            monkeypatch.setattr(opt_mod, "_FUSED_RUNS", OrderedDict())
+            outputs.extend(_bits(fuse_oneq_runs(run(z))) for z in order)
+        assert len(outputs[0]) < 7  # the fused form replaced the run
+        assert all(out == outputs[0] for out in outputs)
+
+    def test_cancellation_lets_the_outer_runs_merge(self):
+        # The middle run fuses away, the CX pair then cancels, and the
+        # outer runs merge into one rz.
+        qc = QuantumCircuit(2)
+        qc.rz(0.3, 1).cx(0, 1).rz(0.5, 1).rz(-0.5, 1).cx(0, 1)
+        qc.rz(0.4, 1)
+        opt = optimize_circuit(qc, 3)
+        assert [(i.name, i.qubits) for i in opt] == [("rz", (1,))]
+        assert opt[0].params[0] == pytest.approx(0.7)
+
 
 class TestSchedule:
     def test_delays_inserted_in_gaps(self):
@@ -325,3 +383,115 @@ class TestTranspileEndToEnd:
         high = transpile(qc, line5.coupling, line5.calibration,
                          optimization_level=3)
         assert high.circuit.size() <= low.circuit.size()
+
+
+# ----------------------------------------------------------------------
+# Level 3 returns a fixpoint of itself
+# ----------------------------------------------------------------------
+
+def _connected(device, size, start=1):
+    """A BFS-grown connected partition of *size* qubits."""
+    seen, frontier = [start], [start]
+    while frontier and len(seen) < size:
+        for nb in device.coupling.neighbors(frontier.pop(0)):
+            if nb not in seen and len(seen) < size:
+                seen.append(nb)
+                frontier.append(nb)
+    return tuple(sorted(seen))
+
+
+def _random_40(seed):
+    """A seeded random 4-qubit, 40-gate circuit, measured."""
+    rng = np.random.default_rng(seed)
+    names = ("h", "x", "sx", "s", "t", "rz", "ry", "rx", "cx", "cx")
+    qc = QuantumCircuit(4, 4)
+    for _ in range(40):
+        name = names[int(rng.integers(len(names)))]
+        if name == "cx":
+            a, b = rng.choice(4, size=2, replace=False)
+            qc.cx(int(a), int(b))
+        elif name in ("rz", "ry", "rx"):
+            qc.append(gate(name, float(rng.uniform(-math.pi, math.pi))),
+                      (int(rng.integers(4)),))
+        else:
+            qc.append(gate(name), (int(rng.integers(4)),))
+    return qc.measure_all()
+
+
+def _fixpoint_suite(device):
+    """(circuit, partition, has a unitary) triples: Table II, the
+    dynamic suite, VQE at 100 angles and 300 seeded random circuits."""
+    suite = [(w.circuit(), _connected(device, w.circuit().num_qubits),
+              True)
+             for w in sorted(all_workloads(), key=lambda w: w.name)]
+    for name in dynamic_workload_names():
+        circuit = dynamic_circuit(name)
+        suite.append((circuit, (3, 5, 8, 11, 14)[:circuit.num_qubits],
+                      False))
+    groups = group_commuting_terms(h2_hamiltonian())
+    rng = np.random.default_rng(16)
+    for theta in rng.uniform(-math.pi, math.pi, size=100):
+        ansatz = ryrz_ansatz([float(theta)])
+        suite.extend((measurement_circuit(ansatz, group), (1, 2), True)
+                     for group in groups)
+    suite.extend((_random_40(seed), (1, 2, 3, 4), True)
+                 for seed in range(300))
+    return suite
+
+
+def _unitary(circuit):
+    """The unitary of *circuit* without its final measurements."""
+    body = QuantumCircuit(circuit.num_qubits)
+    for inst in circuit:
+        if inst.name != "measure":
+            body.append(inst.gate, inst.qubits)
+    return circuit_unitary(body)
+
+
+def _gates_and_pulses(circuit):
+    gates = pulses = 0
+    for inst in circuit:
+        if isinstance(inst.gate, ControlFlowOp):
+            for body in inst.gate.bodies:
+                g, p = _gates_and_pulses(body)
+                gates, pulses = gates + g, pulses + p
+        elif not inst.gate.is_directive:
+            gates += 1
+            pulses += inst.name in ("sx", "x")
+    return gates, pulses
+
+
+def _assert_level3_fixpoint(circuit):
+    assert _bits(optimize_circuit(circuit, 3)) == _bits(circuit)
+    for inst in circuit:
+        if isinstance(inst.gate, ControlFlowOp):
+            for body in inst.gate.bodies:
+                _assert_level3_fixpoint(body)
+
+
+class TestLevel3Fixpoint:
+    #: Gates and pulses (``sx``/``x``) the suite compiled to before
+    #: level 3 stopped at a fixpoint (208 of its 512 compiles were not
+    #: fixpoints then); the optimizer must not emit more.
+    PARENT_GATES = 25_207
+    PARENT_PULSES = 7_414
+
+    def test_compiles_are_fixpoints_that_keep_the_unitary(self, toronto):
+        gates = pulses = 0
+        for circuit, partition, unitary in _fixpoint_suite(toronto):
+            opt = transpile_for_partition(circuit, toronto, partition,
+                                          schedule=False).circuit
+            _assert_level3_fixpoint(opt)
+            g, p = _gates_and_pulses(opt)
+            gates, pulses = gates + g, pulses + p
+            if not unitary:
+                continue
+            routed = transpile_for_partition(
+                circuit, toronto, partition, optimization_level=0,
+                schedule=False).circuit
+            u, v = _unitary(routed), _unitary(opt)
+            idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+            np.testing.assert_allclose(u * (v[idx] / u[idx]), v,
+                                       rtol=0, atol=1e-10)
+        assert gates <= self.PARENT_GATES
+        assert pulses <= self.PARENT_PULSES
